@@ -7,6 +7,7 @@
 #include "crypto/xmss.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::adversary {
 
@@ -33,20 +34,6 @@ FetchOutcome fetchOutcomeFromString(std::string_view s) {
         }
     }
     throw ParseError("unknown probe outcome in oracle: " + std::string(s));
-}
-
-std::uint64_t parseU64(std::string_view value, const char* field) {
-    std::uint64_t out = 0;
-    std::size_t i = 0;
-    for (; i < value.size(); ++i) {
-        const char c = value[i];
-        if (c < '0' || c > '9') break;
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (i == 0 || i != value.size()) {
-        throw ParseError(std::string("bad numeric value for '") + field + "' in oracle");
-    }
-    return out;
 }
 
 bool parseYesNo(std::string_view value, const char* field) {

@@ -1,14 +1,12 @@
 #include "adversary/runner.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
-#include "crypto/sha256.hpp"
+#include "detector/state_io.hpp"
 #include "fleet/consensus.hpp"
 #include "fleet/vote.hpp"
-#include "rp/relying_party.hpp"
-#include "rp/sync_engine.hpp"
+#include "sim/harness.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::adversary {
@@ -19,38 +17,10 @@ using consent::Authority;
 using consent::AuthorityDirectory;
 using fleet::MemberFaultClass;
 using rp::RelyingParty;
-using rp::RpOptions;
-using rp::SyncEngine;
-using rp::SyncPolicy;
+using sim::MemberProcess;
 
 IpPrefix pfx(const std::string& s) {
     return IpPrefix::parse(s);
-}
-
-/// One member's vote: digest over the canonical valid-ROA listing plus the
-/// manifest claims. Both members are hashed by the same function, so two
-/// honest relying parties over one feed always share an identity.
-fleet::VrpVote buildVote(const RelyingParty& rp, std::uint32_t member, std::uint64_t epoch) {
-    fleet::VrpVote v;
-    v.member = member;
-    v.epoch = epoch;
-    std::vector<std::string> lines;
-    for (const Roa& r : rp.validRoas()) {
-        lines.push_back(r.uri + "|" + std::to_string(r.serial) + "|" + std::to_string(r.asn));
-    }
-    std::sort(lines.begin(), lines.end());
-    std::string canon;
-    for (const std::string& l : lines) {
-        canon += l;
-        canon += '\n';
-    }
-    v.vrpHash = sha256(canon);
-    v.vrpCount = lines.size();
-    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
-        v.claims.push_back(fleet::VoteClaim{c.pointUri, c.number, c.bodyHash});
-    }
-    std::sort(v.claims.begin(), v.claims.end());
-    return v;
 }
 
 PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
@@ -67,13 +37,10 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
 
     // Run-local observability unless the caller wants the exposition (same
     // contract as the soak: repeated runs start from zero).
-    obs::Registry localRegistry;
-    obs::Registry* registry = cfg.registry != nullptr ? cfg.registry : &localRegistry;
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope runScope(recorder, "adversary",
-                              "pack=" + packName + " seed=" + std::to_string(result.seed));
+    sim::RunContext ctx("adversary", "pack=" + packName + " seed=" + std::to_string(result.seed),
+                        result.seed, cfg.registry, cfg.recorder);
+    obs::Registry* registry = ctx.registry();
+    obs::FlightRecorder* recorder = ctx.recorder();
 
     const obs::Labels packLabel = {{"pack", packName}};
     obs::Counter& mRuns = registry->counter("rc_adversary_runs_total",
@@ -126,18 +93,12 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
     }
     ChaosSource chaos(honest, std::move(header));
 
-    const RpOptions chaoticOptions{
-        .ts = 4, .tg = 8, .checkIntermediateStates = !cfg.disableDetection};
-    const RpOptions twinOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
-    RelyingParty chaotic("chaotic", {rir.cert()}, chaoticOptions, registry);
-    chaotic.attachAlarmRecorder(recorder);
-    RelyingParty twin("twin", {rir.cert()}, twinOptions, registry);
-    twin.attachAlarmRecorder(recorder);
-
-    SyncPolicy policy;
-    policy.maxAttempts = retryBudget + 1;
-    SyncEngine engine(chaotic, chaos, policy, registry);
-    SyncEngine twinEngine(twin, honest, policy, registry);
+    MemberProcess chaoticMember("chaotic", {rir.cert()}, chaos, retryBudget, registry, recorder,
+                                /*checkIntermediateStates=*/!cfg.disableDetection);
+    MemberProcess twinMember("twin", {rir.cert()}, honest, retryBudget, registry, recorder);
+    RelyingParty& chaotic = chaoticMember.rp();
+    RelyingParty& twin = twinMember.rp();
+    const rp::SyncEngine& engine = chaoticMember.engine();
 
     // Three-member mini-fleet: the chaotic member (0) against two honest
     // votes (the twin voting as members 1 and 2) with quorum 2 — the
@@ -202,31 +163,32 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
         }
 
         // --- sync both relying parties ---
-        rp::SyncReport report;
-        try {
-            report = engine.syncRound(now);
-        } catch (const std::exception& e) {
+        const MemberProcess::SyncOutcome synced = chaoticMember.sync(now);
+        if (!synced.ok()) {
             harnessErrors.push_back("round " + std::to_string(r) +
-                                    ": exception escaped chaotic sync: " + e.what());
+                                    ": exception escaped chaotic sync: " + synced.error);
             break;
         }
-        try {
-            twinEngine.syncRound(now);
-        } catch (const std::exception& e) {
+        const MemberProcess::SyncOutcome twinSynced = twinMember.sync(now);
+        if (!twinSynced.ok()) {
             harnessErrors.push_back("round " + std::to_string(r) +
-                                    ": exception escaped twin sync: " + e.what());
+                                    ": exception escaped twin sync: " + twinSynced.error);
             break;
         }
+        const rp::SyncReport& report = synced.report;
 
         // --- §5.4 cross-check (the chaotic member audits the honest view) ---
-        if (!cfg.disableDetection && cfg.globalCheckEvery > 0 &&
-            (r + 1) % cfg.globalCheckEvery == 0) {
+        if (!cfg.disableDetection && (r + 1) % sim::kGlobalCheckEvery == 0) {
             chaotic.globalConsistencyCheck(twin.exportManifestClaims(), now);
         }
 
         // --- mini-fleet consensus: who does the quorum blame? ---
-        const fleet::VrpVote chaoticVote = buildVote(chaotic, 0, r);
-        fleet::VrpVote honest1 = buildVote(twin, 1, r);
+        const auto voteOf = [&](const RelyingParty& rp, std::uint32_t member) {
+            const RpkiState state = rp.roaState();
+            return fleet::VrpVote::cast(rp, member, r, stateToText(state), state.size());
+        };
+        const fleet::VrpVote chaoticVote = voteOf(chaotic, 0);
+        fleet::VrpVote honest1 = voteOf(twin, 1);
         fleet::VrpVote honest2 = honest1;
         honest2.member = 2;
         const fleet::EpochDecision decision = tracker.decide(r, {chaoticVote, honest1, honest2});
@@ -311,17 +273,13 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
     result.transcript = transcript.str();
 
     if (!result.passed) {
-        obs::CapturedBundle bundle;
-        bundle.trigger = "oracle-diff";
-        bundle.label = "pack-" + packName + "-seed-" + std::to_string(result.seed);
-        bundle.bytes = obs::buildPostmortem(
-            *recorder, registry, bundle.trigger,
-            {{"pack", packName},
-             {"seed", std::to_string(result.seed)},
-             {"missing", std::to_string(result.diff.missing.size())},
-             {"spurious", std::to_string(result.diff.spurious.size())}});
-        result.postmortems.push_back(std::move(bundle));
+        ctx.capture("oracle-diff", "pack-" + packName + "-seed-" + std::to_string(result.seed),
+                    {{"pack", packName},
+                     {"seed", std::to_string(result.seed)},
+                     {"missing", std::to_string(result.diff.missing.size())},
+                     {"spurious", std::to_string(result.diff.spurious.size())}});
     }
+    result.postmortems = std::move(ctx.postmortems);
     return result;
 }
 

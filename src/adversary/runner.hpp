@@ -26,7 +26,6 @@ struct PackRunConfig {
     std::uint64_t seed = 1;
     std::uint32_t rounds = 24;       ///< packs assume >= 20
     std::uint32_t retryBudget = 2;   ///< engine retries after the first attempt
-    std::uint32_t globalCheckEvery = 5;  ///< §5.4 cross-check cadence (0 = never)
     /// nullptr = run-local (repeated runs in one process start from zero).
     obs::Registry* registry = nullptr;
     obs::FlightRecorder* recorder = nullptr;

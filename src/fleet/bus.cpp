@@ -54,7 +54,7 @@ LinkFault LinkFault::parseLine(std::string_view line) {
     LinkFault f;
     const auto endpoint = [](std::string_view v, const char* field) -> std::uint32_t {
         if (v == "any") return LinkFault::kMatchAny;
-        return static_cast<std::uint32_t>(detail::parseU64(v, field));
+        return static_cast<std::uint32_t>(parseU64(v, field));
     };
     for (const auto& [key, value] : detail::keyValueTokens(line, "linkfault")) {
         if (key == "kind") {
@@ -64,11 +64,11 @@ LinkFault LinkFault::parseLine(std::string_view line) {
         } else if (key == "to") {
             f.to = endpoint(value, "to");
         } else if (key == "epoch") {
-            f.epoch = detail::parseU64(value, "epoch");
+            f.epoch = parseU64(value, "epoch");
         } else if (key == "epochs") {
-            f.epochs = static_cast<std::uint32_t>(detail::parseU64(value, "epochs"));
+            f.epochs = static_cast<std::uint32_t>(parseU64(value, "epochs"));
         } else if (key == "param") {
-            f.param = detail::parseU64(value, "param");
+            f.param = parseU64(value, "param");
         } else {
             throw ParseError("linkfault line has unknown key: " + std::string(key));
         }

@@ -67,9 +67,9 @@ MemberVerdict MemberVerdict::parseLine(std::string_view line, std::uint64_t* epo
     MemberVerdict v;
     for (const auto& [key, value] : detail::keyValueTokens(line, "verdict")) {
         if (key == "epoch") {
-            if (epochOut != nullptr) *epochOut = detail::parseU64(value, "epoch");
+            if (epochOut != nullptr) *epochOut = parseU64(value, "epoch");
         } else if (key == "member") {
-            v.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            v.member = static_cast<std::uint32_t>(parseU64(value, "member"));
         } else if (key == "class") {
             v.cls = memberFaultClassFromString(value);
         } else if (key == "table7") {
@@ -107,19 +107,19 @@ EpochDecision EpochDecision::parseDecisionLine(std::string_view line) {
     EpochDecision d;
     for (const auto& [key, value] : detail::keyValueTokens(line, "decision")) {
         if (key == "epoch") {
-            d.epoch = detail::parseU64(value, "epoch");
+            d.epoch = parseU64(value, "epoch");
         } else if (key == "outcome") {
             d.outcome = consensusOutcomeFromString(value);
         } else if (key == "hash") {
             d.winningHash = Digest::fromHex(value);
         } else if (key == "agree") {
-            d.agreeing = static_cast<std::uint32_t>(detail::parseU64(value, "agree"));
+            d.agreeing = static_cast<std::uint32_t>(parseU64(value, "agree"));
         } else if (key == "votes") {
-            d.votesSeen = static_cast<std::uint32_t>(detail::parseU64(value, "votes"));
+            d.votesSeen = static_cast<std::uint32_t>(parseU64(value, "votes"));
         } else if (key == "winners") {
             if (value == "-") continue;
             for (std::string_view item : detail::splitList(value, ',')) {
-                d.winners.push_back(static_cast<std::uint32_t>(detail::parseU64(item, "winner")));
+                d.winners.push_back(static_cast<std::uint32_t>(parseU64(item, "winner")));
             }
         } else {
             throw ParseError("decision line has unknown key: " + std::string(key));

@@ -6,24 +6,15 @@
 #include <optional>
 #include <set>
 
-#include "crypto/sha256.hpp"
 #include "detector/state_io.hpp"
 #include "fleet/textutil.hpp"
-#include "rp/durable_store.hpp"
-#include "rp/relying_party.hpp"
-#include "rp/sync_engine.hpp"
-#include "rpki/chaos.hpp"
-#include "sim/driver.hpp"
+#include "sim/harness.hpp"
 #include "util/errors.hpp"
-#include "util/vfs.hpp"
 
 namespace rpkic::fleet {
 
-using rp::DurableStore;
 using rp::RelyingParty;
-using rp::RpOptions;
-using rp::SyncEngine;
-using rp::SyncPolicy;
+using sim::MemberProcess;
 
 // ===========================================================================
 // MemberFaultSpec text form
@@ -62,10 +53,10 @@ MemberFaultSpec MemberFaultSpec::parse(std::string_view spec) {
         throw ParseError("member fault spec is not member:kind[:from[:len]]: " + std::string(spec));
     }
     MemberFaultSpec s;
-    s.member = static_cast<std::uint32_t>(detail::parseU64(parts[0], "member"));
+    s.member = static_cast<std::uint32_t>(parseU64(parts[0], "member"));
     s.cls = faultSpecClassFromToken(parts[1]);
-    if (parts.size() >= 3) s.fromEpoch = detail::parseU64(parts[2], "from-epoch");
-    if (parts.size() == 4) s.epochs = static_cast<std::uint32_t>(detail::parseU64(parts[3], "len"));
+    if (parts.size() >= 3) s.fromEpoch = parseU64(parts[2], "from-epoch");
+    if (parts.size() == 4) s.epochs = static_cast<std::uint32_t>(parseU64(parts[3], "len"));
     return s;
 }
 
@@ -81,24 +72,20 @@ std::vector<MemberFaultSpec> MemberFaultSpec::parseSet(std::string_view set) {
 
 namespace {
 
-/// One fleet member's whole stack. Heap-held so RelyingParty/SyncEngine
-/// references stay stable.
+/// One fleet member's whole stack. Heap-held so the process's references
+/// stay stable.
 struct Member {
     std::uint32_t index = 0;
     std::uint64_t subSeed = 0;
-    MemberFaultSpec spec{.member = 0, .cls = MemberFaultClass::None};
-    bool hasSpec = false;
+    MemberFaultSpec spec{.member = 0, .cls = MemberFaultClass::None};  ///< None = honest
 
-    std::optional<vfs::MemVfs> vfs;
-    std::optional<DurableStore> store;
+    vfs::MemVfs* vfs = nullptr;  ///< the store's crash-injectable filesystem
     /// Parallel-phase flight events (store commits, alarms) land here and
     /// are drained into the run recorder in member order afterwards.
     obs::FlightRecorder recorder;
     std::unique_ptr<ChaosSource> chaos;       // stalled members only
     std::set<std::string> stalledCovered;     // points already given a pin fault
-    std::optional<RelyingParty> rp;
-    std::optional<SyncEngine> engine;
-    bool alive = true;
+    std::optional<MemberProcess> process;     // relying party + engine + store
     bool crashArmed = false;
 
     // Per-epoch outputs of the parallel sync phase.
@@ -109,20 +96,6 @@ struct Member {
 
     std::string name() const { return "member-" + std::to_string(index); }
 };
-
-VrpVote buildVote(const RelyingParty& rp, std::uint32_t member, std::uint64_t epoch,
-                  const RpkiState& state, const std::string& stateText) {
-    VrpVote v;
-    v.member = member;
-    v.epoch = epoch;
-    v.vrpHash = sha256(stateText);
-    v.vrpCount = state.size();
-    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
-        v.claims.push_back(VoteClaim{c.pointUri, c.number, c.bodyHash});
-    }
-    std::sort(v.claims.begin(), v.claims.end());
-    return v;
-}
 
 }  // namespace
 
@@ -151,27 +124,15 @@ FleetResult runFleet(const FleetConfig& cfg) {
     result.transcript.quorum = cfg.quorum;
     result.transcript.epochs = cfg.epochs;
 
-    std::optional<obs::Registry> ownedRegistry;
-    obs::Registry* registry = cfg.registry;
-    if (registry == nullptr) {
-        ownedRegistry.emplace();
-        registry = &*ownedRegistry;
-    }
     rc::parallel::Pool& pool = cfg.pool != nullptr ? *cfg.pool : rc::parallel::defaultPool();
-
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope fleetScope(recorder, "fleet", "run seed=" + std::to_string(cfg.seed));
-
-    const std::string statusPrefix = "fleet/seed-" + std::to_string(cfg.seed) + "/";
-    const auto publish = [&](const std::string& key, const std::string& value) {
-        if (cfg.status != nullptr) cfg.status->set(statusPrefix + key, value);
-    };
-    publish("members", std::to_string(cfg.members));
-    publish("quorum", std::to_string(cfg.quorum));
-    publish("epochs-total", std::to_string(cfg.epochs));
-    publish("state", "running");
+    sim::RunContext ctx("fleet", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
+                        cfg.recorder, cfg.status);
+    obs::Registry* registry = ctx.registry();
+    obs::FlightRecorder* recorder = ctx.recorder();
+    ctx.publish("members", std::to_string(cfg.members));
+    ctx.publish("quorum", std::to_string(cfg.quorum));
+    ctx.publish("epochs-total", std::to_string(cfg.epochs));
+    ctx.publish("state", "running");
 
     // --- instruments ---------------------------------------------------------
     obs::Gauge& gMembers = registry->gauge("rc_fleet_members", "Configured fleet size");
@@ -212,8 +173,9 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                              "Members masked out of the last quorum epoch");
     obs::Gauge& gOutputRoas = registry->gauge("rc_fleet_consensus_roas",
                                               "VRP count of the last consensus output");
-    obs::Histogram& hEpoch = registry->histogram("rc_fleet_epoch_seconds",
-                                                 "Wall time per fleet epoch");
+    // Read only by RC_OBS_TIMED, which compiles out with RC_OBSERVABILITY=OFF.
+    [[maybe_unused]] obs::Histogram& hEpoch =
+        registry->histogram("rc_fleet_epoch_seconds", "Wall time per fleet epoch");
     // Every member's vote counter is registered up front: a member that
     // never votes (e.g. crashed at epoch 0) must still surface an explicit
     // zero series in the exposition, not a silently missing one.
@@ -234,9 +196,11 @@ FleetResult runFleet(const FleetConfig& cfg) {
     // second driver constructed from the *same* config: both replay the
     // identical op sequence until the mirror takes extra steps, at which
     // point its world forks into a legitimately-signed divergent view.
+    // Authorities are honest: divergence is the *members'* fault, so the
+    // twin is an exact oracle for the honest majority.
     sim::DriverConfig driverCfg;
     driverCfg.seed = cfg.seed;
-    driverCfg.adversarialProbability = cfg.adversarialProbability;
+    driverCfg.adversarialProbability = 0.0;
     sim::RandomScheduleDriver driver(driverCfg);
     std::optional<sim::RandomScheduleDriver> mirror;
     std::optional<RepositorySource> mirrorSource;
@@ -252,10 +216,6 @@ FleetResult runFleet(const FleetConfig& cfg) {
     }
     RepositorySource honestSource(driver.repo());
 
-    const RpOptions rpOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
-    SyncPolicy policy;
-    policy.maxAttempts = cfg.retryBudget + 1;
-
     // --- members -------------------------------------------------------------
     std::vector<std::unique_ptr<Member>> fleet;
     for (std::uint32_t i = 0; i < cfg.members; ++i) {
@@ -263,17 +223,9 @@ FleetResult runFleet(const FleetConfig& cfg) {
         m->index = i;
         m->subSeed = deriveMemberSeed(cfg.seed, i);
         for (const MemberFaultSpec& s : cfg.faulty) {
-            if (s.member == i) {
-                m->spec = s;
-                m->hasSpec = true;
-            }
+            if (s.member == i) m->spec = s;
         }
-        m->vfs.emplace(m->subSeed);
-        m->store.emplace(*m->vfs, m->name() + "-state",
-                         rp::StoreOptions{.checkpointEvery = 8, .name = m->name()}, registry);
-        m->store->open();
-        m->store->attachRecorder(&m->recorder);
-        if (m->hasSpec && m->spec.cls == MemberFaultClass::Stalled) {
+        if (m->spec.cls == MemberFaultClass::Stalled) {
             FaultPlan plan;
             plan.seed = m->subSeed;
             plan.rounds = cfg.epochs;
@@ -281,23 +233,23 @@ FleetResult runFleet(const FleetConfig& cfg) {
             plan.stallHorizon = cfg.epochs + 2;  // pins must outlive the run
             m->chaos = std::make_unique<ChaosSource>(honestSource, std::move(plan));
         }
-        m->rp.emplace(m->name(), driver.trustAnchors(), rpOptions, registry);
-        m->rp->attachAlarmRecorder(&m->recorder);
         SnapshotSource* source = &honestSource;
         if (m->chaos != nullptr) source = m->chaos.get();
-        if (m->hasSpec && m->spec.cls == MemberFaultClass::MirrorFed && m->spec.fromEpoch == 0) {
+        if (m->spec.cls == MemberFaultClass::MirrorFed && m->spec.fromEpoch == 0) {
             source = &*mirrorSource;
         }
-        m->engine.emplace(*m->rp, *source, policy, registry);
-        m->engine->attachStore(&*m->store);
+        m->process.emplace(m->name(), driver.trustAnchors(), *source, cfg.retryBudget, registry,
+                           &m->recorder);
+        m->vfs = m->process->attachStore(
+            nullptr, m->name() + "-state",
+            rp::StoreOptions{.checkpointEvery = 8, .name = m->name()}, m->subSeed);
         fleet.push_back(std::move(m));
     }
 
-    RelyingParty twin("twin", driver.trustAnchors(), rpOptions, registry);
     // The twin syncs on the main thread after the parallel phase, so its
     // alarms can go straight into the run recorder.
-    twin.attachAlarmRecorder(recorder);
-    SyncEngine twinEngine(twin, honestSource, policy, registry);
+    MemberProcess twin("twin", driver.trustAnchors(), honestSource, cfg.retryBudget, registry,
+                       recorder);
 
     MessageBus bus(cfg.members + 1);  // members + the aggregator
     const std::uint32_t aggregatorId = cfg.members;
@@ -312,31 +264,15 @@ FleetResult runFleet(const FleetConfig& cfg) {
     const bool checkI10 = cfg.faulty.size() + cfg.quorum <= cfg.members;
     const bool checkI11 = checkI10 && cfg.linkFaults.empty();
     std::set<std::uint32_t> attributedMatching;  // specs attributed with the right class
-    std::optional<RpkiState> lastOutput;
 
-    constexpr std::size_t kMaxBundles = 8;
-    const auto recordViolation = [&](const std::string& what) {
-        result.violations.push_back(what);
-        obs::flightRecord(recorder, obs::FlightKind::InvariantFail, "fleet", what);
-        if (result.postmortems.size() < kMaxBundles) {
-            obs::CapturedBundle bundle;
-            bundle.trigger = "invariant-fail";
-            bundle.label = "seed-" + std::to_string(cfg.seed) + "-violation-" +
-                           std::to_string(result.violations.size());
-            bundle.bytes = obs::buildPostmortem(*recorder, registry, bundle.trigger,
-                                                {{"seed", std::to_string(cfg.seed)},
-                                                 {"violation", what}});
-            result.postmortems.push_back(std::move(bundle));
-        }
-    };
     const auto violation = [&](std::uint64_t epoch, const std::string& what) {
-        recordViolation("epoch " + std::to_string(epoch) + ": " + what);
+        ctx.violation("epoch " + std::to_string(epoch) + ": " + what);
     };
 
     for (std::uint64_t r = 0; r < cfg.epochs; ++r) {
         RC_OBS_TIMED(&hEpoch);
         obs::FlightScope epochScope(recorder, "fleet", "epoch e=" + std::to_string(r));
-        publish("epoch", std::to_string(r));
+        ctx.publish("epoch", std::to_string(r));
         const Time now = static_cast<Time>(r);
         if (r > 0) {
             driver.step(now);
@@ -361,49 +297,24 @@ FleetResult runFleet(const FleetConfig& cfg) {
             m.stateText.clear();
             m.state = RpkiState();
             m.failure.clear();
-            if (!m.hasSpec) continue;
+            if (m.spec.cls == MemberFaultClass::None) continue;
 
             if (m.spec.cls == MemberFaultClass::Crashed) {
-                if (r == m.spec.fromEpoch && m.alive) {
+                if (r == m.spec.fromEpoch && m.process->alive()) {
                     // Arm a kill inside this epoch's commit path; if the
                     // draw lands past it, the boundary kill below finishes
                     // the job. Either way the member casts no vote.
                     m.vfs->armCrashAt(m.vfs->opCount() + 1 + crashRng.nextBelow(12));
                     m.crashArmed = true;
-                } else if (!m.alive && m.spec.epochs != MemberFaultSpec::kToEnd &&
+                } else if (!m.process->alive() && m.spec.epochs != MemberFaultSpec::kToEnd &&
                            r == m.spec.fromEpoch + m.spec.epochs) {
-                    // Rejoin: recover the durable state, prove it is a real
-                    // committed state (the soak's I8), rebuild the engine at
-                    // the current epoch, and re-seed the regression floor.
-                    const auto rec = m.store->open();
-                    (void)rec;
-                    if (m.store->latest().has_value()) {
-                        const Bytes& blob = *m.store->latest();
-                        try {
-                            m.rp.emplace(RelyingParty::deserializeState(
-                                ByteView(blob.data(), blob.size()), /*allowLegacy=*/false,
-                                registry));
-                        } catch (const std::exception& e) {
-                            violation(r, m.name() + " recovered payload does not deserialize: " +
-                                             e.what());
-                            continue;
-                        }
-                        if (!(m.rp->serializeState() == blob)) {
-                            violation(r, m.name() +
-                                             " recovered state does not re-serialize identically");
-                            continue;
-                        }
-                    } else {
-                        m.rp.emplace(m.name(), driver.trustAnchors(), rpOptions, registry);
+                    // Rejoin through the one restart path (the soak's I8
+                    // included), resuming at the current epoch.
+                    const MemberProcess::Restart rs = m.process->restart(r);
+                    if (!rs.ok()) {
+                        violation(r, m.name() + " " + rs.violation);
+                        continue;
                     }
-                    m.rp->attachAlarmRecorder(&m.recorder);
-                    m.engine.emplace(*m.rp, honestSource, policy, registry);
-                    m.engine->attachStore(&*m.store);
-                    m.engine->resumeAt(r);
-                    for (const auto& claim : m.rp->exportManifestClaims()) {
-                        m.engine->seedRegressionFloor(claim.pointUri, claim.number);
-                    }
-                    m.alive = true;
                     result.stats.restarts += 1;
                     cRestarts.inc();
                 }
@@ -434,35 +345,26 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 // Re-home the member's fetch path onto the mirror world
                 // (its relying party and durable state carry over — only
                 // the feed is hijacked).
-                m.engine.emplace(*m.rp, *mirrorSource, policy, registry);
-                m.engine->attachStore(&*m.store);
-                m.engine->resumeAt(r);
-                for (const auto& claim : m.rp->exportManifestClaims()) {
-                    m.engine->seedRegressionFloor(claim.pointUri, claim.number);
-                }
+                m.process->rebuildEngine(*mirrorSource, r);
             }
         }
 
         // --- parallel sync phase --------------------------------------------
         pool.parallelFor(fleet.size(), [&](std::size_t i) {
             Member& m = *fleet[i];
-            if (!m.alive) return;
-            try {
-                m.engine->syncRound(now);
-            } catch (const vfs::CrashInjected&) {
-                // The member "process" died mid-commit. Its vote for this
-                // epoch dies with it; recovery happens at rejoin.
-                m.alive = false;
-                m.engine.reset();
-                m.rp.reset();
-                return;
-            } catch (const std::exception& e) {
-                m.failure = e.what();
+            if (!m.process->alive()) return;
+            // A crashed member "process" died mid-commit: its vote for this
+            // epoch dies with it; recovery happens at rejoin.
+            const MemberProcess::SyncOutcome synced = m.process->sync(now);
+            if (synced.crashed) m.process->kill();
+            if (!synced.ok()) {
+                m.failure = synced.error;
                 return;
             }
-            m.state = m.rp->roaState();
+            const RelyingParty& rp = m.process->rp();
+            m.state = rp.roaState();
             m.stateText = stateToText(m.state);
-            m.vote = buildVote(*m.rp, m.index, r, m.state, m.stateText);
+            m.vote = VrpVote::cast(rp, m.index, r, m.stateText, m.state.size());
         });
         // Reassemble the parallel phase's flight events in member order:
         // the run recorder's stream is then byte-identical at every pool
@@ -472,8 +374,8 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 recorder->record(ev.kind, ev.component, ev.detail);
             }
         }
-        twinEngine.syncRound(now);
-        const RpkiState twinState = twin.roaState();
+        twin.engine().syncRound(now);
+        const RpkiState twinState = twin.rp().roaState();
         const std::string twinText = stateToText(twinState);
 
         // --- sequential post-sync phase: lifecycle bookkeeping --------------
@@ -483,13 +385,11 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 violation(r, m.name() + " sync failed: " + m.failure);
             }
             if (m.crashArmed) {
-                if (m.alive) {
+                if (m.process->alive()) {
                     // The armed crash point fell past this epoch's commits:
                     // kill at the boundary instead (same observable: no
                     // vote, recovery from the store at rejoin).
-                    m.alive = false;
-                    m.engine.reset();
-                    m.rp.reset();
+                    m.process->kill();
                     m.vote.reset();
                     m.vfs->armCrashAt(UINT64_MAX);
                 }
@@ -503,8 +403,9 @@ FleetResult runFleet(const FleetConfig& cfg) {
         if (cfg.status != nullptr) {
             for (auto& mp : fleet) {
                 Member& m = *mp;
-                publish(m.name() + "/alive", m.alive ? "yes" : "no");
-                publish(m.name() + "/store-lsn", std::to_string(m.store->latestLsn()));
+                ctx.publish(m.name() + "/alive", m.process->alive() ? "yes" : "no");
+                ctx.publish(m.name() + "/store-lsn",
+                            std::to_string(m.process->store()->latestLsn()));
             }
         }
 
@@ -588,7 +489,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                   : row.decision.outcome == ConsensusOutcome::Quorum
                                       ? "quorum"
                                       : "no-quorum";
-        publish("outcome", outcomeText);
+        ctx.publish("outcome", outcomeText);
         obs::flightRecord(recorder, obs::FlightKind::FleetVerdict, "fleet",
                           "epoch=" + std::to_string(r) + " outcome=" + outcomeText +
                               " agreeing=" + std::to_string(row.decision.agreeing) + "/" +
@@ -611,7 +512,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
             const Member& winner = *fleet[row.decision.winners.front()];
             row.hasOutput = true;
             row.outputRoas = winner.state.size();
-            lastOutput = winner.state;
+            result.stats.finalOutputRoas = winner.state.size();
             result.stats.outputEpochs += 1;
             gOutputRoas.set(static_cast<std::int64_t>(winner.state.size()));
             gDivergent.set(static_cast<std::int64_t>(row.decision.verdicts.size()));
@@ -640,8 +541,8 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                   std::to_string(v.member) + " class=" +
                                   std::string(toString(v.cls)) +
                                   (v.accountable ? " accountable=true" : " accountable=false"));
-            publish("member-" + std::to_string(v.member) + "/verdict",
-                    std::string(toString(v.cls)) + " @ epoch " + std::to_string(r));
+            ctx.publish("member-" + std::to_string(v.member) + "/verdict",
+                        std::string(toString(v.cls)) + " @ epoch " + std::to_string(r));
             switch (v.cls) {
                 case MemberFaultClass::Crashed:
                     result.stats.verdictsCrashed += 1;
@@ -672,7 +573,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 // mirror-fed members whose poisoned cache outlives the
                 // window, after) its fault window.
                 const Member& m = *fleet[v.member];
-                if (!m.hasSpec) {
+                if (m.spec.cls == MemberFaultClass::None) {
                     violation(r, "I11: honest " + m.name() + " attributed as " +
                                      std::string(toString(v.cls)));
                 } else if (m.spec.cls != v.cls) {
@@ -711,18 +612,18 @@ FleetResult runFleet(const FleetConfig& cfg) {
         for (const MemberFaultSpec& s : cfg.faulty) {
             if (s.fromEpoch >= cfg.epochs) continue;
             if (attributedMatching.count(s.member) == 0) {
-                recordViolation("I11: member-" + std::to_string(s.member) + " (configured " +
-                                std::string(toString(s.cls)) +
-                                ") was never attributed in any epoch");
+                ctx.violation("I11: member-" + std::to_string(s.member) + " (configured " +
+                              std::string(toString(s.cls)) + ") was never attributed in any epoch");
             }
         }
     }
 
-    result.stats.twinFinalRoas = twin.roaState().size();
-    if (lastOutput.has_value()) result.stats.finalOutputRoas = lastOutput->size();
+    result.stats.twinFinalRoas = twin.rp().roaState().size();
     result.alarms = fleetAlarms.all();
+    result.violations = std::move(ctx.violations);
+    result.postmortems = std::move(ctx.postmortems);
     result.passed = result.violations.empty();
-    publish("state", result.passed ? "passed" : "failed");
+    ctx.publish("state", result.passed ? "passed" : "failed");
     return result;
 }
 

@@ -77,10 +77,6 @@ struct FleetConfig {
     std::uint64_t epochs = 24;
     /// Retries after the first attempt (SyncPolicy.maxAttempts = budget+1).
     std::uint32_t retryBudget = 2;
-    /// Driver misbehaviour probability. The fleet defaults to honest
-    /// authorities: divergence is the *members'* fault, so the twin is an
-    /// exact oracle for the honest majority.
-    double adversarialProbability = 0.0;
     std::vector<MemberFaultSpec> faulty;
     std::vector<LinkFault> linkFaults;
     /// Metrics registry (rc_fleet_* plus every member's rc_rp_*/rc_sync_*/

@@ -10,24 +10,9 @@
 #include <vector>
 
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::fleet::detail {
-
-inline std::uint64_t parseU64(std::string_view value, const char* field) {
-    if (value.empty()) throw ParseError(std::string("empty ") + field + " field");
-    std::uint64_t out = 0;
-    for (char ch : value) {
-        if (ch < '0' || ch > '9') {
-            throw ParseError(std::string("non-numeric ") + field + ": " + std::string(value));
-        }
-        const std::uint64_t digit = static_cast<std::uint64_t>(ch - '0');
-        if (out > (UINT64_MAX - digit) / 10) {
-            throw ParseError(std::string(field) + " overflows u64: " + std::string(value));
-        }
-        out = out * 10 + digit;
-    }
-    return out;
-}
 
 /// Splits a whitespace-separated line of key=value tokens, skipping the
 /// leading `tag` word. Throws ParseError when the tag or shape is wrong.

@@ -15,15 +15,15 @@ LocalOutcome LocalOutcome::parseLine(std::string_view line, std::uint64_t* epoch
     LocalOutcome lo;
     for (const auto& [key, value] : detail::keyValueTokens(line, "local")) {
         if (key == "epoch") {
-            if (epochOut != nullptr) *epochOut = detail::parseU64(value, "epoch");
+            if (epochOut != nullptr) *epochOut = parseU64(value, "epoch");
         } else if (key == "member") {
-            lo.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            lo.member = static_cast<std::uint32_t>(parseU64(value, "member"));
         } else if (key == "outcome") {
             lo.outcome = consensusOutcomeFromString(value);
         } else if (key == "agree") {
-            lo.agreeing = static_cast<std::uint32_t>(detail::parseU64(value, "agree"));
+            lo.agreeing = static_cast<std::uint32_t>(parseU64(value, "agree"));
         } else if (key == "votes") {
-            lo.votesSeen = static_cast<std::uint32_t>(detail::parseU64(value, "votes"));
+            lo.votesSeen = static_cast<std::uint32_t>(parseU64(value, "votes"));
         } else {
             throw ParseError("local line has unknown key: " + std::string(key));
         }
@@ -67,17 +67,17 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
         if (!sawHeader) {
             for (const auto& [key, value] : detail::keyValueTokens(line, "fleettranscript")) {
                 if (key == "version") {
-                    if (detail::parseU64(value, "version") != 1) {
+                    if (parseU64(value, "version") != 1) {
                         throw ParseError("unsupported transcript version");
                     }
                 } else if (key == "seed") {
-                    t.seed = detail::parseU64(value, "seed");
+                    t.seed = parseU64(value, "seed");
                 } else if (key == "members") {
-                    t.members = static_cast<std::uint32_t>(detail::parseU64(value, "members"));
+                    t.members = static_cast<std::uint32_t>(parseU64(value, "members"));
                 } else if (key == "quorum") {
-                    t.quorum = static_cast<std::uint32_t>(detail::parseU64(value, "quorum"));
+                    t.quorum = static_cast<std::uint32_t>(parseU64(value, "quorum"));
                 } else if (key == "epochs") {
-                    t.epochs = detail::parseU64(value, "epochs");
+                    t.epochs = parseU64(value, "epochs");
                 } else {
                     throw ParseError("transcript header has unknown key: " + std::string(key));
                 }
@@ -95,11 +95,11 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
             TranscriptEpoch row;
             for (const auto& [key, value] : detail::keyValueTokens(line, "epoch")) {
                 if (key == "n") {
-                    row.epoch = detail::parseU64(value, "epoch number");
+                    row.epoch = parseU64(value, "epoch number");
                 } else if (key == "rejected") {
-                    row.rejectedVotes = detail::parseU64(value, "rejected");
+                    row.rejectedVotes = parseU64(value, "rejected");
                 } else if (key == "stale") {
-                    row.staleVotes = detail::parseU64(value, "stale");
+                    row.staleVotes = parseU64(value, "stale");
                 } else {
                     throw ParseError("epoch line has unknown key: " + std::string(key));
                 }
@@ -132,14 +132,14 @@ FleetTranscript FleetTranscript::parse(std::string_view text) {
             TranscriptEpoch& row = t.rows.back();
             for (const auto& [key, value] : detail::keyValueTokens(line, "output")) {
                 if (key == "epoch") {
-                    if (detail::parseU64(value, "epoch") != row.epoch) {
+                    if (parseU64(value, "epoch") != row.epoch) {
                         throw ParseError("output epoch mismatch");
                     }
                 } else if (key == "present") {
                     if (value != "true" && value != "false") throw ParseError("bad present flag");
                     row.hasOutput = value == "true";
                 } else if (key == "roas") {
-                    row.outputRoas = detail::parseU64(value, "roas");
+                    row.outputRoas = parseU64(value, "roas");
                 } else {
                     throw ParseError("output line has unknown key: " + std::string(key));
                 }

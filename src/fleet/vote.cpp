@@ -1,5 +1,7 @@
 #include "fleet/vote.hpp"
 
+#include <algorithm>
+
 #include "fleet/textutil.hpp"
 #include "rpki/encoding.hpp"
 #include "util/errors.hpp"
@@ -95,13 +97,13 @@ VrpVote VrpVote::parseLine(std::string_view line) {
     bool sawClaims = false;
     for (const auto& [key, value] : detail::keyValueTokens(line, "vote")) {
         if (key == "member") {
-            v.member = static_cast<std::uint32_t>(detail::parseU64(value, "member"));
+            v.member = static_cast<std::uint32_t>(parseU64(value, "member"));
         } else if (key == "epoch") {
-            v.epoch = detail::parseU64(value, "epoch");
+            v.epoch = parseU64(value, "epoch");
         } else if (key == "hash") {
             v.vrpHash = Digest::fromHex(value);
         } else if (key == "roas") {
-            v.vrpCount = detail::parseU64(value, "roas");
+            v.vrpCount = parseU64(value, "roas");
         } else if (key == "claims") {
             sawClaims = true;
             if (value == "-") continue;
@@ -111,7 +113,7 @@ VrpVote VrpVote::parseLine(std::string_view line) {
                 VoteClaim c;
                 detail::requireParsedTokenSafe(parts[0], "vote claim point uri");
                 c.pointUri = std::string(parts[0]);
-                c.number = detail::parseU64(parts[1], "claim number");
+                c.number = parseU64(parts[1], "claim number");
                 c.bodyHash = Digest::fromHex(parts[2]);
                 if (!v.claims.empty() && !(v.claims.back().pointUri < c.pointUri)) {
                     throw ParseError("vote claims not strictly sorted by point");
@@ -123,6 +125,20 @@ VrpVote VrpVote::parseLine(std::string_view line) {
         }
     }
     if (!sawClaims) throw ParseError("vote line missing claims field");
+    return v;
+}
+
+VrpVote VrpVote::cast(const rp::RelyingParty& rp, std::uint32_t member, std::uint64_t epoch,
+                      const std::string& stateText, std::uint64_t vrpCount) {
+    VrpVote v;
+    v.member = member;
+    v.epoch = epoch;
+    v.vrpHash = sha256(stateText);
+    v.vrpCount = vrpCount;
+    for (const rp::ManifestClaim& c : rp.exportManifestClaims()) {
+        v.claims.push_back(VoteClaim{c.pointUri, c.number, c.bodyHash});
+    }
+    std::sort(v.claims.begin(), v.claims.end());
     return v;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "rp/relying_party.hpp"
 #include "util/bytes.hpp"
 
 namespace rpkic::fleet {
@@ -59,6 +60,11 @@ struct VrpVote {
     /// One-line form used in transcripts; round-trips through parseLine().
     std::string str() const;
     static VrpVote parseLine(std::string_view line);
+
+    /// `rp`'s vote for `epoch`, given the stateToText form of its VRP
+    /// state and that state's size.
+    static VrpVote cast(const rp::RelyingParty& rp, std::uint32_t member, std::uint64_t epoch,
+                        const std::string& stateText, std::uint64_t vrpCount);
 
     bool operator==(const VrpVote&) const = default;
 };

@@ -1,12 +1,12 @@
 #include "rpki/chaos.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "rpki/encoding.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic {
 
@@ -70,15 +70,6 @@ bool kindIsFileScoped(FaultKind k) {
     return k == FaultKind::DropFile || k == FaultKind::Corrupt || k == FaultKind::Truncate ||
            k == FaultKind::OversizedObject || k == FaultKind::InjectJunk ||
            k == FaultKind::ChainGraft;
-}
-
-std::uint64_t parseU64Field(std::string_view value, const char* field) {
-    std::uint64_t out = 0;
-    const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-    if (ec != std::errc() || ptr != value.data() + value.size()) {
-        throw ParseError(std::string("bad numeric value for '") + field + "' in fault plan");
-    }
-    return out;
 }
 
 /// Splits "key=value" (value may contain '='? no: keys are known, values
@@ -168,20 +159,20 @@ FaultPlan FaultPlan::parse(std::string_view text) {
             for (std::size_t i = 2; i < tokens.size(); ++i) {
                 const auto [key, value] = splitKv(tokens[i]);
                 if (key == "seed") {
-                    plan.seed = parseU64Field(value, "seed");
+                    plan.seed = parseU64(value, "seed");
                 } else if (key == "rounds") {
-                    plan.rounds = parseU64Field(value, "rounds");
+                    plan.rounds = parseU64(value, "rounds");
                 } else if (key == "retry") {
                     plan.retryBudget =
-                        static_cast<std::uint32_t>(parseU64Field(value, "retry"));
+                        static_cast<std::uint32_t>(parseU64(value, "retry"));
                 } else if (key == "adversarial-ppm") {
                     plan.adversarialPpm =
-                        static_cast<std::uint32_t>(parseU64Field(value, "adversarial-ppm"));
+                        static_cast<std::uint32_t>(parseU64(value, "adversarial-ppm"));
                 } else if (key == "stall-horizon") {
-                    plan.stallHorizon = parseU64Field(value, "stall-horizon");
+                    plan.stallHorizon = parseU64(value, "stall-horizon");
                 } else if (key == "crash-every") {
                     plan.crashEvery =
-                        static_cast<std::uint32_t>(parseU64Field(value, "crash-every"));
+                        static_cast<std::uint32_t>(parseU64(value, "crash-every"));
                 } else if (key == "pack") {
                     plan.pack = std::string(value);
                 } else {
@@ -209,15 +200,15 @@ FaultPlan FaultPlan::parse(std::string_view text) {
             } else if (key == "file") {
                 f.filename = std::string(value);
             } else if (key == "round") {
-                f.round = parseU64Field(value, "round");
+                f.round = parseU64(value, "round");
             } else if (key == "rounds") {
-                f.rounds = static_cast<std::uint32_t>(parseU64Field(value, "rounds"));
+                f.rounds = static_cast<std::uint32_t>(parseU64(value, "rounds"));
             } else if (key == "attempts") {
                 f.attempts = value == "all"
                                  ? Fault::kAllAttempts
-                                 : static_cast<std::uint32_t>(parseU64Field(value, "attempts"));
+                                 : static_cast<std::uint32_t>(parseU64(value, "attempts"));
             } else if (key == "param") {
-                f.param = parseU64Field(value, "param");
+                f.param = parseU64(value, "param");
             } else {
                 throw ParseError("unknown fault field: " + std::string(key));
             }

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <optional>
 #include <set>
-#include <sstream>
 
+#include "sim/harness.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::sim {
@@ -15,9 +15,7 @@ namespace {
 using rp::AlarmType;
 using rp::RcStatus;
 using rp::RelyingParty;
-using rp::RpOptions;
 using rp::SyncEngine;
-using rp::SyncPolicy;
 
 std::string roaKey(const Roa& r) {
     return r.uri + "|" + std::to_string(r.serial) + "|" + std::to_string(r.asn);
@@ -86,39 +84,6 @@ bool chainLagging(const RelyingParty& chaotic, const SyncEngine& engine,
     }
     return false;
 }
-
-struct Violations {
-    std::vector<std::string>& out;
-    std::uint64_t round;
-    std::uint64_t seed = 0;
-    obs::FlightRecorder* recorder = nullptr;
-    const obs::Registry* registry = nullptr;
-    std::vector<obs::CapturedBundle>* bundles = nullptr;
-
-    /// At most this many invariant-failure bundles are captured per run
-    /// (each snapshots the full ring + metrics digest; a cascade of
-    /// violations should not balloon the result).
-    static constexpr std::size_t kMaxBundles = 8;
-
-    void add(const std::string& what) {
-        std::ostringstream os;
-        os << "round " << round << ": " << what;
-        out.push_back(os.str());
-        obs::flightRecord(recorder, obs::FlightKind::InvariantFail, "soak", os.str());
-        if (recorder != nullptr && bundles != nullptr && bundles->size() < kMaxBundles) {
-            obs::CapturedBundle bundle;
-            bundle.trigger = "invariant-fail";
-            bundle.label = "seed-" + std::to_string(seed) + "-violation-" +
-                           std::to_string(out.size());
-            bundle.bytes = obs::buildPostmortem(
-                *recorder, registry, bundle.trigger,
-                {{"seed", std::to_string(seed)},
-                 {"round", std::to_string(round)},
-                 {"violation", os.str()}});
-            bundles->push_back(std::move(bundle));
-        }
-    }
-};
 
 /// Draws one fault for (pointUri, round) or nothing. Deterministic in rng.
 std::optional<Fault> drawFault(Rng& rng, const SoakConfig& cfg, std::uint64_t round,
@@ -201,33 +166,14 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     RC_OBS_SPAN("soak.run", "soak");
     SoakResult result;
     result.seed = cfg.seed;
-
-    // Run-local registry unless the caller wants the exposition: repeated
-    // soaks in one process must each start from zero counters.
-    obs::Registry localRegistry;
-    obs::Registry* registry = cfg.registry != nullptr ? cfg.registry : &localRegistry;
-
-    // Run-local flight recorder for the same reason: bundle bytes must
-    // not depend on what earlier runs left in the ring.
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope runScope(recorder, "soak", "run seed=" + std::to_string(cfg.seed));
-
-    const std::string statusPrefix = "soak/seed-" + std::to_string(cfg.seed) + "/";
-    const auto publish = [&](const std::string& key, const std::string& value) {
-        if (cfg.status != nullptr) cfg.status->set(statusPrefix + key, value);
-    };
-    publish("rounds-total", std::to_string(cfg.rounds));
-    publish("state", "running");
+    RunContext ctx("soak", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
+                   cfg.recorder, cfg.status);
+    obs::FlightRecorder* recorder = ctx.recorder();
+    ctx.publish("rounds-total", std::to_string(cfg.rounds));
+    ctx.publish("state", "running");
 
     // --- world ---------------------------------------------------------------
-    DriverConfig driverConfig;
-    driverConfig.seed = cfg.seed;
-    driverConfig.adversarialProbability = cfg.adversarialProbability;
-    driverConfig.authority.manifestLifetime = static_cast<Duration>(cfg.rounds) + 50;
-    RandomScheduleDriver driver(driverConfig);
-
+    RandomScheduleDriver driver(worldConfig(cfg.seed, cfg.adversarialProbability, cfg.rounds));
     RepositorySource honest(driver.repo());
 
     FaultPlan header;
@@ -244,21 +190,12 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     }
     ChaosSource chaos(honest, std::move(header));
 
-    // The chaotic relying party and its engine live in optionals: with
-    // crashEvery > 0 an injected crash destroys the "process" and rebuilds
-    // both from whatever the durable store recovered.
-    const RpOptions rpOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
-    std::optional<RelyingParty> chaotic;
-    chaotic.emplace("chaotic", driver.trustAnchors(), rpOptions, registry);
-    chaotic->attachAlarmRecorder(recorder);
-    RelyingParty twin("twin", driver.trustAnchors(), rpOptions, registry);
-    twin.attachAlarmRecorder(recorder);
-
-    SyncPolicy policy;
-    policy.maxAttempts = cfg.retryBudget + 1;
-    std::optional<SyncEngine> engine;
-    engine.emplace(*chaotic, chaos, policy, registry);
-    SyncEngine twinEngine(twin, honest, policy, registry);
+    // With crashEvery > 0 an injected crash kills the chaotic "process" and
+    // restart() rebuilds it from whatever the durable store recovered.
+    MemberProcess chaotic("chaotic", driver.trustAnchors(), chaos, cfg.retryBudget,
+                          ctx.registry(), recorder);
+    MemberProcess twin("twin", driver.trustAnchors(), honest, cfg.retryBudget, ctx.registry(),
+                       recorder);
 
     // --- serving-plane epoch publication --------------------------------------
     // Epochs are published at round commit and dump lines rendered right
@@ -266,140 +203,84 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     // crash forces the engine to redo would re-publish; the lastPublished
     // watermark keeps the serial sequence gapless and identical to a
     // crash-free run of the same seed.
-    const bool captureEpochs = cfg.captureEpochs || cfg.rtrStore != nullptr;
     std::optional<serve::EpochStore> localEpochStore;
     serve::EpochStore* epochStore = cfg.rtrStore;
-    if (captureEpochs && epochStore == nullptr) {
+    if (cfg.captureEpochs && epochStore == nullptr) {
         localEpochStore.emplace();
         epochStore = &*localEpochStore;
     }
     std::uint64_t lastPublishedRound = 0;
-    const auto attachEpochSink = [&]() {
-        if (!captureEpochs) return;
-        engine->attachEpochSink(
-            [&](std::uint64_t round, std::shared_ptr<const RpkiState> state) {
-                if (round <= lastPublishedRound) return;  // crash redo
-                lastPublishedRound = round;
-                const auto epoch = epochStore->publish(round, std::move(state));
-                if (cfg.captureEpochs) {
-                    result.epochDump += serve::epochDumpLine(cfg.seed, *epoch);
-                }
-                if (cfg.onEpochPublished) cfg.onEpochPublished();
-            });
-    };
-    attachEpochSink();
+    if (epochStore != nullptr) {
+        chaotic.attachEpochSink([&](std::uint64_t round, std::shared_ptr<const RpkiState> state) {
+            if (round <= lastPublishedRound) return;  // crash redo
+            lastPublishedRound = round;
+            const auto epoch = epochStore->publish(round, std::move(state));
+            if (cfg.captureEpochs) result.epochDump += serve::epochDumpLine(cfg.seed, *epoch);
+            if (cfg.onEpochPublished) cfg.onEpochPublished();
+        });
+    }
 
     // --- durability layer (crashEvery > 0) -----------------------------------
+    // Without a stateVfs the store gets a MemVfs seeded per seed (torn
+    // writes are deterministic). Mid-instruction crashes can only be
+    // injected there; on a DiskVfs the kill degenerates to a restart at
+    // the round boundary.
     const bool durable = cfg.crashEvery > 0;
-    std::optional<vfs::MemVfs> ownedVfs;
-    vfs::Vfs* stateVfs = cfg.stateVfs;
-    if (durable && stateVfs == nullptr) {
-        ownedVfs.emplace(cfg.seed);  // deterministic torn writes per seed
-        stateVfs = &*ownedVfs;
-    }
-    // Mid-instruction crashes can only be injected into a MemVfs backend;
-    // on a DiskVfs the kill degenerates to a restart at the round boundary.
-    vfs::MemVfs* memVfs = durable ? dynamic_cast<vfs::MemVfs*>(stateVfs) : nullptr;
-    std::optional<rp::DurableStore> store;
-    if (durable) {
-        store.emplace(*stateVfs, cfg.stateDir, rp::StoreOptions{}, registry);
-        store->attachRecorder(recorder);
-        store->open();  // expects a fresh directory (tools pick one per run)
-        engine->attachStore(&*store);
-    }
+    vfs::MemVfs* memVfs =
+        durable ? chaotic.attachStore(cfg.stateVfs, cfg.stateDir, {}, cfg.seed) : nullptr;
 
     Rng faultRng(cfg.seed * 0x9e3779b97f4a7c15ull + 0xc4a05u);
     // Separate stream for crash-point placement: consumed identically when
     // generating and when replaying a plan, so `--plan` reruns crash at the
     // same VFS operations.
     Rng crashRng(cfg.seed * 0x9e3779b97f4a7c15ull + 0xc4a54u);
-    std::vector<rp::SyncReport> allReports;  // across incarnations
 
     // --- oracles -------------------------------------------------------------
     std::set<std::string> twinEverValid;   // roaKey over all rounds
     std::set<std::string> chaoticWatched;  // RC uris ever Valid for chaotic
     std::size_t alarmsChecked = 0;         // I5 incremental cursor
     const bool honestWorld = cfg.adversarialProbability == 0.0;
+    const auto violation = [&](std::uint64_t r, const std::string& what) {
+        ctx.violation("round " + std::to_string(r) + ": " + what, {{"round", std::to_string(r)}});
+    };
 
-    // Kill/restart: the "process" died mid-commit. Recover from the store,
-    // prove the recovered bytes are a real committed state (I8), rebuild
-    // the relying party + engine, and rerun whatever the crash wiped out
-    // (I9). Returns false on an invariant violation.
-    const auto restartFromStore = [&](Violations& v, std::uint64_t r, Time now) -> bool {
+    // Kill/restart: the "process" died mid-commit. Recover it through the
+    // one restart path (I8 included) and rerun whatever the crash wiped
+    // out (I9). Returns false on an invariant violation.
+    const auto restartChaotic = [&](std::uint64_t r, Time now) -> bool {
         ++result.stats.crashes;
-        allReports.insert(allReports.end(), engine->reports().begin(), engine->reports().end());
-        engine.reset();
-        chaotic.reset();
-        rp::RecoveryReport rec;
-        try {
-            rec = store->open();
-        } catch (const std::exception& e) {
-            v.add(std::string("store recovery failed after injected crash: ") + e.what());
+        result.rounds.insert(result.rounds.end(), chaotic.engine().reports().begin(),
+                             chaotic.engine().reports().end());
+        const MemberProcess::Restart rs = chaotic.restart();
+        if (rs.opened) {
+            result.stats.storeTornBytes += rs.recovery.tornBytesDiscarded;
+            if (rs.recovery.recovered) ++result.stats.storeRecoveries;
+            const std::string crash = std::to_string(result.stats.crashes);
+            obs::flightRecord(recorder, obs::FlightKind::CrashRealized, "soak",
+                              "crash=" + crash + " round=" + std::to_string(r) + " " +
+                                  rs.recovery.summary());
+            ctx.capture("crash-realized", "seed-" + std::to_string(cfg.seed) + "-crash-" + crash,
+                        {{"seed", std::to_string(cfg.seed)},
+                         {"round", std::to_string(r)},
+                         {"recovery", rs.recovery.summary()}});
+        }
+        if (!rs.ok()) {
+            violation(r, rs.violation);
             return false;
-        }
-        result.stats.storeTornBytes += rec.tornBytesDiscarded;
-        if (rec.recovered) ++result.stats.storeRecoveries;
-        obs::flightRecord(recorder, obs::FlightKind::CrashRealized, "soak",
-                          "crash=" + std::to_string(result.stats.crashes) +
-                              " round=" + std::to_string(r) + " " + rec.summary());
-        if (result.postmortems.size() < Violations::kMaxBundles) {
-            obs::CapturedBundle bundle;
-            bundle.trigger = "crash-realized";
-            bundle.label = "seed-" + std::to_string(cfg.seed) + "-crash-" +
-                           std::to_string(result.stats.crashes);
-            bundle.bytes = obs::buildPostmortem(
-                *recorder, registry, bundle.trigger,
-                {{"seed", std::to_string(cfg.seed)},
-                 {"round", std::to_string(r)},
-                 {"recovery", rec.summary()}});
-            result.postmortems.push_back(std::move(bundle));
-        }
-        if (store->latest().has_value()) {
-            const Bytes& blob = *store->latest();
-            try {
-                chaotic.emplace(RelyingParty::deserializeState(
-                    ByteView(blob.data(), blob.size()), /*allowLegacy=*/false, registry));
-            } catch (const std::exception& e) {
-                v.add(std::string("recovered payload does not deserialize: ") + e.what());
-                return false;
-            }
-            // I8: the store must return a state some commit produced — not
-            // a near miss. Re-serializing the restored relying party has to
-            // reproduce the recovered bytes exactly.
-            if (!(chaotic->serializeState() == blob)) {
-                v.add("recovered state does not re-serialize byte-identically (round " +
-                      std::to_string(store->latestMeta()) + " payload)");
-                return false;
-            }
-        } else {
-            // Crashed before any commit became durable: a fresh process
-            // starts from the trust anchors, exactly like round 0 did.
-            chaotic.emplace("chaotic", driver.trustAnchors(), rpOptions, registry);
-        }
-        chaotic->attachAlarmRecorder(recorder);
-        engine.emplace(*chaotic, chaos, policy, registry);
-        engine->attachStore(&*store);
-        attachEpochSink();
-        if (store->latestMeta() > 0) engine->resumeAt(store->latestMeta());
-        // The Stalloris regression floor is engine state, not relying-party
-        // state; re-seed it from the restored manifests so the reborn
-        // engine refuses the same stale serves the dead one refused.
-        for (const auto& claim : chaotic->exportManifestClaims()) {
-            engine->seedRegressionFloor(claim.pointUri, claim.number);
         }
         // Alarms raised after the durable state was written died with the
         // process; rewind the audit cursor to what survived.
-        alarmsChecked = std::min(alarmsChecked, chaotic->alarms().all().size());
+        alarmsChecked = std::min(alarmsChecked, chaotic.rp().alarms().all().size());
         // I9: rerun every round the crash wiped out. The durable meta is
         // the count of completed rounds, so this loop runs zero times (the
         // interrupted round's commit had already fsynced) or once.
         try {
-            while (engine->round() <= r) {
+            while (chaotic.engine().round() <= r) {
                 ++result.stats.roundsRedone;
-                engine->syncRound(now);
+                chaotic.engine().syncRound(now);
             }
         } catch (const std::exception& e) {
-            v.add(std::string("redo after restart failed: ") + e.what());
+            violation(r, std::string("redo after restart failed: ") + e.what());
             return false;
         }
         return true;
@@ -409,9 +290,7 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         RC_OBS_SPAN("soak.round", "soak");
         obs::FlightScope roundScope(recorder, "soak", "round r=" + std::to_string(r));
         const Time now = static_cast<Time>(r);
-        Violations v{result.violations, r, cfg.seed, recorder, registry,
-                     &result.postmortems};
-        publish("round", std::to_string(r));
+        ctx.publish("round", std::to_string(r));
 
         if (r > 0) driver.step(now);
 
@@ -443,27 +322,27 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         }
 
         // --- I1: the pipeline must absorb anything the plan throws at it ---
-        // (a CrashInjected is not an escape — it is the scheduled kill, and
-        // the restart path must bring the relying party back: I8/I9).
+        // (a crash is not an escape — it is the scheduled kill, and the
+        // restart path must bring the relying party back: I8/I9).
+        const MemberProcess::SyncOutcome synced = chaotic.sync(now);
         bool roundOk = true;
-        try {
-            engine->syncRound(now);
-        } catch (const vfs::CrashInjected&) {
-            roundOk = restartFromStore(v, r, now);
-        } catch (const std::exception& e) {
-            v.add(std::string("exception escaped chaotic sync: ") + e.what());
+        if (synced.crashed) {
+            roundOk = restartChaotic(r, now);
+        } else if (!synced.error.empty()) {
+            violation(r, "exception escaped chaotic sync: " + synced.error);
             roundOk = false;
         }
-        if (roundOk && boundaryKill) roundOk = restartFromStore(v, r, now);
-        try {
-            twinEngine.syncRound(now);
-        } catch (const std::exception& e) {
-            v.add(std::string("exception escaped fault-free twin sync: ") + e.what());
+        if (roundOk && boundaryKill) roundOk = restartChaotic(r, now);
+        const MemberProcess::SyncOutcome twinSynced = twin.sync(now);
+        if (!twinSynced.ok()) {
+            violation(r, "exception escaped fault-free twin sync: " + twinSynced.error);
             roundOk = false;
         }
         if (!roundOk) break;  // state after an escape is undefined; stop here
 
-        const std::vector<Roa> twinValid = twin.validRoas();
+        RelyingParty& alice = chaotic.rp();
+        const SyncEngine& engine = chaotic.engine();
+        const std::vector<Roa> twinValid = twin.rp().validRoas();
         std::set<std::string> twinNow;
         for (const Roa& roa : twinValid) {
             twinNow.insert(roaKey(roa));
@@ -473,67 +352,68 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         // --- I2 / I3: nothing fabricated; retained state is flagged ---
         // (after a crash the interrupted round's report may be absent: it
         // died before the commit, so the restarted incarnation re-ran it).
-        const bool allDelivered = !engine->reports().empty() &&
-                                  engine->reports().back().round == r &&
-                                  engine->reports().back().pointsFailed == 0;
-        for (const Roa& roa : chaotic->validRoas()) {
+        const bool allDelivered = !engine.reports().empty() &&
+                                  engine.reports().back().round == r &&
+                                  engine.reports().back().pointsFailed == 0;
+        for (const Roa& roa : alice.validRoas()) {
             const std::string key = roaKey(roa);
             if (twinNow.count(key) > 0) continue;
             // Not current in the twin: only a visibly lagging or stale
             // delivery chain may explain the difference (§5.3.2 — the
             // exposure window manifest expiry bounds). From fresh data the
             // chaotic relying party must agree with the twin.
-            if (chainLagging(*chaotic, *engine, twinEngine, roa.parentUri)) continue;
+            if (chainLagging(alice, engine, twin.engine(), roa.parentUri)) continue;
             if (twinEverValid.count(key) == 0) {
-                v.add("false-valid ROA " + key +
-                      " from a current chain (never valid in the fault-free twin)");
+                violation(r, "false-valid ROA " + key +
+                                 " from a current chain (never valid in the fault-free twin)");
             } else {
-                v.add("silently retained ROA " + key +
-                      " (twin dropped it; no stale flag or lag on its chain)");
+                violation(r, "silently retained ROA " + key +
+                                 " (twin dropped it; no stale flag or lag on its chain)");
             }
         }
 
         // --- I4: no silent takedown (Theorem 5.1 status oracle) ---
-        for (const auto& [uri, rec] : chaotic->rcRecords()) {
+        for (const auto& [uri, rec] : alice.rcRecords()) {
             if (rec.status == RcStatus::Valid) chaoticWatched.insert(uri);
         }
         for (const std::string& uri : chaoticWatched) {
-            const rp::RcRecord* rec = chaotic->findRc(uri);
+            const rp::RcRecord* rec = alice.findRc(uri);
             if (rec == nullptr) {
-                v.add("watched RC record vanished: " + uri);
+                violation(r, "watched RC record vanished: " + uri);
                 continue;
             }
             if (rec->status != RcStatus::NoLongerValid) continue;
-            if (takedownExcused(*chaotic, uri)) continue;
-            v.add("silent takedown of " + uri +
-                  " (NoLongerValid without .dead, alarm, or successor on its chain)");
+            if (takedownExcused(alice, uri)) continue;
+            violation(r, "silent takedown of " + uri +
+                             " (NoLongerValid without .dead, alarm, or successor on its chain)");
         }
 
         // --- I7: twin and chaotic live in the same world ---
-        if (cfg.globalCheckEvery > 0 && (r + 1) % cfg.globalCheckEvery == 0) {
-            chaotic->globalConsistencyCheck(twin.exportManifestClaims(), now);
-            twin.globalConsistencyCheck(chaotic->exportManifestClaims(), now);
+        if ((r + 1) % kGlobalCheckEvery == 0) {
+            alice.globalConsistencyCheck(twin.rp().exportManifestClaims(), now);
+            twin.rp().globalConsistencyCheck(alice.exportManifestClaims(), now);
         }
 
         // --- I5 / I6 / I7: alarm-class audit over the new alarms ---
-        const auto& all = chaotic->alarms().all();
+        const auto& all = alice.alarms().all();
         for (; alarmsChecked < all.size(); ++alarmsChecked) {
             const rp::Alarm& a = all[alarmsChecked];
             switch (a.type) {
                 case AlarmType::MissingInformation:
                     if (a.accountable || !a.perpetrator.empty()) {
-                        v.add("missing-information alarm became accountable: " + a.str());
+                        violation(r, "missing-information alarm became accountable: " + a.str());
                     }
                     break;
                 case AlarmType::InvalidSyntax:
                 case AlarmType::ChildTooBroad:
                     if (!a.accountable || a.perpetrator.empty()) {
-                        v.add("structural alarm lost its accountability: " + a.str());
+                        violation(r, "structural alarm lost its accountability: " + a.str());
                     }
                     break;
                 case AlarmType::GlobalInconsistency:
                     if (a.accountable) {
-                        v.add("accountable global inconsistency inside one world: " + a.str());
+                        violation(r, "accountable global inconsistency inside one world: " +
+                                         a.str());
                     }
                     break;
                 case AlarmType::BadKeyRollover:
@@ -541,27 +421,25 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
                     break;  // accountability legitimately depends on staleness
             }
             if (a.accountable && a.perpetrator.empty()) {
-                v.add("accountable alarm names no perpetrator: " + a.str());
+                violation(r, "accountable alarm names no perpetrator: " + a.str());
             }
             if (honestWorld && a.accountable) {
-                v.add("chaos fabricated an accountable accusation in an honest world: " +
-                      a.str());
+                violation(r, "chaos fabricated an accountable accusation in an honest world: " +
+                                 a.str());
             }
         }
 
-        if (allDelivered && !(chaotic->roaState() == twin.roaState())) {
+        if (allDelivered && !(alice.roaState() == twin.rp().roaState())) {
             ++result.stats.divergentCleanRounds;
         }
 
-        publish("alarms", std::to_string(chaotic->alarms().count()));
-        publish("violations", std::to_string(result.violations.size()));
-        if (durable) publish("store-lsn", std::to_string(store->latestLsn()));
+        ctx.publish("alarms", std::to_string(alice.alarms().count()));
+        ctx.publish("violations", std::to_string(ctx.violations.size()));
+        if (durable) ctx.publish("store-lsn", std::to_string(chaotic.store()->latestLsn()));
     }
 
     if (cfg.forceInvariantFail) {
-        Violations forced{result.violations, cfg.rounds, cfg.seed, recorder, registry,
-                          &result.postmortems};
-        forced.add("forced invariant failure (--force-invariant-fail test hook)");
+        violation(cfg.rounds, "forced invariant failure (--force-invariant-fail test hook)");
     }
 
     // --- stats ---------------------------------------------------------------
@@ -572,46 +450,56 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     SoakStats& s = result.stats;
     s.faultsScheduled = result.plan.faults.size();
     s.faultApplications = chaos.faultApplications();
-    s.attempts = engine->totals().attempts;
-    s.retries = engine->totals().retries;
-    s.faultsAbsorbed = engine->totals().faultsAbsorbed;
-    s.pointRoundsFailed = engine->totals().pointRoundsFailed;
-    for (const auto& [uri, pt] : engine->telemetry()) {
-        s.maxStaleStreak = std::max(s.maxStaleStreak, pt.longestStaleStreak);
-        s.recoveries += pt.recoveries;
-        s.meanRecoveryRounds += static_cast<double>(pt.recoveryRoundsSum);
+    if (chaotic.alive()) {  // a failed restart leaves no process to read
+        const SyncEngine& engine = chaotic.engine();
+        s.attempts = engine.totals().attempts;
+        s.retries = engine.totals().retries;
+        s.faultsAbsorbed = engine.totals().faultsAbsorbed;
+        s.pointRoundsFailed = engine.totals().pointRoundsFailed;
+        for (const auto& [uri, pt] : engine.telemetry()) {
+            s.maxStaleStreak = std::max(s.maxStaleStreak, pt.longestStaleStreak);
+            s.recoveries += pt.recoveries;
+            s.meanRecoveryRounds += static_cast<double>(pt.recoveryRoundsSum);
+        }
+        s.meanRecoveryRounds = s.recoveries == 0
+                                   ? 0.0
+                                   : s.meanRecoveryRounds / static_cast<double>(s.recoveries);
+        s.alarms = chaotic.rp().alarms().count();
+        for (const auto& a : chaotic.rp().alarms().all()) {
+            if (a.accountable) ++s.accountableAlarms;
+        }
+        s.validRoasFinal = chaotic.rp().validRoas().size();
     }
-    s.meanRecoveryRounds =
-        s.recoveries == 0 ? 0.0 : s.meanRecoveryRounds / static_cast<double>(s.recoveries);
-    s.alarms = chaotic->alarms().count();
-    for (const auto& a : chaotic->alarms().all()) {
-        if (a.accountable) ++s.accountableAlarms;
+    s.twinAlarms = twin.rp().alarms().count();
+    s.twinValidRoasFinal = twin.rp().validRoas().size();
+    if (durable) s.storeCommits = chaotic.store()->latestLsn();
+    if (chaotic.alive()) {
+        result.rounds.insert(result.rounds.end(), chaotic.engine().reports().begin(),
+                             chaotic.engine().reports().end());
     }
-    s.twinAlarms = twin.alarms().count();
-    s.validRoasFinal = chaotic->validRoas().size();
-    s.twinValidRoasFinal = twin.validRoas().size();
-    if (durable) s.storeCommits = store->latestLsn();
-    allReports.insert(allReports.end(), engine->reports().begin(), engine->reports().end());
-    result.rounds = std::move(allReports);
 
+    result.violations = std::move(ctx.violations);
+    result.postmortems = std::move(ctx.postmortems);
     result.passed = result.violations.empty();
-    publish("state", result.passed ? "passed" : "failed");
+    ctx.publish("state", result.passed ? "passed" : "failed");
     return result;
 }
 
-}  // namespace
-
-SoakConfig configFromPlan(const FaultPlan& plan) {
-    SoakConfig cfg;
-    cfg.seed = plan.seed;
-    cfg.rounds = static_cast<std::uint32_t>(plan.rounds);
-    cfg.retryBudget = plan.retryBudget;
-    cfg.adversarialProbability = static_cast<double>(plan.adversarialPpm) / 1e6;
-    cfg.stallHorizon = plan.stallHorizon;
-    cfg.crashEvery = plan.crashEvery;
-    cfg.faultRate = 0.0;  // faults come from the plan, not the generator
-    return cfg;
+/// Reconstructs the configuration a plan was generated under, so replays
+/// run the identical experiment: seed, rounds, budgets and crash cadence
+/// from the plan, everything else from `base`.
+SoakConfig configFromPlan(const FaultPlan& plan, SoakConfig base) {
+    base.seed = plan.seed;
+    base.rounds = static_cast<std::uint32_t>(plan.rounds);
+    base.retryBudget = plan.retryBudget;
+    base.adversarialProbability = static_cast<double>(plan.adversarialPpm) / 1e6;
+    base.stallHorizon = plan.stallHorizon;
+    base.crashEvery = plan.crashEvery;
+    base.faultRate = 0.0;
+    return base;
 }
+
+}  // namespace
 
 SoakResult runSoak(const SoakConfig& cfg) {
     return runSoakImpl(cfg, nullptr);
@@ -619,24 +507,15 @@ SoakResult runSoak(const SoakConfig& cfg) {
 
 SoakResult runSoakWithPlan(const FaultPlan& plan, obs::Registry* registry, vfs::Vfs* stateVfs,
                            const std::string& stateDir) {
-    SoakConfig cfg = configFromPlan(plan);
-    cfg.registry = registry;
-    cfg.stateVfs = stateVfs;
-    cfg.stateDir = stateDir;
-    return runSoakImpl(cfg, &plan);
+    SoakConfig overrides;
+    overrides.registry = registry;
+    overrides.stateVfs = stateVfs;
+    overrides.stateDir = stateDir;
+    return runSoakWithPlan(plan, overrides);
 }
 
 SoakResult runSoakWithPlan(const FaultPlan& plan, const SoakConfig& overrides) {
-    SoakConfig cfg = overrides;
-    const SoakConfig fromPlan = configFromPlan(plan);
-    cfg.seed = fromPlan.seed;
-    cfg.rounds = fromPlan.rounds;
-    cfg.retryBudget = fromPlan.retryBudget;
-    cfg.adversarialProbability = fromPlan.adversarialProbability;
-    cfg.stallHorizon = fromPlan.stallHorizon;
-    cfg.crashEvery = fromPlan.crashEvery;
-    cfg.faultRate = fromPlan.faultRate;
-    return runSoakImpl(cfg, &plan);
+    return runSoakImpl(configFromPlan(plan, overrides), &plan);
 }
 
 }  // namespace rpkic::sim

@@ -34,7 +34,8 @@
 // party's state is commit()ted after every round, a crash is periodically
 // injected into the store's VFS mid-commit, and the "process" — relying
 // party plus sync engine — is destroyed and rebuilt from the surviving
-// bytes. Two extra invariants then apply:
+// bytes (sim/harness.hpp's MemberProcess::restart, the one restart path).
+// Two extra invariants then apply:
 //
 //  I8  recovery round-trips exactly: the payload the reopened store
 //      returns deserializes, and re-serializing the restored relying
@@ -78,8 +79,6 @@ struct SoakConfig {
     double adversarialProbability = 0.15;
     /// Serve-stale pins reach at most this many rounds back.
     std::uint64_t stallHorizon = 8;
-    /// Twin <-> chaotic global consistency check cadence (rounds).
-    std::uint32_t globalCheckEvery = 5;
     /// Metrics registry the soak's engines record into. nullptr means a
     /// registry local to the run (each soak starts from zero counters, so
     /// repeated soaks in one process never bleed telemetry into each
@@ -123,10 +122,6 @@ struct SoakConfig {
     /// here to fan Serial Notify out to connected caches).
     std::function<void()> onEpochPublished;
 };
-
-/// Reconstructs the configuration a plan was generated under, so replays
-/// run the identical experiment.
-SoakConfig configFromPlan(const FaultPlan& plan);
 
 struct SoakStats {
     std::uint64_t faultsScheduled = 0;     ///< plan entries

@@ -1,32 +1,18 @@
 #include "sim/crash_sweep.hpp"
 
 #include <map>
-#include <optional>
-#include <sstream>
 
-#include "rp/durable_store.hpp"
-#include "rp/relying_party.hpp"
-#include "rp/sync_engine.hpp"
-#include "rpki/chaos.hpp"
-#include "sim/driver.hpp"
-#include "util/vfs.hpp"
+#include "sim/harness.hpp"
 
 namespace rpkic::sim {
 
 namespace {
 
-using rp::DurableStore;
-using rp::RelyingParty;
-using rp::RpOptions;
 using rp::StoreOptions;
-using rp::SyncEngine;
-using rp::SyncPolicy;
 
 constexpr const char* kStateDir = "sweep-state";
-
-RpOptions sweepRpOptions() {
-    return RpOptions{.ts = 4, .tg = 8, .checkIntermediateStates = true};
-}
+/// The engine's default budget (SyncPolicy{}.maxAttempts = 3).
+constexpr std::uint32_t kRetryBudget = 2;
 
 /// What the fault-free reference run produced: one committed payload per
 /// meta (= completed-round count) plus the final serialized state.
@@ -38,29 +24,20 @@ struct Reference {
 
 Reference runReference(const SweepConfig& cfg, obs::Registry* registry) {
     Reference ref;
-    DriverConfig driverConfig;
-    driverConfig.seed = cfg.seed;
-    driverConfig.adversarialProbability = cfg.adversarialProbability;
-    driverConfig.authority.manifestLifetime = static_cast<Duration>(cfg.rounds) + 50;
-    RandomScheduleDriver driver(driverConfig);
+    RandomScheduleDriver driver(worldConfig(cfg.seed, cfg.adversarialProbability, cfg.rounds));
     RepositorySource honest(driver.repo());
-
-    vfs::MemVfs fs(cfg.seed);
-    DurableStore store(fs, kStateDir, StoreOptions{cfg.checkpointEvery, "sweep"}, registry);
-    store.open();
-
-    RelyingParty alice("sweep", driver.trustAnchors(), sweepRpOptions(), registry);
-    SyncEngine engine(alice, honest, SyncPolicy{}, registry);
-    engine.attachStore(&store);
+    MemberProcess alice("sweep", driver.trustAnchors(), honest, kRetryBudget, registry, nullptr);
+    const vfs::MemVfs& fs = *alice.attachStore(
+        nullptr, kStateDir, StoreOptions{cfg.checkpointEvery, "sweep"}, cfg.seed);
 
     for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
         const Time now = static_cast<Time>(r);
         if (r > 0) driver.step(now);
-        engine.syncRound(now);
+        alice.engine().syncRound(now);
         // One commit per round: record what recovery is allowed to return.
-        ref.committed[store.latestMeta()] = *store.latest();
+        ref.committed[alice.store()->latestMeta()] = *alice.store()->latest();
     }
-    ref.finalState = alice.serializeState();
+    ref.finalState = alice.rp().serializeState();
     ref.opCount = fs.opCount();
     return ref;
 }
@@ -70,162 +47,96 @@ Reference runReference(const SweepConfig& cfg, obs::Registry* registry) {
 SweepResult runCrashSweep(const SweepConfig& cfg) {
     RC_OBS_SPAN("sweep.run", "sweep");
     SweepResult result;
-
-    obs::Registry localRegistry;
-    obs::Registry* registry = cfg.registry != nullptr ? cfg.registry : &localRegistry;
-    obs::FlightRecorder localRecorder;
-    obs::FlightRecorder* recorder = cfg.recorder != nullptr ? cfg.recorder : &localRecorder;
-    if (cfg.recorder == nullptr) localRecorder.attachMetrics(registry);
-    obs::FlightScope sweepScope(recorder, "sweep",
-                                "run seed=" + std::to_string(cfg.seed));
-    const Reference ref = runReference(cfg, registry);
+    RunContext ctx("sweep", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
+                   cfg.recorder);
+    const Reference ref = runReference(cfg, ctx.registry());
     result.crashPoints = ref.opCount;
 
-    constexpr std::size_t kMaxBundles = 8;
-    const auto violation = [&](std::uint64_t k, const std::string& what) {
-        std::ostringstream os;
-        os << "crash point " << k << ": " << what;
-        result.violations.push_back(os.str());
-        obs::flightRecord(recorder, obs::FlightKind::InvariantFail, "sweep", os.str());
-        if (result.postmortems.size() < kMaxBundles) {
-            obs::CapturedBundle bundle;
-            bundle.trigger = "invariant-fail";
-            bundle.label = "seed-" + std::to_string(cfg.seed) + "-violation-" +
-                           std::to_string(result.violations.size());
-            bundle.bytes = obs::buildPostmortem(
-                *recorder, registry, bundle.trigger,
-                {{"seed", std::to_string(cfg.seed)},
-                 {"crash-point", std::to_string(k)},
-                 {"violation", os.str()}});
-            result.postmortems.push_back(std::move(bundle));
-        }
-    };
-
-    for (std::uint64_t k = 0; k < ref.opCount; ++k) {
+    // One rerun with a crash armed at VFS op k: "" when recovery returned
+    // a committed pre- or post-crash state and the resumed run converged,
+    // else what went wrong.
+    const auto rerun = [&](std::uint64_t k) -> std::string {
         // Fresh world, fresh filesystem (same seeds: identical behaviour up
         // to the crash), fresh run-local registry (rerun metrics are noise).
         obs::Registry rerunRegistry;
-        DriverConfig driverConfig;
-        driverConfig.seed = cfg.seed;
-        driverConfig.adversarialProbability = cfg.adversarialProbability;
-        driverConfig.authority.manifestLifetime = static_cast<Duration>(cfg.rounds) + 50;
-        RandomScheduleDriver driver(driverConfig);
+        RandomScheduleDriver driver(worldConfig(cfg.seed, cfg.adversarialProbability, cfg.rounds));
         RepositorySource honest(driver.repo());
-
-        vfs::MemVfs fs(cfg.seed);
-        std::optional<DurableStore> store;
-        store.emplace(fs, kStateDir, StoreOptions{cfg.checkpointEvery, "sweep"},
-                      &rerunRegistry);
-        store->open();
-
-        std::optional<RelyingParty> alice;
-        alice.emplace("sweep", driver.trustAnchors(), sweepRpOptions(), &rerunRegistry);
-        std::optional<SyncEngine> engine;
-        engine.emplace(*alice, honest, SyncPolicy{}, &rerunRegistry);
-        engine->attachStore(&*store);
-        fs.armCrashAt(k);
+        MemberProcess alice("sweep", driver.trustAnchors(), honest, kRetryBudget, &rerunRegistry,
+                            nullptr);
+        alice.attachStore(nullptr, kStateDir, StoreOptions{cfg.checkpointEvery, "sweep"}, cfg.seed)
+            ->armCrashAt(k);
+        const rp::DurableStore& store = *alice.store();
 
         bool crashed = false;
-        bool abandoned = false;
-        for (std::uint32_t r = 0; r < cfg.rounds && !abandoned; ++r) {
+        for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
             const Time now = static_cast<Time>(r);
             if (r > 0) driver.step(now);
-            try {
-                engine->syncRound(now);
-            } catch (const vfs::CrashInjected&) {
-                crashed = true;
-                ++result.crashesFired;
-                obs::flightRecord(recorder, obs::FlightKind::CrashRealized, "sweep",
-                                  "crash-point=" + std::to_string(k) +
-                                      " round=" + std::to_string(r));
-                // The "process" died at op k. Drop every in-memory object
-                // and recover from the surviving bytes.
-                engine.reset();
-                alice.reset();
-                rp::RecoveryReport rec;
-                try {
-                    rec = store->open();
-                } catch (const std::exception& e) {
-                    violation(k, std::string("recovery threw: ") + e.what());
-                    abandoned = true;
-                    break;
-                }
-                result.tornBytes += rec.tornBytesDiscarded;
+            const MemberProcess::SyncOutcome synced = alice.sync(now);
+            if (!synced.error.empty()) {
+                return "exception escaped round " + std::to_string(r) + ": " + synced.error;
+            }
+            if (!synced.crashed) continue;
+            crashed = true;
+            ++result.crashesFired;
+            obs::flightRecord(ctx.recorder(), obs::FlightKind::CrashRealized, "sweep",
+                              "crash-point=" + std::to_string(k) + " round=" + std::to_string(r));
+            // The "process" died at op k: recover from the surviving bytes.
+            const MemberProcess::Restart rs = alice.restart();
+            if (!rs.ok()) return rs.violation;
+            result.tornBytes += rs.recovery.tornBytesDiscarded;
 
-                // (a) pre-or-post: the recovered payload must be byte-
-                // identical to the reference commit its meta names, and
-                // that meta must bracket the interrupted round.
-                const std::uint64_t meta = store->latestMeta();
-                if (!store->latest().has_value()) {
-                    if (r != 0) {
-                        violation(k, "no payload recovered after round " + std::to_string(r));
-                        abandoned = true;
-                        break;
-                    }
-                    ++result.recoveredNone;
-                    alice.emplace("sweep", driver.trustAnchors(), sweepRpOptions(),
-                                  &rerunRegistry);
+            // (a) pre-or-post: the recovered payload must be byte-identical
+            // to the reference commit its meta names, and that meta must
+            // bracket the interrupted round.
+            const std::uint64_t meta = store.latestMeta();
+            if (!rs.restored) {
+                if (r != 0) return "no payload recovered after round " + std::to_string(r);
+                ++result.recoveredNone;
+            } else {
+                if (meta != r && meta != r + 1) {
+                    return "recovered meta " + std::to_string(meta) +
+                           " does not bracket crashed round " + std::to_string(r);
+                }
+                const auto it = ref.committed.find(meta);
+                if (it == ref.committed.end() || !(*store.latest() == it->second)) {
+                    return "recovered payload for meta " + std::to_string(meta) +
+                           " is not the reference commit (mixture state?)";
+                }
+                if (meta == r + 1) {
+                    ++result.recoveredPost;
                 } else {
-                    if (meta != r && meta != r + 1) {
-                        violation(k, "recovered meta " + std::to_string(meta) +
-                                         " does not bracket crashed round " + std::to_string(r));
-                        abandoned = true;
-                        break;
-                    }
-                    const auto it = ref.committed.find(meta);
-                    if (it == ref.committed.end() || !(*store->latest() == it->second)) {
-                        violation(k, "recovered payload for meta " + std::to_string(meta) +
-                                         " is not the reference commit (mixture state?)");
-                        abandoned = true;
-                        break;
-                    }
-                    if (meta == r + 1) {
-                        ++result.recoveredPost;
-                    } else {
-                        ++result.recoveredPre;
-                    }
-                    alice.emplace(RelyingParty::deserializeState(
-                        ByteView(store->latest()->data(), store->latest()->size()),
-                        /*allowLegacy=*/false, &rerunRegistry));
+                    ++result.recoveredPre;
                 }
+            }
 
-                // (b) resume: rebuild the engine on the recovered state and
-                // rerun the interrupted round if its commit was lost.
-                engine.emplace(*alice, honest, SyncPolicy{}, &rerunRegistry);
-                engine->attachStore(&*store);
-                if (store->latestMeta() > 0) engine->resumeAt(store->latestMeta());
-                for (const auto& claim : alice->exportManifestClaims()) {
-                    engine->seedRegressionFloor(claim.pointUri, claim.number);
-                }
-                try {
-                    while (engine->round() <= r) {
-                        ++result.roundsResumed;
-                        engine->syncRound(now);
-                    }
-                } catch (const std::exception& e) {
-                    violation(k, std::string("resume threw: ") + e.what());
-                    abandoned = true;
-                    break;
+            // (b) resume: rerun the interrupted round if its commit was lost.
+            try {
+                while (alice.engine().round() <= r) {
+                    ++result.roundsResumed;
+                    alice.engine().syncRound(now);
                 }
             } catch (const std::exception& e) {
-                violation(k, std::string("exception escaped round ") + std::to_string(r) +
-                                 ": " + e.what());
-                abandoned = true;
-                break;
+                return std::string("resume threw: ") + e.what();
             }
         }
-        if (abandoned) continue;
-        if (!crashed) {
-            violation(k, "armed crash never fired (op space shrank?)");
-            continue;
-        }
+        if (!crashed) return "armed crash never fired (op space shrank?)";
         // Convergence: the crashed-and-resumed run must end byte-identical
         // to the never-crashed reference.
-        if (!(alice->serializeState() == ref.finalState)) {
-            violation(k, "resumed run diverged from the never-crashed reference");
+        if (!(alice.rp().serializeState() == ref.finalState)) {
+            return "resumed run diverged from the never-crashed reference";
+        }
+        return "";
+    };
+
+    for (std::uint64_t k = 0; k < ref.opCount; ++k) {
+        if (const std::string what = rerun(k); !what.empty()) {
+            ctx.violation("crash point " + std::to_string(k) + ": " + what,
+                          {{"crash-point", std::to_string(k)}});
         }
     }
 
+    result.violations = std::move(ctx.violations);
+    result.postmortems = std::move(ctx.postmortems);
     result.passed = result.violations.empty();
     return result;
 }

@@ -21,8 +21,10 @@
 //           whose meta the store reports (pre- or post- the interrupted
 //           transaction, nothing else), and
 //       (b) after restoring the relying party from the recovered bytes
-//           and resuming, the run converges: its final serialized state
-//           is byte-identical to the never-crashed reference.
+//           and resuming (MemberProcess::restart, which also checks the
+//           soak's I8 round-trip), the run converges: its final
+//           serialized state is byte-identical to the never-crashed
+//           reference.
 //
 // Delivery faults are deliberately absent (the chaos soak owns those);
 // the sweep isolates durability. Small rounds/checkpointEvery keep the

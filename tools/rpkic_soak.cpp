@@ -9,129 +9,34 @@
 //   rpkic-soak --seeds 200                     # the full gauntlet
 //   rpkic-soak --smoke                         # CI: 32 seeds, short runs
 //   rpkic-soak --plan soak-fail-seed7.plan     # bit-identical replay
-//   rpkic-soak --seeds 20 --compare            # retry budget 2 vs 0 table
-//
-// Options:
-// Durability modes (PR 5; see docs/DURABILITY.md):
-//
 //   rpkic-soak --seeds 64 --crash-every 3      # kill/restart gauntlet
 //   rpkic-soak --crash-sweep --seeds 8         # exhaustive per-op crash sweep
-//   rpkic-soak --crash-every 5 --state-dir st  # WAL+checkpoints on real disk
+//   rpkic-soak --fleet 5 --faulty-set 1:crash:5:6  # fleet consensus (I10/I11)
+//   rpkic-soak --pack all --seeds 16           # attack zoo (I12/I13)
 //
-//   --seeds N          number of seeds to sweep (default 20)
-//   --seed-base B      first seed (default 1)
-//   --rounds N         sync rounds per run (default 40)
-//   --fault-rate X     per-point per-round fault probability (default 0.35)
-//   --retry-budget N   retries after the first attempt (default 2)
-//   --adversarial X    driver misbehaviour probability (default 0.15)
-//   --crash-every N    durable-store mode: commit the relying party's
-//                      state every round and kill/restart the "process"
-//                      every N rounds, crashing mid-commit (invariants
-//                      I8/I9; plans carry the cadence for --plan replay)
-//   --state-dir DIR    put the durable store's WAL + checkpoints on the
-//                      real filesystem under DIR/seed<N> instead of the
-//                      crash-injectable in-memory backend (kills become
-//                      round-boundary restarts; dirs are wiped per run)
-//   --crash-sweep      run the exhaustive crash-point sweep instead of
-//                      the soak: one rerun per VFS operation per seed,
-//                      proving pre-or-post recovery plus convergence
-//   --smoke            shorthand for --seeds 32 --rounds 25
-//   --compare          also run every seed with retry budget 0 and print
-//                      the degradation table (weakened run must be worse)
-//   --pack NAME[,..]   attack-zoo mode (docs/CHAOS.md "Attack zoo"): run
-//                      the named adversary scenario packs ("all" = every
-//                      pack) across the seed sweep and diff each run's
-//                      realized alarms, rejections, quarantine state, and
-//                      fleet attribution against the pack's expected-alarm
-//                      oracle (invariants I12/I13). Any miss OR any
-//                      spurious alarm fails the run: failing runs write
-//                      pack-fail-<pack>-seed<N>.plan (replayable with
-//                      --plan) and their postmortems land in --flight-out
-//   --disable-detection
-//                      attack-zoo test hook: turn off the relying party's
-//                      intermediate-state checks and the periodic global
-//                      consistency check. A pack whose attack those paths
-//                      catch must then FAIL its oracle (proves the oracle
-//                      has teeth)
-//   --plan FILE        replay one serialized plan instead of sweeping; a
-//                      plan carrying pack= replays that pack run
-//   --quiet            only the summary line and failures
-//   --scoreboard       per-round table: delivered/failed/retries/absorbed/
-//                      alarms/valid-ROAs for every round of every run
-//   --metrics-out FILE write the Prometheus text exposition of all
-//                      rc_* metrics after the sweep (deterministic: the
-//                      run is switched to the logical clock, so two runs
-//                      of the same seed produce byte-identical files)
-//   --trace-out FILE   write a Chrome trace-event JSON of the run's spans
-//                      (load in Perfetto / chrome://tracing)
-//   --fleet N          fleet-consensus mode (docs/FLEET.md): run N relying
-//                      parties per seed over divergent repository views,
-//                      reduce their per-epoch outputs by quorum vote, and
-//                      check invariants I10/I11 (--rounds sets the epoch
-//                      count; per-member rc_rp_*/rc_sync_*/rc_store_* and
-//                      aggregate rc_fleet_* metrics land in --metrics-out)
-//   --quorum Q         votes required for a consensus output (default
-//                      majority: floor(N/2)+1)
-//   --faulty-set SPEC  comma-separated member faults, each
-//                      member:kind[:from[:len]] with kind crash|stall|
-//                      mirror, e.g. "1:crash:5:6,3:mirror:4"
-//   --transcript-out F write every seed's consensus transcript (canonical
-//                      text, byte-identical at every --threads value)
-//   --serve ADDR:PORT  serve the live introspection endpoints (/metrics,
-//                      /healthz, /statusz, /flightz) while the run is in
-//                      flight; port 0 picks an ephemeral port and the
-//                      bound address is printed. Enables the global
-//                      flight recorder and publishes run progress rows
-//                      to /statusz.
-//   --serve-hold       keep serving after the run completes, until
-//                      SIGINT/SIGTERM (CI scrapes the final state, then
-//                      kills the process; also holds --rtr)
-//   --rtr ADDR:PORT    serve every committed round as an RTR-style epoch
-//                      (RFC 8210 v1 framing; docs/SERVING.md) while the
-//                      run is in flight: caches connect, Reset Query gets
-//                      the full VRP snapshot, Serial Query an incremental
-//                      delta, and each new epoch fans out a Serial
-//                      Notify. Port 0 picks an ephemeral port. With
-//                      multiple seeds the epochs publish in completion
-//                      order into one shared store.
-//   --rtr-dump FILE    write the canonical epoch dump (one line per
-//                      epoch: serial, tuple count, announce/withdraw
-//                      counts, SHA-256 of snapshot and delta payloads)
-//                      for all seeds in seed order — byte-identical at
-//                      every --threads value; CI diffs it across thread
-//                      counts
-//   --flight-out DIR   write postmortem bundles — invariant failures,
-//                      realized crashes, fatal signals — under DIR as
-//                      <label>.postmortem (see docs/OBSERVABILITY.md)
-//   --force-invariant-fail
-//                      append one synthetic invariant violation to every
-//                      soak run so the postmortem-capture path fires
-//                      deterministically (test/CI hook; the run exits 2)
-//   --log-level LEVEL  structured-log threshold (trace|debug|info|warn|
-//                      error|off; default warn, also settable via RC_LOG)
-//   --threads N        worker pool size for the seed sweep (0 = all
-//                      hardware threads); overrides the RC_THREADS env
-//                      var. Per-seed results are bit-identical at every
-//                      thread count and always print in seed order, but
-//                      --metrics-out/--trace-out dumps are only byte-
-//                      stable at 1 thread (interleaving reorders the
-//                      logical clock).
+// Modes: the soak (default), --crash-sweep, --fleet, --pack, and --plan (a
+// soak-plan or a pack-plan replay, by the plan's pack= header). At most one
+// mode flag may be given, and a flag the selected mode does not read is a
+// usage error. kFlags below is that mode x flag table; docs/TOOLS.md
+// documents every flag against it.
 //
 // Exit status: 0 = all invariants held, 2 = violations, 1 = usage/IO error.
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <filesystem>
 
 #include "adversary/runner.hpp"
 #include "fleet/fleet.hpp"
@@ -145,6 +50,7 @@
 #include "sim/crash_sweep.hpp"
 #include "util/errors.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "util/vfs.hpp"
 
 using namespace rpkic;
@@ -152,101 +58,114 @@ using namespace rpkic::sim;
 
 namespace {
 
-void printResult(const SoakResult& r, bool quiet) {
-    const SoakStats& s = r.stats;
-    if (!quiet) {
-        std::printf(
-            "seed %-6llu %s  faults=%llu hits=%llu attempts=%llu retries=%llu "
-            "absorbed=%llu failed-rounds=%llu worst-streak=%u recoveries=%llu "
-            "mean-recovery=%.2f alarms=%llu (accountable=%llu, twin=%llu) "
-            "roas=%zu/%zu\n",
-            static_cast<unsigned long long>(r.seed), r.passed ? "ok  " : "FAIL",
-            static_cast<unsigned long long>(s.faultsScheduled),
-            static_cast<unsigned long long>(s.faultApplications),
-            static_cast<unsigned long long>(s.attempts),
-            static_cast<unsigned long long>(s.retries),
-            static_cast<unsigned long long>(s.faultsAbsorbed),
-            static_cast<unsigned long long>(s.pointRoundsFailed), s.maxStaleStreak,
-            static_cast<unsigned long long>(s.recoveries), s.meanRecoveryRounds,
-            static_cast<unsigned long long>(s.alarms),
-            static_cast<unsigned long long>(s.accountableAlarms),
-            static_cast<unsigned long long>(s.twinAlarms), s.validRoasFinal,
-            s.twinValidRoasFinal);
-        if (r.plan.crashEvery > 0) {
-            std::printf(
-                "  durability seed %-6llu crashes=%llu recoveries=%llu commits=%llu "
-                "torn-bytes=%llu rounds-redone=%llu\n",
-                static_cast<unsigned long long>(r.seed),
-                static_cast<unsigned long long>(s.crashes),
-                static_cast<unsigned long long>(s.storeRecoveries),
-                static_cast<unsigned long long>(s.storeCommits),
-                static_cast<unsigned long long>(s.storeTornBytes),
-                static_cast<unsigned long long>(s.roundsRedone));
+using ull = unsigned long long;
+
+// ---------------------------------------------------------------------------
+// The mode x flag table
+
+enum Mode : unsigned {
+    kSoak = 1u << 0,
+    kSweep = 1u << 1,
+    kFleet = 1u << 2,
+    kPack = 1u << 3,
+    kSoakReplay = 1u << 4,
+    kPackReplay = 1u << 5,
+};
+constexpr unsigned kSweeps = kSoak | kSweep | kFleet | kPack;  ///< the seed-sweep modes
+constexpr unsigned kAll = kSweeps | kSoakReplay | kPackReplay;
+constexpr const char* kModeNames[] = {"soak", "crash-sweep",      "fleet",
+                                      "pack", "soak-plan replay", "pack-plan replay"};
+
+enum Kind { kSwitch, kText, kCount, kPositive, kProbability };
+
+struct Flag {
+    const char* name;
+    Kind kind;
+    const char* metavar;
+    unsigned modes;    ///< the modes that read the flag
+    unsigned selects;  ///< the mode the flag selects, or 0 (a plan's is refined on reading)
+};
+
+constexpr Flag kFlags[] = {
+    {"--seeds", kPositive, "N", kSweeps, 0},
+    {"--seed-base", kCount, "B", kSweeps, 0},
+    {"--rounds", kPositive, "N", kSoak | kFleet | kPack, 0},
+    {"--fault-rate", kProbability, "X", kSoak, 0},
+    {"--retry-budget", kCount, "N", kSoak | kFleet | kPack, 0},
+    {"--adversarial", kProbability, "X", kSoak | kSweep, 0},
+    {"--crash-every", kCount, "N", kSoak, 0},
+    {"--state-dir", kText, "DIR", kSoak | kSoakReplay, 0},
+    {"--crash-sweep", kSwitch, "", kSweep, kSweep},
+    {"--fleet", kPositive, "N", kFleet, kFleet},
+    {"--quorum", kPositive, "Q", kFleet, 0},
+    {"--faulty-set", kText, "SPEC", kFleet, 0},
+    {"--transcript-out", kText, "FILE", kFleet | kPack | kPackReplay, 0},
+    {"--smoke", kSwitch, "", kSweeps, 0},
+    {"--pack", kText, "NAME[,..]", kPack, kPack},
+    {"--disable-detection", kSwitch, "", kPack | kPackReplay, 0},
+    {"--plan", kText, "FILE", kSoakReplay | kPackReplay, kSoakReplay},
+    {"--quiet", kSwitch, "", kAll, 0},
+    {"--scoreboard", kSwitch, "", kSoak | kSoakReplay, 0},
+    {"--metrics-out", kText, "FILE", kAll, 0},
+    {"--trace-out", kText, "FILE", kAll, 0},
+    {"--serve", kText, "ADDR:PORT", kAll, 0},
+    {"--serve-hold", kSwitch, "", kAll, 0},
+    {"--rtr", kText, "ADDR:PORT", kSoak | kSoakReplay, 0},
+    {"--rtr-dump", kText, "FILE", kSoak | kSoakReplay, 0},
+    {"--flight-out", kText, "DIR", kAll, 0},
+    {"--force-invariant-fail", kSwitch, "", kSoak | kSoakReplay, 0},
+    {"--log-level", kText, "LEVEL", kAll, 0},
+    {"--threads", kText, "N", kAll, 0},
+};
+
+std::string usage() {
+    std::string out = "usage: rpkic-soak";
+    std::size_t column = out.size();
+    for (const Flag& f : kFlags) {
+        std::string item = std::string(" [") + f.name;
+        if (f.kind != kSwitch) item += std::string(" ") + f.metavar;
+        item += "]";
+        if (column + item.size() > 78) {
+            out += "\n                 ";
+            column = 17;
         }
+        out += item;
+        column += item.size();
     }
-    if (!r.passed) {
-        std::printf("seed %llu VIOLATIONS:\n", static_cast<unsigned long long>(r.seed));
-        for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
-        const std::string planFile =
-            "soak-fail-seed" + std::to_string(r.seed) + ".plan";
-        const std::string text = r.plan.serialize();
-        std::ofstream out(planFile, std::ios::binary);
-        if (out) {
-            out << text;
-            std::printf("  plan written to %s — replay with: rpkic-soak --plan %s\n",
-                        planFile.c_str(), planFile.c_str());
-        } else {
-            std::printf("  (could not write %s; plan follows)\n%s", planFile.c_str(),
-                        text.c_str());
-        }
-    }
+    return out;
 }
 
-void printScoreboard(const SoakResult& r) {
-    std::printf("  round | listed deliv fail quar | attempts retries absorbed | alarms roas\n");
-    for (const auto& round : r.rounds) {
-        std::printf("  %5llu | %6zu %5zu %4zu %4zu | %8llu %7llu %8llu | %6zu %4zu\n",
-                    static_cast<unsigned long long>(round.round), round.pointsListed,
-                    round.pointsDelivered, round.pointsFailed, round.pointsQuarantined,
-                    static_cast<unsigned long long>(round.attempts),
-                    static_cast<unsigned long long>(round.retries),
-                    static_cast<unsigned long long>(round.faultsAbsorbed), round.alarmsRaised,
-                    round.validRoas);
+double parseProbability(const std::string& value, const char* flag) {
+    double x = -1.0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, x);
+    if (ec != std::errc() || ptr != end || !(x >= 0.0 && x <= 1.0)) {
+        throw UsageError(std::string(flag) + " must be a number in [0, 1]: " + value);
     }
+    return x;
 }
 
-void printPackResult(const adversary::PackRunResult& r, bool quiet) {
-    if (!quiet || !r.passed) {
-        std::string verdicts;
-        for (const auto cls : r.realized.verdictClasses) {
-            if (!verdicts.empty()) verdicts += ",";
-            verdicts += std::string(fleet::toString(cls));
-        }
-        if (verdicts.empty()) verdicts = "-";
-        std::printf(
-            "pack %-18s seed %-4llu %s  alarms=%zu faults=%zu hits=%llu overlays=%llu "
-            "quarantined=%s verdicts=%s\n",
-            r.pack.c_str(), static_cast<unsigned long long>(r.seed),
-            r.passed ? "ok  " : "FAIL", r.realized.alarms.size(), r.plan.faults.size(),
-            static_cast<unsigned long long>(r.faultApplications),
-            static_cast<unsigned long long>(r.overlayApplications),
-            r.realized.quarantined ? "yes" : "no", verdicts.c_str());
+/// The checked command line: the last value of every given flag.
+struct Cli {
+    std::map<std::string, std::string> values;
+
+    bool has(const char* flag) const { return values.count(flag) > 0; }
+    std::string text(const char* flag) const { return has(flag) ? values.at(flag) : ""; }
+    std::uint64_t count(const char* flag, std::uint64_t fallback) const {
+        return has(flag) ? parseU64(text(flag), flag) : fallback;
     }
-    if (!r.passed) {
-        std::printf("pack %s seed %llu ORACLE DIFF:\n", r.pack.c_str(),
-                    static_cast<unsigned long long>(r.seed));
-        for (const std::string& m : r.diff.missing) std::printf("  missing:  %s\n", m.c_str());
-        for (const std::string& s : r.diff.spurious) std::printf("  spurious: %s\n", s.c_str());
-        const std::string planFile =
-            "pack-fail-" + r.pack + "-seed" + std::to_string(r.seed) + ".plan";
-        std::ofstream out(planFile, std::ios::binary);
-        if (out) {
-            out << r.plan.serialize();
-            std::printf("  plan written to %s — replay with: rpkic-soak --plan %s\n",
-                        planFile.c_str(), planFile.c_str());
-        }
+    std::uint32_t count32(const char* flag, std::uint32_t fallback) const {
+        const std::uint64_t n = count(flag, fallback);
+        if (n > UINT32_MAX) throw UsageError(std::string(flag) + " is out of range");
+        return static_cast<std::uint32_t>(n);
     }
-}
+    double probability(const char* flag, double fallback) const {
+        return has(flag) ? parseProbability(text(flag), flag) : fallback;
+    }
+};
+
+// ---------------------------------------------------------------------------
+// The one report path
 
 bool writeFileOrComplain(const std::string& path, const std::string& content) {
     std::ofstream out(path, std::ios::binary);
@@ -258,6 +177,130 @@ bool writeFileOrComplain(const std::string& path, const std::string& content) {
     return true;
 }
 
+/// Every run hands its verdict, postmortems and replay artifact to add()
+/// in seed order; finish() writes the run-wide outputs and picks the exit
+/// code.
+struct Reporter {
+    const Cli& cli;
+    std::uint64_t failures = 0;
+    std::string transcripts;  ///< --transcript-out
+    std::string epochDump;    ///< --rtr-dump
+
+    explicit Reporter(const Cli& c) : cli(c) {}
+
+    /// A failed run's `failFile` (a plan replayable with --plan, or a fleet
+    /// transcript) is written, or printed when it cannot be.
+    void add(bool ok, const std::vector<obs::CapturedBundle>& postmortems,
+             const std::string& failFile = "", const std::string& failBody = "") {
+        if (!ok) ++failures;
+        if (!ok && !failFile.empty()) {
+            const char* file = failFile.c_str();
+            const bool plan = failFile.ends_with(".plan");
+            std::ofstream out(failFile, std::ios::binary);
+            if (!(out << failBody)) {
+                std::printf("  (could not write %s; %s follows)\n%s", file,
+                            plan ? "plan" : "transcript", failBody.c_str());
+            } else if (plan) {
+                std::printf("  plan written to %s — replay with: rpkic-soak --plan %s\n", file,
+                            file);
+            } else {
+                std::printf("  transcript written to %s\n", file);
+            }
+        }
+        if (!cli.has("--flight-out")) return;
+        for (const obs::CapturedBundle& b : postmortems) {
+            const std::string path = cli.text("--flight-out") + "/" + b.label + ".postmortem";
+            if (writeFileOrComplain(path, b.bytes) && !cli.has("--quiet")) {
+                std::printf("postmortem (%s) written to %s\n", b.trigger.c_str(), path.c_str());
+            }
+        }
+    }
+
+    bool write(const char* flag, const char* what, const std::string& text) const {
+        if (!writeFileOrComplain(cli.text(flag), text)) return false;
+        if (!cli.has("--quiet")) std::printf("%s written to %s\n", what, cli.text(flag).c_str());
+        return true;
+    }
+
+    int finish() const {
+        const bool written =
+            (!cli.has("--transcript-out") ||
+             write("--transcript-out", "transcripts", transcripts)) &&
+            (!cli.has("--rtr-dump") || write("--rtr-dump", "epoch dump", epochDump)) &&
+            (!cli.has("--metrics-out") ||
+             write("--metrics-out", "metrics", obs::Registry::global().renderPrometheus())) &&
+            (!cli.has("--trace-out") ||
+             write("--trace-out", "trace", obs::Tracer::global().renderChromeTrace()));
+        return !written ? 1 : failures == 0 ? 0 : 2;
+    }
+};
+
+void reportSoak(Reporter& reporter, const SoakResult& r, bool quiet) {
+    const SoakStats& s = r.stats;
+    if (!quiet) {
+        std::printf(
+            "seed %-6llu %s  faults=%llu hits=%llu attempts=%llu retries=%llu "
+            "absorbed=%llu failed-rounds=%llu worst-streak=%u recoveries=%llu "
+            "mean-recovery=%.2f alarms=%llu (accountable=%llu, twin=%llu) "
+            "roas=%zu/%zu\n",
+            ull(r.seed), r.passed ? "ok  " : "FAIL", ull(s.faultsScheduled),
+            ull(s.faultApplications), ull(s.attempts), ull(s.retries), ull(s.faultsAbsorbed),
+            ull(s.pointRoundsFailed), s.maxStaleStreak, ull(s.recoveries), s.meanRecoveryRounds,
+            ull(s.alarms), ull(s.accountableAlarms), ull(s.twinAlarms), s.validRoasFinal,
+            s.twinValidRoasFinal);
+        if (r.plan.crashEvery > 0) {
+            std::printf(
+                "  durability seed %-6llu crashes=%llu recoveries=%llu commits=%llu "
+                "torn-bytes=%llu rounds-redone=%llu\n",
+                ull(r.seed), ull(s.crashes), ull(s.storeRecoveries), ull(s.storeCommits),
+                ull(s.storeTornBytes), ull(s.roundsRedone));
+        }
+    }
+    if (!r.passed) {
+        std::printf("seed %llu VIOLATIONS:\n", ull(r.seed));
+        for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
+    }
+    if (reporter.cli.has("--scoreboard")) {
+        std::printf("  round | listed deliv fail quar | attempts retries absorbed | alarms roas\n");
+        for (const auto& round : r.rounds) {
+            std::printf("  %5llu | %6zu %5zu %4zu %4zu | %8llu %7llu %8llu | %6zu %4zu\n",
+                        ull(round.round), round.pointsListed, round.pointsDelivered,
+                        round.pointsFailed, round.pointsQuarantined, ull(round.attempts),
+                        ull(round.retries), ull(round.faultsAbsorbed), round.alarmsRaised,
+                        round.validRoas);
+        }
+    }
+    reporter.add(r.passed, r.postmortems, "soak-fail-seed" + std::to_string(r.seed) + ".plan",
+                 r.plan.serialize());
+    reporter.epochDump += r.epochDump;
+}
+
+void reportPack(Reporter& reporter, const adversary::PackRunResult& r, bool quiet) {
+    if (!quiet || !r.passed) {
+        std::string verdicts;
+        for (const auto cls : r.realized.verdictClasses) {
+            if (!verdicts.empty()) verdicts += ",";
+            verdicts += std::string(fleet::toString(cls));
+        }
+        if (verdicts.empty()) verdicts = "-";
+        std::printf(
+            "pack %-18s seed %-4llu %s  alarms=%zu faults=%zu hits=%llu overlays=%llu "
+            "quarantined=%s verdicts=%s\n",
+            r.pack.c_str(), ull(r.seed), r.passed ? "ok  " : "FAIL", r.realized.alarms.size(),
+            r.plan.faults.size(), ull(r.faultApplications), ull(r.overlayApplications),
+            r.realized.quarantined ? "yes" : "no", verdicts.c_str());
+    }
+    if (!r.passed) {
+        std::printf("pack %s seed %llu ORACLE DIFF:\n", r.pack.c_str(), ull(r.seed));
+        for (const std::string& m : r.diff.missing) std::printf("  missing:  %s\n", m.c_str());
+        for (const std::string& s : r.diff.spurious) std::printf("  spurious: %s\n", s.c_str());
+    }
+    reporter.add(r.passed, r.postmortems,
+                 "pack-fail-" + r.pack + "-seed" + std::to_string(r.seed) + ".plan",
+                 r.plan.serialize());
+    reporter.transcripts += r.transcript;
+}
+
 // --serve-hold exits on SIGINT/SIGTERM (fatal signals go through the
 // flight handler instead).
 std::atomic<bool> gStopServing{false};
@@ -267,157 +310,109 @@ extern "C" void onStopSignal(int) { gStopServing.store(true); }
 }  // namespace
 
 int main(int argc, char** argv) {
+    // --- the command line, checked against the mode x flag table ------------
+    Cli cli;
+    unsigned mode = kSoak;
+    FaultPlan plan;
     SoakConfig cfg;
-    std::uint64_t seeds = 20;
-    std::uint64_t seedBase = 1;
-    bool compare = false;
-    bool quiet = false;
-    bool scoreboard = false;
-    bool crashSweep = false;
-    std::uint32_t fleetSize = 0;
-    std::uint32_t fleetQuorum = 0;  // 0 = majority of --fleet
-    std::string faultySet;
-    std::string transcriptOut;
-    std::string stateDir;
-    std::string planPath;
-    std::string packSpec;
-    bool disableDetection = false;
-    std::string metricsOut;
-    std::string traceOut;
-    std::string threadSpec;
-    std::string serveAddr;
-    bool serveHold = false;
-    std::string flightOut;
-    std::string rtrAddr;
-    std::string rtrDump;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&](const char* what) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "rpkic-soak: %s requires a value\n", what);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--seeds") {
-            seeds = std::strtoull(next("--seeds"), nullptr, 10);
-        } else if (arg == "--seed-base") {
-            seedBase = std::strtoull(next("--seed-base"), nullptr, 10);
-        } else if (arg == "--rounds") {
-            cfg.rounds = static_cast<std::uint32_t>(std::strtoul(next("--rounds"), nullptr, 10));
-        } else if (arg == "--fault-rate") {
-            cfg.faultRate = std::strtod(next("--fault-rate"), nullptr);
-        } else if (arg == "--retry-budget") {
-            cfg.retryBudget =
-                static_cast<std::uint32_t>(std::strtoul(next("--retry-budget"), nullptr, 10));
-        } else if (arg == "--adversarial") {
-            cfg.adversarialProbability = std::strtod(next("--adversarial"), nullptr);
-        } else if (arg == "--crash-every") {
-            cfg.crashEvery =
-                static_cast<std::uint32_t>(std::strtoul(next("--crash-every"), nullptr, 10));
-        } else if (arg == "--state-dir") {
-            stateDir = next("--state-dir");
-        } else if (arg == "--crash-sweep") {
-            crashSweep = true;
-        } else if (arg == "--fleet") {
-            fleetSize = static_cast<std::uint32_t>(std::strtoul(next("--fleet"), nullptr, 10));
-        } else if (arg == "--quorum") {
-            fleetQuorum = static_cast<std::uint32_t>(std::strtoul(next("--quorum"), nullptr, 10));
-            if (fleetQuorum == 0) {
-                // 0 is also the internal "use the default" sentinel; an
-                // explicit 0 must not silently become a majority quorum.
-                std::fprintf(stderr, "rpkic-soak: --quorum must be >= 1\n");
+    try {
+        const Flag* selector = nullptr;
+        std::vector<const Flag*> given;
+        for (int i = 1; i < argc; ++i) {
+            const Flag* f = std::find_if(std::begin(kFlags), std::end(kFlags), [&](const Flag& x) {
+                return std::strcmp(argv[i], x.name) == 0;
+            });
+            if (f == std::end(kFlags)) {
+                std::fprintf(stderr, "%s\n", usage().c_str());
                 return 1;
             }
-        } else if (arg == "--faulty-set") {
-            faultySet = next("--faulty-set");
-        } else if (arg == "--transcript-out") {
-            transcriptOut = next("--transcript-out");
-        } else if (arg == "--smoke") {
-            seeds = 32;
-            cfg.rounds = 25;
-        } else if (arg == "--compare") {
-            compare = true;
-        } else if (arg == "--pack") {
-            packSpec = next("--pack");
-        } else if (arg == "--disable-detection") {
-            disableDetection = true;
-        } else if (arg == "--plan") {
-            planPath = next("--plan");
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--scoreboard") {
-            scoreboard = true;
-        } else if (arg == "--metrics-out") {
-            metricsOut = next("--metrics-out");
-        } else if (arg == "--trace-out") {
-            traceOut = next("--trace-out");
-        } else if (arg == "--serve") {
-            serveAddr = next("--serve");
-        } else if (arg == "--serve-hold") {
-            serveHold = true;
-        } else if (arg == "--rtr") {
-            rtrAddr = next("--rtr");
-        } else if (arg == "--rtr-dump") {
-            rtrDump = next("--rtr-dump");
-        } else if (arg == "--flight-out") {
-            flightOut = next("--flight-out");
-        } else if (arg == "--force-invariant-fail") {
-            cfg.forceInvariantFail = true;
-        } else if (arg == "--log-level") {
-            obs::Logger::global().setLevel(obs::logLevelFromString(next("--log-level")));
-        } else if (arg == "--threads") {
-            threadSpec = next("--threads");
-        } else {
-            std::fprintf(stderr,
-                         "usage: rpkic-soak [--seeds N] [--seed-base B] [--rounds N]\n"
-                         "                  [--fault-rate X] [--retry-budget N] "
-                         "[--adversarial X]\n"
-                         "                  [--crash-every N] [--state-dir DIR] "
-                         "[--crash-sweep]\n"
-                         "                  [--fleet N] [--quorum Q] [--faulty-set SPEC]\n"
-                         "                  [--transcript-out FILE]\n"
-                         "                  [--pack NAME[,..]] [--disable-detection]\n"
-                         "                  [--smoke] [--compare] [--plan FILE] [--quiet]\n"
-                         "                  [--scoreboard] [--metrics-out FILE] "
-                         "[--trace-out FILE]\n"
-                         "                  [--serve ADDR:PORT] [--serve-hold] "
-                         "[--flight-out DIR]\n"
-                         "                  [--rtr ADDR:PORT] [--rtr-dump FILE]\n"
-                         "                  [--force-invariant-fail]\n"
-                         "                  [--log-level LEVEL] [--threads N]\n");
-            return 1;
+            std::string& value = cli.values[f->name];
+            if (f->kind != kSwitch) {
+                if (i + 1 >= argc) throw UsageError(std::string(f->name) + " requires a value");
+                value = argv[++i];
+            }
+            if (f->kind == kCount) parseU64(value, f->name);
+            if (f->kind == kPositive && parseU64(value, f->name) == 0) {
+                throw UsageError(std::string(f->name) + " must be >= 1");
+            }
+            if (f->kind == kProbability) parseProbability(value, f->name);
+            if (f->selects != 0 && selector != nullptr && selector != f) {
+                throw UsageError(std::string(selector->name) + " and " + f->name +
+                                 " select different modes");
+            }
+            if (f->selects != 0) selector = f;
+            if (std::strcmp(f->name, "--smoke") == 0) {
+                cli.values["--seeds"] = "32";
+                cli.values["--rounds"] = "25";
+            }
+            given.push_back(f);
         }
-    }
-
-    try {
-        const std::size_t threads = threadSpec.empty()
-                                        ? rc::parallel::defaultThreadCount()
-                                        : rc::parallel::parseThreadSpec(threadSpec);
-        rc::parallel::configureDefaultPool(threads, &obs::parallelMetricsObserver());
+        if (selector != nullptr) mode = selector->selects;
+        if (mode == kSoakReplay) {
+            const std::string path = cli.text("--plan");
+            std::ifstream in(path, std::ios::binary);
+            if (!in) {
+                std::fprintf(stderr, "rpkic-soak: cannot open %s\n", path.c_str());
+                return 1;
+            }
+            std::stringstream buf;
+            buf << in.rdbuf();
+            try {
+                plan = FaultPlan::parse(buf.str());
+            } catch (const ParseError& e) {
+                std::fprintf(stderr, "rpkic-soak: %s: %s\n", path.c_str(), e.what());
+                return 1;
+            }
+            if (!plan.pack.empty()) mode = kPackReplay;
+        }
+        for (const Flag* f : given) {
+            if ((f->modes & mode) == 0) {
+                throw UsageError(std::string(f->name) + " is not read in " +
+                                 kModeNames[std::countr_zero(mode)] + " mode");
+            }
+        }
+        if (cli.has("--log-level")) {
+            obs::Logger::global().setLevel(obs::logLevelFromString(cli.text("--log-level")));
+        }
+        rc::parallel::configureDefaultPool(
+            cli.has("--threads") ? rc::parallel::parseThreadSpec(cli.text("--threads"))
+                                 : rc::parallel::defaultThreadCount(),
+            &obs::parallelMetricsObserver());
+        cfg.rounds = cli.count32("--rounds", cfg.rounds);
+        cfg.faultRate = cli.probability("--fault-rate", cfg.faultRate);
+        cfg.retryBudget = cli.count32("--retry-budget", cfg.retryBudget);
+        cfg.adversarialProbability = cli.probability("--adversarial", cfg.adversarialProbability);
+        cfg.crashEvery = cli.count32("--crash-every", cfg.crashEvery);
+        cfg.forceInvariantFail = cli.has("--force-invariant-fail");
+        cfg.captureEpochs = cli.has("--rtr-dump");
     } catch (const Error& e) {
         std::fprintf(stderr, "rpkic-soak: %s\n", e.what());
         return 1;
     }
+    const bool quiet = cli.has("--quiet");
+    const std::uint64_t seeds = cli.count("--seeds", 20);
+    const std::uint64_t seedBase = cli.count("--seed-base", 1);
+    const std::string stateDir = cli.text("--state-dir");
+    const std::string serveAddr = cli.text("--serve");
+    const std::string rtrAddr = cli.text("--rtr");
+    const std::string flightOut = cli.text("--flight-out");
 
     // Exported telemetry must be reproducible: the same seed must dump the
     // same bytes. Switch the whole process onto the deterministic logical
     // clock before anything records a timestamp.
     static obs::LogicalTimeSource logicalClock;
-    if (!metricsOut.empty() || !traceOut.empty()) {
-        obs::setTimeSource(&logicalClock);
-    }
-    if (!traceOut.empty()) obs::Tracer::global().setEnabled(true);
+    if (cli.has("--metrics-out") || cli.has("--trace-out")) obs::setTimeSource(&logicalClock);
+    if (cli.has("--trace-out")) obs::Tracer::global().setEnabled(true);
 
-    // With --metrics-out or --serve the soak records into the process-wide
-    // registry so alarms, sync telemetry, authority and detector counters
-    // all land in the same exposition (a nullptr registry would give each
-    // run a private registry that dies with it, and /metrics would show
-    // nothing).
-    obs::Registry* exportRegistry = (metricsOut.empty() && serveAddr.empty() && rtrAddr.empty())
-                                        ? nullptr
-                                        : &obs::Registry::global();
+    // With --metrics-out, --serve or --rtr the runs record into the
+    // process-wide registry so alarms, sync telemetry, authority and
+    // detector counters all land in the same exposition (a nullptr registry
+    // would give each run a private registry that dies with it, and
+    // /metrics would show nothing).
+    obs::Registry* exportRegistry =
+        (cli.has("--metrics-out") || cli.has("--serve") || cli.has("--rtr"))
+            ? &obs::Registry::global()
+            : nullptr;
     cfg.registry = exportRegistry;
 
     // Live introspection: enable the global flight recorder (hook sites
@@ -437,21 +432,31 @@ int main(int argc, char** argv) {
         }
         obs::installFlightSignalHandler(flightOut + "/fatal-signal.postmortem");
     }
-    std::optional<obs::IntrospectionServer> server;
-    if (!serveAddr.empty()) {
-        cfg.status = &obs::StatusBoard::global();
-        server.emplace();
-        std::string error;
-        if (!server->start(serveAddr, &error)) {
-            std::fprintf(stderr, "rpkic-soak: --serve %s: %s\n", serveAddr.c_str(),
-                         error.c_str());
-            return 1;
+    // Both servers announce their bound address; SIGINT/SIGTERM release
+    // --serve-hold.
+    const auto listening = [](bool started, const char* flag, const std::string& addr,
+                              const std::string& error, const std::string& banner) {
+        if (!started) {
+            std::fprintf(stderr, "rpkic-soak: %s %s: %s\n", flag, addr.c_str(), error.c_str());
+            return false;
         }
-        std::printf("introspection server on http://%s/ (/metrics /healthz /statusz /flightz)\n",
-                    server->boundAddress().c_str());
+        std::printf("%s\n", banner.c_str());
         std::fflush(stdout);
         std::signal(SIGINT, onStopSignal);
         std::signal(SIGTERM, onStopSignal);
+        return true;
+    };
+    std::optional<obs::IntrospectionServer> server;
+    std::string error;
+    if (!serveAddr.empty()) {
+        cfg.status = &obs::StatusBoard::global();
+        server.emplace();
+        const bool started = server->start(serveAddr, &error);
+        if (!listening(started, "--serve", serveAddr, error,
+                       "introspection server on http://" + server->boundAddress() +
+                           "/ (/metrics /healthz /statusz /flightz)")) {
+            return 1;
+        }
     }
 
     // Live RTR serving plane: one shared epoch store; every seed's
@@ -470,197 +475,20 @@ int main(int argc, char** argv) {
         rtrOptions.socket.registry = exportRegistry;
         rtrOptions.core.registry = exportRegistry;
         rtrServer.emplace(*rtrStore, rtrOptions);
-        std::string error;
-        if (!rtrServer->start(rtrAddr, &error)) {
-            std::fprintf(stderr, "rpkic-soak: --rtr %s: %s\n", rtrAddr.c_str(), error.c_str());
+        const bool started = rtrServer->start(rtrAddr, &error);
+        if (!listening(started, "--rtr", rtrAddr, error,
+                       "rtr server on " + rtrServer->boundAddress() + " (RFC 8210 v1)")) {
             return 1;
         }
-        std::printf("rtr server on %s (RFC 8210 v1)\n", rtrServer->boundAddress().c_str());
-        std::fflush(stdout);
-        std::signal(SIGINT, onStopSignal);
-        std::signal(SIGTERM, onStopSignal);
         cfg.rtrStore = &*rtrStore;
         cfg.onEpochPublished = [&rtrServer] { rtrServer->notify(); };
-    }
-    cfg.captureEpochs = !rtrDump.empty();
-
-    // Where captured postmortem bundles land (--flight-out).
-    const auto writePostmortems = [&](const std::vector<obs::CapturedBundle>& bundles) {
-        if (flightOut.empty()) return;
-        for (const obs::CapturedBundle& b : bundles) {
-            const std::string path = flightOut + "/" + b.label + ".postmortem";
-            if (writeFileOrComplain(path, b.bytes) && !quiet) {
-                std::printf("postmortem (%s) written to %s\n", b.trigger.c_str(), path.c_str());
-            }
-        }
-    };
-
-    // Every exit path after server start funnels through here so
-    // --serve-hold can keep the endpoints alive for a scraper.
-    const auto finish = [&](int rc) -> int {
-        if ((server.has_value() || rtrServer.has_value()) && serveHold) {
-            std::printf("rpkic-soak: run complete; holding %s%s%s "
-                        "(SIGINT/SIGTERM to exit)\n",
-                        server.has_value()
-                            ? ("introspection server on " + server->boundAddress()).c_str()
-                            : "",
-                        server.has_value() && rtrServer.has_value() ? " and " : "",
-                        rtrServer.has_value()
-                            ? ("rtr server on " + rtrServer->boundAddress()).c_str()
-                            : "");
-            std::fflush(stdout);
-            while (!gStopServing.load()) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            }
-        }
-        if (rtrServer.has_value()) rtrServer->stop();
-        if (server.has_value()) server->stop();
-        return rc;
-    };
-
-    const auto writeExports = [&]() -> bool {
-        bool ok = true;
-        if (!metricsOut.empty()) {
-            ok = writeFileOrComplain(metricsOut, obs::Registry::global().renderPrometheus()) && ok;
-            if (ok && !quiet) std::printf("metrics written to %s\n", metricsOut.c_str());
-        }
-        if (!traceOut.empty()) {
-            ok = writeFileOrComplain(traceOut, obs::Tracer::global().renderChromeTrace()) && ok;
-            if (ok && !quiet) std::printf("trace written to %s\n", traceOut.c_str());
-        }
-        return ok;
-    };
-
-    if (fleetSize > 0) {
-        // Fleet-consensus mode: seeds run sequentially — each run fans its
-        // member syncs out over the worker pool instead, and sequential
-        // seeds keep --metrics-out/--trace-out byte-stable.
-        fleet::FleetConfig fleetCfg;
-        fleetCfg.members = fleetSize;
-        fleetCfg.quorum = fleetQuorum != 0 ? fleetQuorum : fleetSize / 2 + 1;
-        fleetCfg.epochs = cfg.rounds;
-        fleetCfg.retryBudget = cfg.retryBudget;
-        fleetCfg.registry = exportRegistry;
-        fleetCfg.status = cfg.status;
-        try {
-            fleetCfg.faulty = fleet::MemberFaultSpec::parseSet(faultySet);
-        } catch (const Error& e) {
-            std::fprintf(stderr, "rpkic-soak: --faulty-set: %s\n", e.what());
-            return finish(1);
-        }
-
-        std::string transcripts;
-        std::uint64_t failures = 0;
-        for (std::uint64_t s = 0; s < seeds; ++s) {
-            fleet::FleetConfig runCfg = fleetCfg;
-            runCfg.seed = seedBase + s;
-            fleet::FleetResult r;
-            try {
-                r = fleet::runFleet(runCfg);
-            } catch (const Error& e) {
-                std::fprintf(stderr, "rpkic-soak: fleet seed %llu: %s\n",
-                             static_cast<unsigned long long>(runCfg.seed), e.what());
-                return finish(1);
-            }
-            writePostmortems(r.postmortems);
-            const fleet::FleetStats& fs = r.stats;
-            if (!quiet || !r.passed) {
-                std::printf(
-                    "fleet seed %-6llu %s  epochs=%llu outputs=%llu unanimous=%llu "
-                    "no-quorum=%llu votes=%llu rejected=%llu verdicts=c%llu/s%llu/m%llu "
-                    "crashes=%llu restarts=%llu roas=%zu/%zu\n",
-                    static_cast<unsigned long long>(r.seed), r.passed ? "ok  " : "FAIL",
-                    static_cast<unsigned long long>(fs.epochs),
-                    static_cast<unsigned long long>(fs.outputEpochs),
-                    static_cast<unsigned long long>(fs.unanimousEpochs),
-                    static_cast<unsigned long long>(fs.noQuorumEpochs),
-                    static_cast<unsigned long long>(fs.votesCast),
-                    static_cast<unsigned long long>(fs.votesRejected),
-                    static_cast<unsigned long long>(fs.verdictsCrashed),
-                    static_cast<unsigned long long>(fs.verdictsStalled),
-                    static_cast<unsigned long long>(fs.verdictsMirrorFed),
-                    static_cast<unsigned long long>(fs.crashes),
-                    static_cast<unsigned long long>(fs.restarts), fs.finalOutputRoas,
-                    fs.twinFinalRoas);
-            }
-            if (!r.passed) {
-                ++failures;
-                std::printf("fleet seed %llu VIOLATIONS:\n",
-                            static_cast<unsigned long long>(r.seed));
-                for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
-                const std::string file =
-                    "fleet-fail-seed" + std::to_string(r.seed) + ".transcript";
-                if (writeFileOrComplain(file, r.transcript.serialize())) {
-                    std::printf("  transcript written to %s\n", file.c_str());
-                }
-            }
-            if (!transcriptOut.empty()) transcripts += r.transcript.serialize();
-        }
-        std::printf("fleet: %llu/%llu seeds passed  (N=%u Q=%u)\n",
-                    static_cast<unsigned long long>(seeds - failures),
-                    static_cast<unsigned long long>(seeds), fleetCfg.members, fleetCfg.quorum);
-        if (!transcriptOut.empty() && !writeFileOrComplain(transcriptOut, transcripts)) {
-            return finish(1);
-        }
-        if (!transcriptOut.empty() && !quiet) {
-            std::printf("transcripts written to %s\n", transcriptOut.c_str());
-        }
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
-    }
-
-    if (!packSpec.empty()) {
-        // Attack-zoo mode: every (pack, seed) cell of the grid is an
-        // independent task; results print in pack-catalogue then seed
-        // order, so the report reads identically at every thread count.
-        std::vector<std::string> packs;
-        try {
-            packs = adversary::resolvePackList(packSpec);
-        } catch (const Error& e) {
-            std::fprintf(stderr, "rpkic-soak: --pack: %s\n", e.what());
-            return finish(1);
-        }
-        rc::parallel::Pool& packPool = rc::parallel::defaultPool();
-        const std::size_t cells = packs.size() * static_cast<std::size_t>(seeds);
-        const std::vector<adversary::PackRunResult> runs =
-            packPool.parallelMap<adversary::PackRunResult>(cells, [&](std::size_t t) {
-                adversary::PackRunConfig runCfg;
-                runCfg.pack = packs[t / seeds];
-                runCfg.seed = seedBase + (t % seeds);
-                runCfg.rounds = cfg.rounds;
-                runCfg.retryBudget = cfg.retryBudget;
-                runCfg.registry = exportRegistry;
-                runCfg.disableDetection = disableDetection;
-                return adversary::runPack(runCfg);
-            });
-        std::uint64_t failures = 0;
-        std::string transcripts;
-        for (const adversary::PackRunResult& r : runs) {
-            printPackResult(r, quiet);
-            writePostmortems(r.postmortems);
-            if (!transcriptOut.empty()) transcripts += r.transcript;
-            if (!r.passed) ++failures;
-        }
-        std::printf("attack zoo: %llu/%llu runs passed  (packs=%zu seeds=%llu)\n",
-                    static_cast<unsigned long long>(cells - failures),
-                    static_cast<unsigned long long>(cells), packs.size(),
-                    static_cast<unsigned long long>(seeds));
-        if (!transcriptOut.empty() && !writeFileOrComplain(transcriptOut, transcripts)) {
-            return finish(1);
-        }
-        if (!transcriptOut.empty() && !quiet) {
-            std::printf("transcripts written to %s\n", transcriptOut.c_str());
-        }
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
     }
 
     // Durable-store state on the real filesystem: one DiskVfs shared by
     // every run (it is stateless), one fresh directory per seed.
     vfs::DiskVfs diskVfs;
-    if (!stateDir.empty() && cfg.crashEvery == 0 && !crashSweep) {
-        std::fprintf(stderr,
-                     "rpkic-soak: --state-dir has no effect without --crash-every N\n");
+    if (!stateDir.empty() && (mode == kSoakReplay ? plan.crashEvery : cfg.crashEvery) == 0) {
+        std::fprintf(stderr, "rpkic-soak: --state-dir has no effect without --crash-every N\n");
     }
     const auto applyStateDir = [&](SoakConfig& runCfg) {
         if (stateDir.empty()) return;
@@ -670,180 +498,159 @@ int main(int argc, char** argv) {
         std::filesystem::remove_all(runCfg.stateDir, ec);  // fresh per run
     };
 
-    if (crashSweep) {
-        // Exhaustive per-VFS-op crash enumeration (sim/crash_sweep.hpp).
-        // Each seed is an independent CPU-bound task.
-        rc::parallel::Pool& sweepPool = rc::parallel::defaultPool();
-        const std::vector<SweepResult> sweeps = sweepPool.parallelMap<SweepResult>(
-            static_cast<std::size_t>(seeds), [&](std::size_t s) {
-                SweepConfig sc;
-                sc.seed = seedBase + s;
-                sc.adversarialProbability = cfg.adversarialProbability;
-                return runCrashSweep(sc);
-            });
-        std::uint64_t failures = 0;
-        for (std::uint64_t s = 0; s < seeds; ++s) {
-            const SweepResult& r = sweeps[s];
-            if (!quiet || !r.passed) {
-                std::printf(
-                    "sweep seed %-6llu %s  crash-points=%llu fired=%llu pre=%llu "
-                    "post=%llu none=%llu torn-bytes=%llu rounds-resumed=%llu\n",
-                    static_cast<unsigned long long>(seedBase + s), r.passed ? "ok  " : "FAIL",
-                    static_cast<unsigned long long>(r.crashPoints),
-                    static_cast<unsigned long long>(r.crashesFired),
-                    static_cast<unsigned long long>(r.recoveredPre),
-                    static_cast<unsigned long long>(r.recoveredPost),
-                    static_cast<unsigned long long>(r.recoveredNone),
-                    static_cast<unsigned long long>(r.tornBytes),
-                    static_cast<unsigned long long>(r.roundsResumed));
+    // --- run the selected mode ----------------------------------------------
+    // Seed sweeps fan out over the worker pool — except the fleet, whose
+    // runs fan their member syncs out instead (sequential seeds keep its
+    // --metrics-out/--trace-out byte-stable). Every run writes only its
+    // own slot and results report in seed order, so the output reads
+    // identically at every thread count.
+    rc::parallel::Pool& pool = rc::parallel::defaultPool();
+    Reporter reporter(cli);
+    int rc = 1;
+    try {
+        if (mode == kSoak) {
+            const std::vector<SoakResult> results = pool.parallelMap<SoakResult>(
+                static_cast<std::size_t>(seeds), [&](std::size_t s) {
+                    SoakConfig runCfg = cfg;
+                    runCfg.seed = seedBase + s;
+                    applyStateDir(runCfg);
+                    return runSoak(runCfg);
+                });
+            ull hits = 0, absorbed = 0, failedRounds = 0, alarms = 0;
+            for (const SoakResult& r : results) {
+                reportSoak(reporter, r, quiet);
+                hits += r.stats.faultApplications;
+                absorbed += r.stats.faultsAbsorbed;
+                failedRounds += r.stats.pointRoundsFailed;
+                alarms += r.stats.alarms;
             }
-            for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
-            writePostmortems(r.postmortems);
-            if (!r.passed) ++failures;
-        }
-        std::printf("crash sweep: %llu/%llu seeds passed\n",
-                    static_cast<unsigned long long>(seeds - failures),
-                    static_cast<unsigned long long>(seeds));
-        if (!writeExports()) return finish(1);
-        return finish(failures == 0 ? 0 : 2);
-    }
-
-    if (!planPath.empty()) {
-        std::ifstream in(planPath, std::ios::binary);
-        if (!in) {
-            std::fprintf(stderr, "rpkic-soak: cannot open %s\n", planPath.c_str());
-            return finish(1);
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        FaultPlan plan;
-        try {
-            plan = FaultPlan::parse(buf.str());
-        } catch (const ParseError& e) {
-            std::fprintf(stderr, "rpkic-soak: %s: %s\n", planPath.c_str(), e.what());
-            return finish(1);
-        }
-        if (!plan.pack.empty()) {
+            std::printf(
+                "soak: %llu/%llu seeds passed  (fault hits=%llu, absorbed=%llu, "
+                "point-rounds failed=%llu, alarms=%llu)\n",
+                ull(seeds - reporter.failures), ull(seeds), hits, absorbed, failedRounds, alarms);
+        } else if (mode == kSweep) {
+            // Exhaustive per-VFS-op crash enumeration (sim/crash_sweep.hpp).
+            const std::vector<SweepResult> sweeps = pool.parallelMap<SweepResult>(
+                static_cast<std::size_t>(seeds), [&](std::size_t s) {
+                    SweepConfig sc;
+                    sc.seed = seedBase + s;
+                    sc.adversarialProbability = cfg.adversarialProbability;
+                    return runCrashSweep(sc);
+                });
+            for (std::uint64_t s = 0; s < seeds; ++s) {
+                const SweepResult& r = sweeps[s];
+                if (!quiet || !r.passed) {
+                    std::printf(
+                        "sweep seed %-6llu %s  crash-points=%llu fired=%llu pre=%llu "
+                        "post=%llu none=%llu torn-bytes=%llu rounds-resumed=%llu\n",
+                        ull(seedBase + s), r.passed ? "ok  " : "FAIL", ull(r.crashPoints),
+                        ull(r.crashesFired), ull(r.recoveredPre), ull(r.recoveredPost),
+                        ull(r.recoveredNone), ull(r.tornBytes), ull(r.roundsResumed));
+                }
+                for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
+                reporter.add(r.passed, r.postmortems);
+            }
+            std::printf("crash sweep: %llu/%llu seeds passed\n", ull(seeds - reporter.failures),
+                        ull(seeds));
+        } else if (mode == kFleet) {
+            fleet::FleetConfig fleetCfg;
+            fleetCfg.members = cli.count32("--fleet", 0);
+            fleetCfg.quorum = cli.count32("--quorum", fleetCfg.members / 2 + 1);
+            fleetCfg.epochs = cfg.rounds;
+            fleetCfg.retryBudget = cfg.retryBudget;
+            fleetCfg.registry = exportRegistry;
+            fleetCfg.status = cfg.status;
+            fleetCfg.faulty = fleet::MemberFaultSpec::parseSet(cli.text("--faulty-set"));
+            for (std::uint64_t s = 0; s < seeds; ++s) {
+                fleetCfg.seed = seedBase + s;
+                const fleet::FleetResult r = fleet::runFleet(fleetCfg);
+                const fleet::FleetStats& fs = r.stats;
+                if (!quiet || !r.passed) {
+                    std::printf(
+                        "fleet seed %-6llu %s  epochs=%llu outputs=%llu unanimous=%llu "
+                        "no-quorum=%llu votes=%llu rejected=%llu verdicts=c%llu/s%llu/m%llu "
+                        "crashes=%llu restarts=%llu roas=%zu/%zu\n",
+                        ull(r.seed), r.passed ? "ok  " : "FAIL", ull(fs.epochs),
+                        ull(fs.outputEpochs), ull(fs.unanimousEpochs), ull(fs.noQuorumEpochs),
+                        ull(fs.votesCast), ull(fs.votesRejected), ull(fs.verdictsCrashed),
+                        ull(fs.verdictsStalled), ull(fs.verdictsMirrorFed), ull(fs.crashes),
+                        ull(fs.restarts), fs.finalOutputRoas, fs.twinFinalRoas);
+                }
+                if (!r.passed) {
+                    std::printf("fleet seed %llu VIOLATIONS:\n", ull(r.seed));
+                    for (const std::string& v : r.violations) std::printf("  %s\n", v.c_str());
+                }
+                const std::string transcript = r.transcript.serialize();
+                reporter.add(r.passed, r.postmortems,
+                             "fleet-fail-seed" + std::to_string(r.seed) + ".transcript",
+                             transcript);
+                reporter.transcripts += transcript;
+            }
+            std::printf("fleet: %llu/%llu seeds passed  (N=%u Q=%u)\n",
+                        ull(seeds - reporter.failures), ull(seeds), fleetCfg.members,
+                        fleetCfg.quorum);
+        } else if (mode == kPack) {
+            // Attack-zoo mode: every (pack, seed) cell of the grid is an
+            // independent task; results print in pack-catalogue then seed
+            // order.
+            const std::vector<std::string> packs = adversary::resolvePackList(cli.text("--pack"));
+            const std::size_t cells = packs.size() * static_cast<std::size_t>(seeds);
+            const std::vector<adversary::PackRunResult> runs =
+                pool.parallelMap<adversary::PackRunResult>(cells, [&](std::size_t t) {
+                    adversary::PackRunConfig runCfg;
+                    runCfg.pack = packs[t / seeds];
+                    runCfg.seed = seedBase + (t % seeds);
+                    runCfg.rounds = cfg.rounds;
+                    runCfg.retryBudget = cfg.retryBudget;
+                    runCfg.registry = exportRegistry;
+                    runCfg.disableDetection = cli.has("--disable-detection");
+                    return adversary::runPack(runCfg);
+                });
+            for (const adversary::PackRunResult& r : runs) reportPack(reporter, r, quiet);
+            std::printf("attack zoo: %llu/%llu runs passed  (packs=%zu seeds=%llu)\n",
+                        ull(cells - reporter.failures), ull(cells), packs.size(), ull(seeds));
+        } else if (mode == kPackReplay) {
             // A pack plan: replay the pack run (delivery faults from the
-            // plan, authority script and overlays re-derived from the
-            // pack name + seed) and re-judge it against the oracle.
+            // plan, authority script and overlays re-derived from the pack
+            // name + seed) and re-judge it against the oracle.
             std::printf("replaying %s: pack=%s seed=%llu rounds=%llu faults=%zu\n",
-                        planPath.c_str(), plan.pack.c_str(),
-                        static_cast<unsigned long long>(plan.seed),
-                        static_cast<unsigned long long>(plan.rounds), plan.faults.size());
+                        cli.text("--plan").c_str(), plan.pack.c_str(), ull(plan.seed),
+                        ull(plan.rounds), plan.faults.size());
             adversary::PackRunConfig overrides;
             overrides.registry = exportRegistry;
-            overrides.disableDetection = disableDetection;
-            adversary::PackRunResult r;
-            try {
-                r = adversary::runPackWithPlan(plan, overrides);
-            } catch (const Error& e) {
-                std::fprintf(stderr, "rpkic-soak: %s: %s\n", planPath.c_str(), e.what());
-                return finish(1);
-            }
-            printPackResult(r, /*quiet=*/false);
-            writePostmortems(r.postmortems);
-            if (!transcriptOut.empty() && !writeFileOrComplain(transcriptOut, r.transcript)) {
-                return finish(1);
-            }
-            if (!writeExports()) return finish(1);
-            return finish(r.passed ? 0 : 2);
+            overrides.disableDetection = cli.has("--disable-detection");
+            reportPack(reporter, adversary::runPackWithPlan(plan, overrides), /*quiet=*/false);
+        } else {
+            std::printf("replaying %s: seed=%llu rounds=%llu faults=%zu crash-every=%u\n",
+                        cli.text("--plan").c_str(), ull(plan.seed), ull(plan.rounds),
+                        plan.faults.size(), plan.crashEvery);
+            // Start from cfg so registry/status/epoch wiring (--serve, --rtr,
+            // --rtr-dump) applies to replays too; plan-derived fields are
+            // restored from the plan inside runSoakWithPlan.
+            SoakConfig replayCfg = cfg;
+            replayCfg.seed = plan.seed;
+            applyStateDir(replayCfg);
+            reportSoak(reporter, runSoakWithPlan(plan, replayCfg), /*quiet=*/false);
         }
-        std::printf("replaying %s: seed=%llu rounds=%llu faults=%zu crash-every=%u\n",
-                    planPath.c_str(), static_cast<unsigned long long>(plan.seed),
-                    static_cast<unsigned long long>(plan.rounds), plan.faults.size(),
-                    plan.crashEvery);
-        // Start from cfg so registry/status/epoch wiring (--serve, --rtr,
-        // --rtr-dump) applies to replays too; plan-derived fields are
-        // restored from the plan inside runSoakWithPlan.
-        SoakConfig replayCfg = cfg;
-        replayCfg.seed = plan.seed;
-        applyStateDir(replayCfg);
-        const SoakResult r = runSoakWithPlan(plan, replayCfg);
-        printResult(r, /*quiet=*/false);
-        if (scoreboard) printScoreboard(r);
-        writePostmortems(r.postmortems);
-        if (!rtrDump.empty() && !writeFileOrComplain(rtrDump, r.epochDump)) return finish(1);
-        if (!rtrDump.empty() && !quiet) {
-            std::printf("epoch dump written to %s\n", rtrDump.c_str());
-        }
-        if (!writeExports()) return finish(1);
-        return finish(r.passed ? 0 : 2);
+        rc = reporter.finish();
+    } catch (const Error& e) {
+        std::fprintf(stderr, "rpkic-soak: %s\n", e.what());
     }
 
-    // The seed sweep fans out over the worker pool: every seed's run (and
-    // its optional weakened --compare twin) is an independent task writing
-    // only its own SeedOutcome slot. Results are printed afterwards in
-    // seed order, so the report reads identically at every thread count.
-    struct SeedOutcome {
-        SoakResult result;
-        SoakResult weakened;
-        bool hasWeakened = false;
-    };
-    rc::parallel::Pool& pool = rc::parallel::defaultPool();
-    const std::vector<SeedOutcome> outcomes =
-        pool.parallelMap<SeedOutcome>(static_cast<std::size_t>(seeds), [&](std::size_t s) {
-            SoakConfig runCfg = cfg;
-            runCfg.seed = seedBase + s;
-            applyStateDir(runCfg);
-            SeedOutcome o;
-            o.result = runSoak(runCfg);
-            if (compare) {
-                SoakConfig weak = runCfg;
-                weak.retryBudget = 0;
-                // The weakened twin is a diagnostic; keep its epochs out
-                // of the live RTR store and the determinism dump.
-                weak.rtrStore = nullptr;
-                weak.captureEpochs = false;
-                weak.onEpochPublished = nullptr;
-                o.weakened = runSoak(weak);
-                o.hasWeakened = true;
-            }
-            return o;
-        });
-
-    std::uint64_t failures = 0;
-    std::uint64_t totalAlarms = 0, totalAbsorbed = 0, totalFailedRounds = 0, totalHits = 0;
-    for (std::uint64_t s = 0; s < seeds; ++s) {
-        const SeedOutcome& o = outcomes[s];
-        const SoakResult& r = o.result;
-        printResult(r, quiet);
-        if (scoreboard) printScoreboard(r);
-        writePostmortems(r.postmortems);
-        if (!r.passed) ++failures;
-        totalAlarms += r.stats.alarms;
-        totalAbsorbed += r.stats.faultsAbsorbed;
-        totalFailedRounds += r.stats.pointRoundsFailed;
-        totalHits += r.stats.faultApplications;
-
-        if (o.hasWeakened) {
-            const SoakResult& w = o.weakened;
-            std::printf(
-                "  compare seed %-6llu budget=%u: failed-rounds=%llu alarms=%llu "
-                "roas=%zu | budget=0: failed-rounds=%llu alarms=%llu roas=%zu%s\n",
-                static_cast<unsigned long long>(seedBase + s), cfg.retryBudget,
-                static_cast<unsigned long long>(r.stats.pointRoundsFailed),
-                static_cast<unsigned long long>(r.stats.alarms), r.stats.validRoasFinal,
-                static_cast<unsigned long long>(w.stats.pointRoundsFailed),
-                static_cast<unsigned long long>(w.stats.alarms), w.stats.validRoasFinal,
-                w.passed ? "" : "  [weakened run FAILED invariants]");
-        }
+    // Every exit after the servers started lands here, so --serve-hold can
+    // keep the endpoints alive for a scraper.
+    if ((server.has_value() || rtrServer.has_value()) && cli.has("--serve-hold")) {
+        std::printf("rpkic-soak: run complete; holding %s%s%s (SIGINT/SIGTERM to exit)\n",
+                    server.has_value()
+                        ? ("introspection server on " + server->boundAddress()).c_str()
+                        : "",
+                    server.has_value() && rtrServer.has_value() ? " and " : "",
+                    rtrServer.has_value() ? ("rtr server on " + rtrServer->boundAddress()).c_str()
+                                          : "");
+        std::fflush(stdout);
+        while (!gStopServing.load()) std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-
-    std::printf(
-        "soak: %llu/%llu seeds passed  (fault hits=%llu, absorbed=%llu, "
-        "point-rounds failed=%llu, alarms=%llu)\n",
-        static_cast<unsigned long long>(seeds - failures),
-        static_cast<unsigned long long>(seeds), static_cast<unsigned long long>(totalHits),
-        static_cast<unsigned long long>(totalAbsorbed),
-        static_cast<unsigned long long>(totalFailedRounds),
-        static_cast<unsigned long long>(totalAlarms));
-    if (!rtrDump.empty()) {
-        std::string dump;
-        for (std::uint64_t s = 0; s < seeds; ++s) dump += outcomes[s].result.epochDump;
-        if (!writeFileOrComplain(rtrDump, dump)) return finish(1);
-        if (!quiet) std::printf("epoch dump written to %s\n", rtrDump.c_str());
-    }
-    if (!writeExports()) return finish(1);
-    return finish(failures == 0 ? 0 : 2);
+    if (rtrServer.has_value()) rtrServer->stop();
+    if (server.has_value()) server->stop();
+    return rc;
 }
