@@ -2,16 +2,14 @@
 // layer (src/obs/) on the two hot paths it touches:
 //
 //   detector  — PrefixValidityIndex build + diffStates + classify sweep
-//               (RC_OBS_SPAN + RC_OBS_TIMED around build/diff);
+//               (one obs::Scope around build and one around diff);
 //   rp-soak   — a short fixed-seed chaos soak through SyncEngine +
-//               RelyingParty (spans, procedure timers, alarm counters).
+//               RelyingParty (scopes, procedure timers, alarm counters).
 //
 // Each workload runs with instrumentation runtime-ENABLED and
 // runtime-DISABLED (obs::setRuntimeEnabled toggles the one relaxed atomic
-// every RC_OBS_* site loads); the reported overhead is the enabled/disabled
-// ratio. With -DRC_OBSERVABILITY=OFF the macros compile to nothing and the
-// two modes are byte-for-byte the same code — the binary reports the
-// compile mode so CI can verify both claims:
+// that every scope histogram and RC_OBS_* macro loads); the reported
+// overhead is the enabled/disabled ratio:
 //
 //   obs_overhead [--iters N] [--trials K] [--json-out FILE]
 //
@@ -124,8 +122,7 @@ int main(int argc, char** argv) {
     }
 
     bench::heading("rpkiscope instrumentation overhead");
-    std::printf("compile mode: RC_OBSERVABILITY=%s, iters=%d, trials=%d\n",
-                obs::compiledIn() ? "ON" : "OFF", iters, trials);
+    std::printf("iters=%d, trials=%d\n", iters, trials);
 
     const RpkiState prev = randomState(20000, 42);
     std::vector<RoaTuple> tuples = prev.tuples();
@@ -178,10 +175,6 @@ int main(int argc, char** argv) {
         bench::row({m.name, bench::num(m.enabledMs, 2), bench::num(m.disabledMs, 2),
                     bench::num(m.overheadPct(), 2) + "%"});
     }
-    if (!obs::compiledIn()) {
-        std::printf("\nmacros compiled out: both modes run identical code; any\n"
-                    "difference above is measurement noise.\n");
-    }
 
     if (!jsonOut.empty()) {
         std::ofstream out(jsonOut, std::ios::binary);
@@ -190,7 +183,6 @@ int main(int argc, char** argv) {
             return 1;
         }
         out << "{\n  \"bench\": \"obs_overhead\",\n";
-        out << "  \"compiled_in\": " << (obs::compiledIn() ? "true" : "false") << ",\n";
         out << "  \"iters\": " << iters << ",\n  \"trials\": " << trials << ",\n";
         out << "  \"workloads\": [\n";
         for (std::size_t i = 0; i < results.size(); ++i) {

@@ -37,8 +37,9 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
 
     // Run-local observability unless the caller wants the exposition (same
     // contract as the soak: repeated runs start from zero).
-    sim::RunContext ctx("adversary", "pack=" + packName + " seed=" + std::to_string(result.seed),
-                        result.seed, cfg.registry, cfg.recorder);
+    sim::RunContext ctx("adversary", "adversary.run",
+                        "pack=" + packName + " seed=" + std::to_string(result.seed), result.seed,
+                        cfg.registry, cfg.recorder);
     obs::Registry* registry = ctx.registry();
     obs::FlightRecorder* recorder = ctx.recorder();
 
@@ -123,7 +124,8 @@ PackRunResult runPackImpl(const PackRunConfig& cfg, const FaultPlan* replay) {
         const Time now = static_cast<Time>(r);
         world.round = r;
         world.now = now;
-        obs::FlightScope roundScope(recorder, "adversary", "round r=" + std::to_string(r));
+        const obs::Scope roundScope("adversary.round", "adversary", nullptr, recorder,
+                                    "round r=" + std::to_string(r));
 
         // --- benign churn: every pack (including calm) runs over a live,
         // refreshing world so detection is judged against motion, not

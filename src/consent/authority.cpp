@@ -41,12 +41,12 @@ Digest fileHash(const Bytes& b) {
 /// harnesses cannot dangle them). Labels carry the operation, not the
 /// authority name: hierarchies are large and per-authority series would
 /// explode cardinality.
-[[maybe_unused]] obs::Counter& authorityOps(const char* op) {
+obs::Counter& authorityOps(const char* op) {
     return obs::Registry::global().counter(
         "rc_authority_ops_total", "Authority publication-point operations", {{"op", op}});
 }
 
-[[maybe_unused]] obs::Counter& rolloverSteps(const char* step) {
+obs::Counter& rolloverSteps(const char* step) {
     return obs::Registry::global().counter(
         "rc_authority_rollover_steps_total", "Key rollover protocol steps executed (B.2.2)",
         {{"step", step}});
@@ -244,10 +244,14 @@ void Authority::prunePreserved(Time now) {
 }
 
 void Authority::publishUpdate(Repository& repo, Time now) {
-    RC_OBS_SPAN("authority.publish", "authority");
+    const obs::Scope scope(
+        "authority.publish", "authority",
+        obs::runtimeEnabled()
+            ? &obs::Registry::global().histogram(
+                  "rc_authority_publish_seconds",
+                  "Time to assemble, sign, and write one manifest update")
+            : nullptr);
     RC_OBS_COUNT(authorityOps("publish"), 1);
-    RC_OBS_TIMED(&obs::Registry::global().histogram(
-        "rc_authority_publish_seconds", "Time to assemble, sign, and write one manifest update"));
     Manifest next;
     if (cert_.uri.empty()) throw UsageError(name_ + " has no RC yet; cannot publish");
     next.issuerRcUri = cert_.uri;

@@ -135,9 +135,11 @@ std::vector<CompetingRoa> findCompetingRoas(const RpkiState& prev, const RpkiSta
 
 DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidityIndex& cur,
                            std::size_t maxExamples, rc::parallel::Pool& pool) {
-    RC_OBS_SPAN("detector.diff", "detector");
-    RC_OBS_TIMED(&obs::Registry::global().histogram(
-        "rc_detector_diff_seconds", "Time to diff two validity indexes"));
+    const obs::Scope scope("detector.diff", "detector",
+                           obs::runtimeEnabled()
+                               ? &obs::Registry::global().histogram(
+                                     "rc_detector_diff_seconds", "Time to diff two validity indexes")
+                               : nullptr);
     DowngradeReport report;
     report.invalidAddressesBefore = prev.invalidFootprintAddresses();
     report.invalidAddressesAfter = cur.invalidFootprintAddresses();
@@ -262,7 +264,7 @@ DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidity
 
     // Downgrade counts by kind (paper §6: the transitions that can strand
     // legitimate routes). Registered lazily; the registry dedupes.
-    [[maybe_unused]] const auto downgrades = [](const char* kind) -> obs::Counter& {
+    const auto downgrades = [](const char* kind) -> obs::Counter& {
         return obs::Registry::global().counter(
             "rc_detector_downgrades_total",
             "Prefix-AS pairs whose validity was downgraded by a state change",

@@ -43,10 +43,12 @@ PrefixValidityIndex::PrefixValidityIndex(std::shared_ptr<const RpkiState> state,
     // Index construction is the detector's coarse hot path (one build per
     // observed state); classify() is ns-scale and deliberately carries no
     // per-call instrumentation.
-    RC_OBS_SPAN("detector.index.build", "detector");
-    RC_OBS_TIMED(&obs::Registry::global().histogram(
-        "rc_detector_index_build_seconds",
-        "Time to build a PrefixValidityIndex from an RpkiState"));
+    const obs::Scope scope(
+        "detector.index.build", "detector",
+        obs::runtimeEnabled() ? &obs::Registry::global().histogram(
+                                    "rc_detector_index_build_seconds",
+                                    "Time to build a PrefixValidityIndex from an RpkiState")
+                              : nullptr);
     TriangleSet::RawLevels knownRaw;
     TriangleSet6::RawLevels known6Raw;
     std::unordered_map<Asn, TriangleSet::RawLevels> validRaw;

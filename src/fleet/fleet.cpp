@@ -125,8 +125,8 @@ FleetResult runFleet(const FleetConfig& cfg) {
     result.transcript.epochs = cfg.epochs;
 
     rc::parallel::Pool& pool = cfg.pool != nullptr ? *cfg.pool : rc::parallel::defaultPool();
-    sim::RunContext ctx("fleet", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
-                        cfg.recorder, cfg.status);
+    sim::RunContext ctx("fleet", "fleet.run", "run seed=" + std::to_string(cfg.seed), cfg.seed,
+                        cfg.registry, cfg.recorder, cfg.status);
     obs::Registry* registry = ctx.registry();
     obs::FlightRecorder* recorder = ctx.recorder();
     ctx.publish("members", std::to_string(cfg.members));
@@ -173,8 +173,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                                              "Members masked out of the last quorum epoch");
     obs::Gauge& gOutputRoas = registry->gauge("rc_fleet_consensus_roas",
                                               "VRP count of the last consensus output");
-    // Read only by RC_OBS_TIMED, which compiles out with RC_OBSERVABILITY=OFF.
-    [[maybe_unused]] obs::Histogram& hEpoch =
+    obs::Histogram& hEpoch =
         registry->histogram("rc_fleet_epoch_seconds", "Wall time per fleet epoch");
     // Every member's vote counter is registered up front: a member that
     // never votes (e.g. crashed at epoch 0) must still surface an explicit
@@ -270,8 +269,8 @@ FleetResult runFleet(const FleetConfig& cfg) {
     };
 
     for (std::uint64_t r = 0; r < cfg.epochs; ++r) {
-        RC_OBS_TIMED(&hEpoch);
-        obs::FlightScope epochScope(recorder, "fleet", "epoch e=" + std::to_string(r));
+        const obs::Scope epochScope("fleet.epoch", "fleet", &hEpoch, recorder,
+                                    "epoch e=" + std::to_string(r));
         ctx.publish("epoch", std::to_string(r));
         const Time now = static_cast<Time>(r);
         if (r > 0) {

@@ -1,11 +1,13 @@
 #include "obs/flight/postmortem.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::obs {
 
@@ -23,21 +25,16 @@ bool flightKindFromString(std::string_view text, FlightKind* out) {
 }
 
 /// Parses "key=<uint>" off the front of `text`; advances past it and one
-/// trailing space on success.
+/// trailing space on success. A value beyond u64 throws ParseError.
 bool eatUintField(std::string_view* text, std::string_view key, std::uint64_t* out) {
     const std::string prefix = std::string(key) + "=";
     if (text->substr(0, prefix.size()) != prefix) return false;
     text->remove_prefix(prefix.size());
-    std::uint64_t value = 0;
-    std::size_t digits = 0;
-    while (!text->empty() && (*text)[0] >= '0' && (*text)[0] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>((*text)[0] - '0');
-        text->remove_prefix(1);
-        ++digits;
-    }
+    const std::size_t digits = std::min(text->find_first_not_of("0123456789"), text->size());
     if (digits == 0) return false;
+    *out = parseU64(text->substr(0, digits), std::string(key).c_str());
+    text->remove_prefix(digits);
     if (!text->empty() && (*text)[0] == ' ') text->remove_prefix(1);
-    *out = value;
     return true;
 }
 

@@ -1,7 +1,5 @@
 #include "obs/flight/recorder.hpp"
 
-#include <algorithm>
-
 namespace rpkic::obs {
 
 std::string_view toString(FlightKind kind) {
@@ -16,9 +14,6 @@ std::string_view toString(FlightKind kind) {
     }
     return "?";
 }
-
-FlightRecorder::FlightRecorder(std::size_t capacity, bool enabled)
-    : enabled_(enabled), capacity_(capacity == 0 ? 1 : capacity) {}
 
 void FlightRecorder::attachMetrics(Registry* registry) {
     rc::LockGuard lock(mutex_);
@@ -40,18 +35,10 @@ void FlightRecorder::attachMetrics(Registry* registry) {
 void FlightRecorder::recordLocked(FlightKind kind, std::string component,
                                   std::string detail) {
     FlightEvent ev;
-    ev.seq = ++seq_;
     ev.kind = kind;
     ev.component = std::move(component);
     ev.detail = std::move(detail);
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(ev));
-    } else {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (droppedCounter_ != nullptr) droppedCounter_->inc();
-        ring_[next_] = std::move(ev);
-    }
-    next_ = (next_ + 1) % capacity_;
+    if (ring_.push(std::move(ev)) && droppedCounter_ != nullptr) droppedCounter_->inc();
     Counter* c = eventCounters_[static_cast<std::size_t>(kind)];
     if (c != nullptr) c->inc();
 }
@@ -60,46 +47,6 @@ void FlightRecorder::record(FlightKind kind, std::string component, std::string 
     if (!enabled()) return;
     rc::LockGuard lock(mutex_);
     recordLocked(kind, std::move(component), std::move(detail));
-}
-
-std::size_t FlightRecorder::size() const {
-    rc::LockGuard lock(mutex_);
-    return ring_.size();
-}
-
-std::uint64_t FlightRecorder::totalRecorded() const {
-    rc::LockGuard lock(mutex_);
-    return seq_;
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-    rc::LockGuard lock(mutex_);
-    std::vector<FlightEvent> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < capacity_) {
-        out = ring_;
-    } else {
-        // Ring is full: the oldest retained event sits at the write
-        // cursor.
-        out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
-        out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-    }
-    return out;
-}
-
-std::vector<FlightEvent> FlightRecorder::drain() {
-    rc::LockGuard lock(mutex_);
-    std::vector<FlightEvent> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < capacity_) {
-        out = std::move(ring_);
-    } else {
-        out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
-        out.insert(out.end(), ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-    }
-    ring_.clear();
-    next_ = 0;
-    return out;
 }
 
 std::vector<std::string> FlightRecorder::openScopes() const {
@@ -111,46 +58,30 @@ void FlightRecorder::clear() {
     rc::LockGuard lock(mutex_);
     ring_.clear();
     scopes_.clear();
-    next_ = 0;
-    seq_ = 0;
-    dropped_.store(0, std::memory_order_relaxed);
 }
 
-std::size_t FlightRecorder::pushScope(std::string label) {
+void FlightRecorder::pushScope(std::string entry) {
     rc::LockGuard lock(mutex_);
-    scopes_.push_back(std::move(label));
-    return scopes_.size() - 1;
+    scopes_.push_back(std::move(entry));
 }
 
-void FlightRecorder::popScope(const std::string& component, const std::string& label) {
-    const std::string entry = component + " " + label;
+void FlightRecorder::popScope(const char* component, std::string label) {
+    const std::string entry = std::string(component) + " " + label;
     rc::LockGuard lock(mutex_);
     // Pop by value from the top: scopes normally nest strictly, but a
-    // moved-from guard destroyed out of order must not corrupt the stack.
+    // moved scope destroyed out of order must not corrupt the stack.
     for (std::size_t i = scopes_.size(); i > 0; --i) {
         if (scopes_[i - 1] == entry) {
             scopes_.erase(scopes_.begin() + static_cast<std::ptrdiff_t>(i - 1));
             break;
         }
     }
-    recordLocked(FlightKind::SpanClose, component, label);
+    recordLocked(FlightKind::SpanClose, component, std::move(label));
 }
 
 FlightRecorder& FlightRecorder::global() {
     static FlightRecorder instance(FlightRecorder::kDefaultCapacity, /*enabled=*/false);
     return instance;
-}
-
-FlightScope::FlightScope(FlightRecorder* recorder, std::string component, std::string label)
-    : component_(std::move(component)), label_(std::move(label)) {
-    if (recorder == nullptr || !recorder->enabled()) return;
-    recorder_ = recorder;
-    recorder_->pushScope(component_ + " " + label_);
-}
-
-FlightScope::~FlightScope() {
-    if (recorder_ == nullptr) return;
-    recorder_->popScope(component_, label_);
 }
 
 void flightRecord(FlightRecorder* local, FlightKind kind, const std::string& component,

@@ -4,9 +4,10 @@
 // wrong we still hold the moments *before* it went wrong.
 //
 // Design:
-//  * The ring is mutex-guarded and bounded: when full the oldest event is
-//    overwritten and a drop counter ticks, so a multi-hour soak can keep
-//    the recorder on without unbounded growth.
+//  * The ring (obs/ring.hpp, shared with the tracer) is mutex-guarded and
+//    bounded: when full the oldest event is overwritten and a drop counter
+//    ticks, so a multi-hour soak can keep the recorder on without
+//    unbounded growth.
 //  * Events carry a recorder-local monotone sequence number and NO wall
 //    timestamp: order is the only notion of time. That is what makes a
 //    postmortem bundle byte-identical across same-seed runs at any thread
@@ -29,10 +30,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -41,7 +42,7 @@ namespace rpkic::obs {
 /// Event classes the recorder distinguishes (exposition label values —
 /// keep toString() in sync with docs/OBSERVABILITY.md).
 enum class FlightKind : std::uint8_t {
-    SpanClose,      ///< a FlightScope ended
+    SpanClose,      ///< an obs::Scope with this recorder ended
     LogLine,        ///< a warn-or-worse structured log line
     Alarm,          ///< an RP alarm with its Table-7 class
     FleetVerdict,   ///< a per-member fleet consensus verdict
@@ -69,7 +70,8 @@ class FlightRecorder {
 public:
     static constexpr std::size_t kDefaultCapacity = 4096;
 
-    explicit FlightRecorder(std::size_t capacity = kDefaultCapacity, bool enabled = true);
+    explicit FlightRecorder(std::size_t capacity = kDefaultCapacity, bool enabled = true)
+        : enabled_(enabled), ring_(capacity) {}
     FlightRecorder(const FlightRecorder&) = delete;
     FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -86,21 +88,21 @@ public:
         RC_EXCLUDES(mutex_);
 
     /// Ring capacity in events.
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return ring_.capacity(); }
     /// Events currently retained (<= capacity).
-    std::size_t size() const RC_EXCLUDES(mutex_);
+    std::size_t size() const { return ring_.size(); }
     /// Events overwritten because the ring was full.
-    std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+    std::uint64_t dropped() const { return ring_.dropped(); }
     /// Events ever recorded (retained + dropped).
-    std::uint64_t totalRecorded() const RC_EXCLUDES(mutex_);
+    std::uint64_t totalRecorded() const { return ring_.pushed(); }
 
     /// Retained events in sequence order.
-    std::vector<FlightEvent> snapshot() const RC_EXCLUDES(mutex_);
+    std::vector<FlightEvent> snapshot() const { return ring_.snapshot(); }
 
     /// Retained events in sequence order, clearing the ring (drop counter
     /// kept). Used to merge per-task recorders into a run recorder in
     /// deterministic order after a parallel phase.
-    std::vector<FlightEvent> drain() RC_EXCLUDES(mutex_);
+    std::vector<FlightEvent> drain() { return ring_.take(); }
 
     /// Currently-open scopes, outermost first (the "active spans" section
     /// of a postmortem bundle).
@@ -114,48 +116,20 @@ public:
     static FlightRecorder& global();
 
 private:
-    friend class FlightScope;
+    friend class Scope;
 
     void recordLocked(FlightKind kind, std::string component, std::string detail)
         RC_REQUIRES(mutex_);
-    /// Returns the scope-stack depth at push time (for balanced pops).
-    std::size_t pushScope(std::string label) RC_EXCLUDES(mutex_);
-    void popScope(const std::string& component, const std::string& label)
-        RC_EXCLUDES(mutex_);
+    void pushScope(std::string entry) RC_EXCLUDES(mutex_);
+    /// Pops "<component> <label>" and records its SpanClose event.
+    void popScope(const char* component, std::string label) RC_EXCLUDES(mutex_);
 
     std::atomic<bool> enabled_;
-    std::size_t capacity_;
+    BoundedRing<FlightEvent> ring_;
     mutable rc::Mutex mutex_;
-    std::vector<FlightEvent> ring_ RC_GUARDED_BY(mutex_);
-    std::size_t next_ RC_GUARDED_BY(mutex_) = 0;   ///< ring write cursor
-    std::uint64_t seq_ RC_GUARDED_BY(mutex_) = 0;  ///< events ever recorded
     std::vector<std::string> scopes_ RC_GUARDED_BY(mutex_);
-    std::atomic<std::uint64_t> dropped_{0};
     std::array<Counter*, kFlightKindCount> eventCounters_ RC_GUARDED_BY(mutex_){};
     Counter* droppedCounter_ RC_GUARDED_BY(mutex_) = nullptr;
-};
-
-/// RAII scope: pushes a label onto the recorder's open-scope stack and
-/// records a SpanClose event when it ends. Open scopes at capture time are
-/// the bundle's "active spans".
-class FlightScope {
-public:
-    FlightScope() = default;
-    /// No-op when `recorder` is null or disabled at construction.
-    FlightScope(FlightRecorder* recorder, std::string component, std::string label);
-    FlightScope(const FlightScope&) = delete;
-    FlightScope& operator=(const FlightScope&) = delete;
-    FlightScope(FlightScope&& o) noexcept
-        : recorder_(o.recorder_), component_(std::move(o.component_)),
-          label_(std::move(o.label_)) {
-        o.recorder_ = nullptr;
-    }
-    ~FlightScope();
-
-private:
-    FlightRecorder* recorder_ = nullptr;
-    std::string component_;
-    std::string label_;
 };
 
 /// Records into `local` (when non-null) and tees into the global recorder

@@ -54,7 +54,9 @@ std::string bucketLabels(const std::string& seriesKey, const std::string& le) {
     return "{" + inner + "le=\"" + le + "\"}";
 }
 
-std::string jsonEscape(const std::string& s) {
+}  // namespace
+
+std::string jsonEscape(std::string_view s) {
     std::string out;
     for (const char c : s) {
         switch (c) {
@@ -74,8 +76,6 @@ std::string jsonEscape(const std::string& s) {
     }
     return out;
 }
-
-}  // namespace
 
 std::string formatMetricValue(double v) {
     return formatValue(v);

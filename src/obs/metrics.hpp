@@ -208,6 +208,8 @@ bool isValidMetricName(const std::string& name);
 bool isValidLabelName(const std::string& name);
 /// Escapes a label value for exposition (backslash, quote, newline).
 std::string escapeLabelValue(const std::string& value);
+/// Escapes `s` for a JSON string literal (the JSON dump and Chrome traces).
+std::string jsonEscape(std::string_view s);
 /// Canonical `{a="x",b="y"}` rendering of a sorted label set ("" if empty).
 std::string renderLabels(const Labels& labels);
 

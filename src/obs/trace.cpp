@@ -1,72 +1,12 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
+
+#include "obs/metrics.hpp"
 
 namespace rpkic::obs {
 
-SpanGuard::SpanGuard(Tracer* tracer, const char* name, const char* cat)
-    : tracer_(tracer), name_(name), cat_(cat), startNanos_(nowNanos()) {}
-
-SpanGuard::~SpanGuard() {
-    if (tracer_ == nullptr) return;
-    const std::uint64_t end = nowNanos();
-    tracer_->record(name_, cat_, startNanos_, end - startNanos_);
-}
-
-Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-    ring_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
-
-void Tracer::record(const char* name, const char* cat, std::uint64_t tsNanos,
-                    std::uint64_t durNanos) {
-    rc::LockGuard lock(mutex_);
-    TraceEvent ev{name, cat, tsNanos, durNanos, seq_++};
-    if (ring_.size() < capacity_) {
-        ring_.push_back(ev);
-    } else {
-        ring_[next_] = ev;
-        next_ = (next_ + 1) % capacity_;
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-std::size_t Tracer::size() const {
-    rc::LockGuard lock(mutex_);
-    return ring_.size();
-}
-
-std::vector<TraceEvent> Tracer::snapshot() const {
-    rc::LockGuard lock(mutex_);
-    std::vector<TraceEvent> out = ring_;
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
-    return out;
-}
-
 namespace {
-
-std::string jsonEscape(const char* s) {
-    std::string out;
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 /// Nanoseconds rendered as a decimal microsecond count ("1234.567").
 /// Integer arithmetic only: deterministic across platforms.
@@ -93,14 +33,6 @@ std::string Tracer::renderChromeTrace() const {
     }
     out += "\n]}\n";
     return out;
-}
-
-void Tracer::clear() {
-    rc::LockGuard lock(mutex_);
-    ring_.clear();
-    next_ = 0;
-    seq_ = 0;
-    dropped_.store(0, std::memory_order_relaxed);
 }
 
 Tracer& Tracer::global() {

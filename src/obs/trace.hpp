@@ -1,18 +1,18 @@
 // rpkiscope tracing: span-based tracer writing Chrome trace-event JSON.
 //
-// Spans are RAII guards around a region of interest; completed spans are
-// recorded as "X" (complete) events in a bounded ring buffer — when the
-// buffer is full the oldest events are overwritten and a drop counter
-// ticks, so tracing never grows without bound under a long soak. The
-// export (renderChromeTrace) is the Trace Event Format that
-// chrome://tracing, Perfetto, and speedscope all load.
+// obs::Scope (obs/obs.hpp) records a completed span as one "X" (complete)
+// event in a bounded ring (obs/ring.hpp): when the ring is full the
+// oldest events are overwritten and a drop counter ticks, so tracing never
+// grows without bound under a long soak. The export (renderChromeTrace) is
+// the Trace Event Format that chrome://tracing, Perfetto, and speedscope
+// all load.
 //
 // Timestamps come from obs::timeSource(); install a LogicalTimeSource to
 // make traces byte-identical across runs of the same seed.
 //
 // The tracer is disabled by default (zero instrumentation cost beyond one
-// relaxed load per RC_OBS_SPAN site); tools enable it when the user asks
-// for --trace-out.
+// relaxed load per scope); tools enable it when the user asks for
+// --trace-out.
 #pragma once
 
 #include <atomic>
@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/clock.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
+#include "obs/ring.hpp"
 
 namespace rpkic::obs {
 
@@ -32,59 +30,31 @@ struct TraceEvent {
     const char* cat = "";   ///< category, e.g. "sync", "rp", "detector"
     std::uint64_t tsNanos = 0;
     std::uint64_t durNanos = 0;
-    std::uint64_t seq = 0;  ///< monotone sequence number (stable sort key)
-};
-
-class Tracer;
-
-/// RAII span guard. Records one event on destruction (if the tracer was
-/// enabled when the guard was constructed).
-class SpanGuard {
-public:
-    SpanGuard() = default;
-    SpanGuard(Tracer* tracer, const char* name, const char* cat);
-    SpanGuard(const SpanGuard&) = delete;
-    SpanGuard& operator=(const SpanGuard&) = delete;
-    SpanGuard(SpanGuard&& o) noexcept
-        : tracer_(o.tracer_), name_(o.name_), cat_(o.cat_), startNanos_(o.startNanos_) {
-        o.tracer_ = nullptr;
-    }
-    ~SpanGuard();
-
-private:
-    Tracer* tracer_ = nullptr;
-    const char* name_ = "";
-    const char* cat_ = "";
-    std::uint64_t startNanos_ = 0;
+    std::uint64_t seq = 0;  ///< monotone sequence number from 1
 };
 
 class Tracer {
 public:
-    explicit Tracer(std::size_t capacity = 1 << 16);
-
-    /// Starts a span; records it when the guard dies. Cheap no-op while
-    /// the tracer is disabled.
-    SpanGuard span(const char* name, const char* cat) {
-        if (!enabled_.load(std::memory_order_relaxed)) return SpanGuard();
-        return SpanGuard(this, name, cat);
-    }
+    explicit Tracer(std::size_t capacity = 1 << 16) : ring_(capacity) {}
 
     void setEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-    /// Record a completed span directly (the guard calls this).
+    /// Records a completed span (obs::Scope calls this on close).
     void record(const char* name, const char* cat, std::uint64_t tsNanos,
-                std::uint64_t durNanos) RC_EXCLUDES(mutex_);
+                std::uint64_t durNanos) {
+        ring_.push(TraceEvent{name, cat, tsNanos, durNanos});
+    }
 
     /// Ring capacity in events.
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return ring_.capacity(); }
     /// Events currently retained (<= capacity).
-    std::size_t size() const RC_EXCLUDES(mutex_);
+    std::size_t size() const { return ring_.size(); }
     /// Events overwritten because the ring was full.
-    std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+    std::uint64_t dropped() const { return ring_.dropped(); }
 
     /// Retained events in chronological (sequence) order.
-    std::vector<TraceEvent> snapshot() const RC_EXCLUDES(mutex_);
+    std::vector<TraceEvent> snapshot() const { return ring_.snapshot(); }
 
     /// Chrome trace-event JSON (the object form with "traceEvents", which
     /// Perfetto and chrome://tracing both accept). Timestamps are emitted
@@ -92,19 +62,14 @@ public:
     std::string renderChromeTrace() const;
 
     /// Clears retained events and the drop counter (tests).
-    void clear() RC_EXCLUDES(mutex_);
+    void clear() { ring_.clear(); }
 
     /// The process-wide tracer the instrumentation layer uses.
     static Tracer& global();
 
 private:
     std::atomic<bool> enabled_{false};
-    std::size_t capacity_;
-    mutable rc::Mutex mutex_;
-    std::vector<TraceEvent> ring_ RC_GUARDED_BY(mutex_);
-    std::size_t next_ RC_GUARDED_BY(mutex_) = 0;   ///< ring write cursor
-    std::uint64_t seq_ RC_GUARDED_BY(mutex_) = 0;  ///< total events ever recorded
-    std::atomic<std::uint64_t> dropped_{0};
+    BoundedRing<TraceEvent> ring_;
 };
 
 }  // namespace rpkic::obs

@@ -146,7 +146,7 @@ std::string DurableStore::checkpointPath(std::uint64_t lsn) const {
 }
 
 RecoveryReport DurableStore::open() {
-    RC_OBS_TIMED(recoverySeconds_);
+    const obs::Scope scope(recoverySeconds_);
     open_ = false;
     poisoned_ = false;
     latest_.reset();
@@ -314,7 +314,7 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
     if (poisoned_) {
         throw UsageError("DurableStore::commit on a poisoned store; reopen to repair");
     }
-    RC_OBS_TIMED(commitSeconds_);
+    const obs::Scope scope(commitSeconds_);
     const std::uint64_t lsn = lastLsn_ + 1;
     try {
         appendFrame(payload, lsn, meta);

@@ -164,7 +164,7 @@ void RelyingParty::markPointStale(PointCache& pc, const std::string& pointUri, T
 
 void RelyingParty::processPoint(const std::string& pointUri, const std::string& ownerUri,
                                 const Snapshot& snap, Time now) {
-    RC_OBS_SPAN("rp.point", "rp");
+    const obs::Scope scope("rp.point", "rp");
     (void)ownerUri;  // the manifest names its issuer; the hint is advisory
     PointCache& pc = points_[pointUri];
 
@@ -356,7 +356,7 @@ void RelyingParty::initialPointSync(PointCache& pc, const std::string& pointUri,
 void RelyingParty::processTransition(PointCache& pc, const std::string& pointUri,
                                      const Manifest& prev, const Manifest& cur,
                                      const Snapshot& snap, Time now) {
-    RC_OBS_SPAN("rp.transition", "rp");
+    const obs::Scope scope("rp.transition", "rp");
     RC_OBS_COUNT(*transitionsTotal_, 1);
     // --- key rollover interlude (Appendix B.2.3) ---
     if (cur.tag == ManifestTag::PostRollover) {
@@ -587,7 +587,7 @@ void RelyingParty::processTransition(PointCache& pc, const std::string& pointUri
 
 void RelyingParty::newRcProcedure(TransitionContext& ctx, const std::string& filename,
                                   const ResourceCert& cert) {
-    RC_OBS_TIMED(procNew_);
+    const obs::Scope scope(procNew_);
     const Bytes wire = cert.encode();
     RcRecord rec;
     rec.cert = cert;
@@ -629,7 +629,7 @@ void RelyingParty::newRcProcedure(TransitionContext& ctx, const std::string& fil
 
 void RelyingParty::deletedRcProcedure(TransitionContext& ctx, const std::string& filename,
                                       const ResourceCert& cert, const Bytes& certBytes) {
-    RC_OBS_TIMED(procDeleted_);
+    const obs::Scope scope(procDeleted_);
     (void)filename;  // the alarm names the RC by URI, not by file position
     const auto recIt = rcs_.find(cert.uri);
     const bool wasStale = recIt != rcs_.end() && recIt->second.stale;
@@ -733,7 +733,7 @@ void RelyingParty::deletedRcProcedure(TransitionContext& ctx, const std::string&
 void RelyingParty::overwrittenRcProcedure(TransitionContext& ctx, const std::string& filename,
                                           const ResourceCert& oldCert, const Bytes& oldBytes,
                                           const ResourceCert& newCert) {
-    RC_OBS_TIMED(procOverwritten_);
+    const obs::Scope scope(procOverwritten_);
     // Table 10: a *never-was-valid* RC that changes goes through the New
     // RC procedure — there is nothing valid to consent about.
     const RcRecord* prior = findRc(oldCert.uri);
@@ -828,7 +828,7 @@ void RelyingParty::overwrittenRcProcedure(TransitionContext& ctx, const std::str
 
 std::optional<std::string> RelyingParty::checkRollover(const std::string& pointUri,
                                                        const Manifest& post, Time now) {
-    RC_OBS_TIMED(procRollover_);
+    const obs::Scope scope(procRollover_);
     const std::string& oldUri = post.issuerRcUri;
     // Check0: well-formed post-rollover payload.
     if (post.rolloverTargetUri.empty() || post.rolloverTargetRcHash.isZero()) {

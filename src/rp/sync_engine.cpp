@@ -181,7 +181,8 @@ const EngineTotals& SyncEngine::totals() const {
     return totalsView_;
 }
 
-FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files) const {
+FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files,
+                               std::uint64_t* manifestNumber) const {
     const auto mftIt = files.find(kManifestName);
     if (mftIt == files.end()) return FetchOutcome::ManifestMissing;
 
@@ -222,11 +223,12 @@ FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files) const
         return it == files.end() ? FetchOutcome::LoggedObjectMissing
                                  : FetchOutcome::LoggedObjectMismatch;
     }
+    *manifestNumber = m.number;
     return FetchOutcome::Ok;
 }
 
 SyncReport SyncEngine::syncRound(Time now) {
-    RC_OBS_SPAN("sync.round", "sync");
+    const obs::Scope scope("sync.round", "sync");
     SyncReport report;
     report.round = round_;
     report.when = now;
@@ -236,7 +238,7 @@ SyncReport SyncEngine::syncRound(Time now) {
 
     Snapshot assembled;
     for (const std::string& pointUri : listed) {
-        RC_OBS_TIMED(fetchLatency_);
+        const obs::Scope fetchScope(fetchLatency_);
         PointState& ps = stateFor(pointUri);
         const std::uint32_t budget =
             ps.health == PointHealth::Quarantined ? 1u : policy_.maxAttempts;
@@ -260,20 +262,12 @@ SyncReport SyncEngine::syncRound(Time now) {
 
             auto files = source_->fetchPoint(pointUri, round_, attempt);
             FetchOutcome outcome = FetchOutcome::Unreachable;
-            if (files.has_value()) outcome = probe(ps, *files);
+            if (files.has_value()) outcome = probe(ps, *files, &acceptedNumber);
             if (outcome != FetchOutcome::Ok) {
                 rejectionCounter(ps, pointUri, outcome).inc();
                 continue;
             }
-            // Accepted. Record the regression floor from the probed head.
-            const auto mftIt = files->find(kManifestName);
-            try {
-                const Manifest m =
-                    Manifest::decode(ByteView(mftIt->second.data(), mftIt->second.size()));
-                acceptedNumber = m.number;
-            } catch (const ParseError&) {
-                acceptedNumber = ps.highestManifestNumber;  // probe already decoded it
-            }
+            // Accepted; the probed head's number becomes the regression floor.
             assembled.points.emplace(pointUri, std::move(*files));
             delivered = true;
             break;
@@ -332,12 +326,21 @@ SyncReport SyncEngine::syncRound(Time now) {
     // relying party raises now is post-budget by construction.
     const std::size_t alarmsBefore = rp_->alarms().count();
     {
-        RC_OBS_SPAN("rp.sync", "rp");
+        const obs::Scope rpScope("rp.sync", "rp");
         rp_->sync(assembled, now);
     }
     report.alarmsRaised = rp_->alarms().count() - alarmsBefore;
-    report.validRoas = rp_->validRoas().size();
     alarmsEscalated_->inc(report.alarmsRaised);
+    // One walk of the valid ROAs gives the report's count and the epoch
+    // sink's state; the ROA vector dies before the store commit.
+    std::shared_ptr<const RpkiState> epochState;
+    {
+        const std::vector<Roa> roas = rp_->validRoas();
+        report.validRoas = roas.size();
+        if (epochSink_ != nullptr) {
+            epochState = std::make_shared<const RpkiState>(RpkiState::fromRoas(roas));
+        }
+    }
 
     obs::log(obs::LogLevel::Debug, "sync", "round-complete",
              {{"rp", rp_->name()},
@@ -359,9 +362,7 @@ SyncReport SyncEngine::syncRound(Time now) {
         const Bytes state = rp_->serializeState();
         store_->commit(ByteView(state.data(), state.size()), round_);
     }
-    if (epochSink_ != nullptr) {
-        epochSink_(round_, std::make_shared<const RpkiState>(rp_->roaState()));
-    }
+    if (epochSink_ != nullptr) epochSink_(round_, std::move(epochState));
     reports_.push_back(report);
     return report;
 }

@@ -213,8 +213,10 @@ private:
         std::array<obs::Counter*, kFetchOutcomeCount> rejections{};
     };
 
-    /// Validates a fetched FileMap before it may reach the relying party.
-    FetchOutcome probe(const PointState& ps, const FileMap& files) const;
+    /// Validates a fetched FileMap before it may reach the relying party;
+    /// on Ok, `*manifestNumber` is the probed manifest's number.
+    FetchOutcome probe(const PointState& ps, const FileMap& files,
+                       std::uint64_t* manifestNumber) const;
 
     PointState& stateFor(const std::string& pointUri);
     obs::Counter& rejectionCounter(PointState& ps, const std::string& pointUri, FetchOutcome o);

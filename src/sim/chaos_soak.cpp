@@ -163,11 +163,10 @@ std::optional<Fault> drawFault(Rng& rng, const SoakConfig& cfg, std::uint64_t ro
 }
 
 SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
-    RC_OBS_SPAN("soak.run", "soak");
     SoakResult result;
     result.seed = cfg.seed;
-    RunContext ctx("soak", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
-                   cfg.recorder, cfg.status);
+    RunContext ctx("soak", "soak.run", "run seed=" + std::to_string(cfg.seed), cfg.seed,
+                   cfg.registry, cfg.recorder, cfg.status);
     obs::FlightRecorder* recorder = ctx.recorder();
     ctx.publish("rounds-total", std::to_string(cfg.rounds));
     ctx.publish("state", "running");
@@ -287,8 +286,8 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     };
 
     for (std::uint64_t r = 0; r < cfg.rounds; ++r) {
-        RC_OBS_SPAN("soak.round", "soak");
-        obs::FlightScope roundScope(recorder, "soak", "round r=" + std::to_string(r));
+        const obs::Scope roundScope("soak.round", "soak", nullptr, recorder,
+                                    "round r=" + std::to_string(r));
         const Time now = static_cast<Time>(r);
         ctx.publish("round", std::to_string(r));
 

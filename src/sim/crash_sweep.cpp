@@ -45,10 +45,9 @@ Reference runReference(const SweepConfig& cfg, obs::Registry* registry) {
 }  // namespace
 
 SweepResult runCrashSweep(const SweepConfig& cfg) {
-    RC_OBS_SPAN("sweep.run", "sweep");
     SweepResult result;
-    RunContext ctx("sweep", "run seed=" + std::to_string(cfg.seed), cfg.seed, cfg.registry,
-                   cfg.recorder);
+    RunContext ctx("sweep", "sweep.run", "run seed=" + std::to_string(cfg.seed), cfg.seed,
+                   cfg.registry, cfg.recorder);
     const Reference ref = runReference(cfg, ctx.registry());
     result.crashPoints = ref.opCount;
 

@@ -14,17 +14,18 @@ DriverConfig worldConfig(std::uint64_t seed, double adversarialProbability,
 // ===========================================================================
 // RunContext
 
-RunContext::RunContext(std::string component, const std::string& scopeLabel,
-                       std::uint64_t seed, obs::Registry* registry,
-                       obs::FlightRecorder* recorder, obs::StatusBoard* status)
-    : component_(std::move(component)),
+RunContext::RunContext(const char* component, const char* spanName,
+                       const std::string& scopeLabel, std::uint64_t seed,
+                       obs::Registry* registry, obs::FlightRecorder* recorder,
+                       obs::StatusBoard* status)
+    : component_(component),
       seed_(seed),
       registry_(registry != nullptr ? registry : &localRegistry_),
       recorder_(recorder != nullptr ? recorder : &localRecorder_),
       status_(status),
-      statusPrefix_(component_ + "/seed-" + std::to_string(seed) + "/") {
+      statusPrefix_(std::string(component_) + "/seed-" + std::to_string(seed) + "/") {
     if (recorder == nullptr) localRecorder_.attachMetrics(registry_);
-    scope_.emplace(recorder_, component_, scopeLabel);
+    scope_.emplace(spanName, component_, nullptr, recorder_, scopeLabel);
 }
 
 void RunContext::publish(const std::string& key, const std::string& value) const {

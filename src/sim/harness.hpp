@@ -3,9 +3,10 @@
 // its own straight-line round loop on top of two pieces:
 //
 //  * RunContext: the run-local registry and flight recorder (fallbacks, so
-//    same-seed runs produce byte-identical bundles), the run's flight
-//    scope, its /statusz rows, and violation + postmortem capture under
-//    one shared cap of kMaxBundles bundles per run;
+//    same-seed runs produce byte-identical bundles), the run's scope (a
+//    trace span and a flight scope), its /statusz rows, and violation +
+//    postmortem capture under one shared cap of kMaxBundles bundles per
+//    run;
 //
 //  * MemberProcess: a relying party, its SyncEngine and an optional
 //    DurableStore, built from the shared RpOptions{ts=4, tg=8} and
@@ -51,10 +52,12 @@ public:
     /// Bundles (violations and realized crashes alike) captured per run.
     static constexpr std::size_t kMaxBundles = 8;
 
-    /// nullptr `registry`/`recorder` = local to the run; rows go to
-    /// `status` (if any) as "<component>/seed-<seed>/<key>".
-    RunContext(std::string component, const std::string& scopeLabel, std::uint64_t seed,
-               obs::Registry* registry, obs::FlightRecorder* recorder,
+    /// The run's scope is span `spanName` and flight scope `scopeLabel`,
+    /// both under `component` (string literals). nullptr
+    /// `registry`/`recorder` = local to the run; rows go to `status` (if
+    /// any) as "<component>/seed-<seed>/<key>".
+    RunContext(const char* component, const char* spanName, const std::string& scopeLabel,
+               std::uint64_t seed, obs::Registry* registry, obs::FlightRecorder* recorder,
                obs::StatusBoard* status = nullptr);
     RunContext(const RunContext&) = delete;
     RunContext& operator=(const RunContext&) = delete;
@@ -76,7 +79,7 @@ public:
     std::vector<obs::CapturedBundle> postmortems;
 
 private:
-    std::string component_;
+    const char* component_;
     std::uint64_t seed_;
     obs::Registry localRegistry_;
     obs::Registry* registry_;
@@ -84,7 +87,7 @@ private:
     obs::FlightRecorder* recorder_;
     obs::StatusBoard* status_;
     std::string statusPrefix_;
-    std::optional<obs::FlightScope> scope_;  ///< opened after attachMetrics
+    std::optional<obs::Scope> scope_;  ///< opened after attachMetrics
 };
 
 class MemberProcess {

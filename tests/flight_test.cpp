@@ -25,7 +25,7 @@ namespace {
 using obs::FlightEvent;
 using obs::FlightKind;
 using obs::FlightRecorder;
-using obs::FlightScope;
+using obs::Scope;
 
 TEST(FlightRecorder, RecordsInSequenceOrder) {
     FlightRecorder rec(/*capacity=*/16);
@@ -88,9 +88,9 @@ TEST(FlightRecorder, DrainReturnsEventsAndClearsRing) {
 TEST(FlightRecorder, ScopesNestAndCloseInLifoOrder) {
     FlightRecorder rec(/*capacity=*/16);
     {
-        FlightScope outer(&rec, "soak", "run seed=7");
+        const Scope outer("soak.run", "soak", nullptr, &rec, "run seed=7");
         {
-            FlightScope inner(&rec, "soak", "round r=3");
+            const Scope inner("soak.round", "soak", nullptr, &rec, "round r=3");
             const std::vector<std::string> open = rec.openScopes();
             ASSERT_EQ(open.size(), 2u);
             EXPECT_EQ(open[0], "soak run seed=7");
@@ -161,7 +161,7 @@ TEST(Postmortem, BundleRoundTripsThroughParse) {
     h.observe(0.5);
 
     FlightRecorder rec(/*capacity=*/8);
-    FlightScope scope(&rec, "soak", "run seed=1");
+    const Scope scope("soak.run", "soak", nullptr, &rec, "run seed=1");
     rec.record(FlightKind::InvariantFail, "soak", "round 3: I2 violated");
 
     const std::string text = obs::buildPostmortem(
@@ -202,6 +202,26 @@ TEST(Postmortem, ParseRejectsMalformedInput) {
     std::string text = obs::buildPostmortem(rec, nullptr, "t", {});
     text.resize(text.size() / 2);  // truncation must not parse
     EXPECT_THROW(obs::parsePostmortem(text), ParseError);
+}
+
+TEST(Postmortem, ParseRejectsCountsBeyondU64) {
+    FlightRecorder rec(4);
+    rec.record(FlightKind::Alarm, "rp", "a");
+    const std::string text = obs::buildPostmortem(rec, nullptr, "t", {});
+    ASSERT_NO_THROW(obs::parsePostmortem(text));
+    const auto edited = [&](const std::string& from, const std::string& to) {
+        std::string out = text;
+        const std::size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? out : out.replace(at, from.size(), to);
+    };
+    // 2^64 + 1 and 2^64: an unchecked parser wraps them to 1 and 0.
+    EXPECT_THROW(obs::parsePostmortem(edited("events=1 ", "events=18446744073709551617 ")),
+                 ParseError);
+    EXPECT_THROW(obs::parsePostmortem(edited("dropped=0 ", "dropped=18446744073709551616 ")),
+                 ParseError);
+    EXPECT_THROW(obs::parsePostmortem(edited("evt: seq=1 ", "evt: seq=18446744073709551616 ")),
+                 ParseError);
 }
 
 TEST(Postmortem, RenderFlightEventsIsStable) {

@@ -6,10 +6,6 @@
 // rows, transcripts, oracle diffs, postmortem bundles — and pins the
 // SHA-256 of the text. A refactor of the harnesses that keeps these
 // digests keeps their observable behaviour byte for byte.
-//
-// Postmortem bundles carry histogram observation counts fed by the
-// RC_OBS_* macros, so their digests differ when RC_OBSERVABILITY is
-// compiled out; those pins carry one digest per configuration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,11 +24,6 @@
 
 namespace rpkic {
 namespace {
-
-/// Picks the pin for the compiled observability configuration.
-const char* obsPin(const char* enabled, const char* disabled) {
-    return RC_OBSERVABILITY_ENABLED ? enabled : disabled;
-}
 
 std::string digest(const std::string& text) {
     return sha256(text).hex();
@@ -162,8 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              obsPin("7d0ba49ecdfb1accce5c9895f3695a6f6a15707b88e9de0078b6a92baecb2ff7",
-                     "e8cec4ea29dea410ea4c5b13974540e8bdb5c9909f72c58faecc0fb162defc94"))
+              "7d0ba49ecdfb1accce5c9895f3695a6f6a15707b88e9de0078b6a92baecb2ff7")
         << "crash-realized bundles";
 }
 
@@ -197,8 +187,7 @@ TEST(HarnessGolden, ForcedInvariantFailureBundle) {
                 .scoreboard = "84fc3d043dbb15053b1cffecdf2d70ba11ddec0a62bb80ee2e977b607388e57a",
                 .status = "964f5335b8a8fefeffd433dfd7a4a4837b6242acea1b6312ced95f213054071d"});
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              obsPin("101918bd7242167821c14fab89914a8f81439407a0208fa2ac66f8e9868c208c",
-                     "1651bda3655da401090258c754406c29181fbd5a072c20405494ac4eb1d797dc"))
+              "101918bd7242167821c14fab89914a8f81439407a0208fa2ac66f8e9868c208c")
         << "invariant-fail bundle";
 }
 
@@ -278,8 +267,7 @@ TEST(HarnessGolden, FleetCrashedAndMirrorFed) {
         "1:crash:5:6,3:mirror:4", 24,
         {.result = "f58a5e6f487eb14a3b4510583ed844923ae2426d065b31c910444aff7a7fd9d9",
          .status = "44bf15ab6e70d36de2862493ee91e2f6e3c953226e59bc446888b525c023c1c5",
-         .bundle = obsPin("17f9538456379fec986000e088c5f7781165901dbd6bb02193df4f4ac9213936",
-                          "e0890c2ceea0a36263a184ad370e4744d7cdf96d34e3ebf6cec6a33cf4efb412")});
+         .bundle = "17f9538456379fec986000e088c5f7781165901dbd6bb02193df4f4ac9213936"});
 }
 
 TEST(HarnessGolden, FleetStalledMember) {
@@ -287,8 +275,7 @@ TEST(HarnessGolden, FleetStalledMember) {
         "2:stall:6", 16,
         {.result = "128ceced7fae424a090cfa9420935ea8c60badac5b7d6d36d7438ae999d04642",
          .status = "7adf36a4193b4d90399ac6b3c69bc294ec5e96e08a52e4ded03d781276e542fa",
-         .bundle = obsPin("5bc0f92a6e8197c921d30433738513d31d6bad0145cc629fb293c6c47e09d718",
-                          "f519c6002dd3b42cbdb713c9eb24eb7b1ee157a529de89f5b5ad3e7045d7623b")});
+         .bundle = "5bc0f92a6e8197c921d30433738513d31d6bad0145cc629fb293c6c47e09d718"});
 }
 
 // ---------------------------------------------------------------------------
@@ -333,8 +320,7 @@ TEST(HarnessGolden, DisabledDetectionFailureAndItsReplay) {
               "85c6c8ab5126dd8f7ad24bc552e6908b27dad7e945ba20e49d5cf4c004b3b101")
         << "transcript, plan, diff";
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              obsPin("e091744fe60561f89879ec84467b7cc83dc59a1600ba09e1cdf31432e73d7021",
-                     "32e4e4b349aafa1692c1155353ee3b7cb3adcbb64e0bc94e48bd6297dbb1d629"))
+              "e091744fe60561f89879ec84467b7cc83dc59a1600ba09e1cdf31432e73d7021")
         << "oracle-diff bundle";
 
     adversary::PackRunConfig overrides;

@@ -97,7 +97,7 @@ TEST(MemberRestart, FailedReopenIsAViolationNotAnException) {
 }
 
 TEST(RunContext, ViolationsAndCrashesShareTheBundleCap) {
-    RunContext ctx("test", "run", 9, nullptr, nullptr);
+    RunContext ctx("test", "test.run", "run", 9, nullptr, nullptr);
     ctx.capture("crash-realized", "seed-9-crash-1", {{"seed", "9"}});
     for (std::size_t i = 0; i < RunContext::kMaxBundles + 3; ++i) {
         ctx.violation("round " + std::to_string(i) + ": broken", {{"round", std::to_string(i)}});

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight/recorder.hpp"
 #include "obs/obs.hpp"
 #include "sim/chaos_soak.hpp"
 #include "util/errors.hpp"
@@ -425,8 +426,8 @@ TEST(ObsTrace, ChromeTraceIsValidJsonWithExpectedShape) {
     obs::Tracer tracer(16);
     tracer.setEnabled(true);
     {
-        auto outer = tracer.span("outer", "test");
-        auto inner = tracer.span("inner", "test");
+        const obs::Scope outer(tracer, "outer", "test");
+        const obs::Scope inner(tracer, "inner", "test");
     }
     ASSERT_EQ(tracer.size(), 2u);
 
@@ -444,7 +445,7 @@ TEST(ObsTrace, RingBoundsMemoryAndCountsDrops) {
     obs::Tracer tracer(4);
     tracer.setEnabled(true);
     for (int i = 0; i < 10; ++i) {
-        auto s = tracer.span("tick", "test");
+        const obs::Scope s(tracer, "tick", "test");
     }
     EXPECT_EQ(tracer.size(), 4u);
     EXPECT_EQ(tracer.dropped(), 6u);
@@ -458,10 +459,97 @@ TEST(ObsTrace, RingBoundsMemoryAndCountsDrops) {
 TEST(ObsTrace, DisabledTracerRecordsNothing) {
     obs::Tracer tracer(8);
     {
-        auto s = tracer.span("ghost", "test");
+        const obs::Scope s(tracer, "ghost", "test");
     }
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_TRUE(JsonChecker(tracer.renderChromeTrace()).valid());
+}
+
+// --- the one instrumentation scope -------------------------------------------
+
+TEST(ObsScope, SpanAndHistogramShareTwoClockReads) {
+    obs::LogicalTimeSource clock(1000);
+    TimeSourceGuard guard(&clock);
+    obs::Tracer tracer(8);
+    tracer.setEnabled(true);
+    obs::Registry reg;
+    obs::Histogram& hist = reg.histogram("rc_scope_test_seconds", "scope");
+    {
+        const obs::Scope scope(tracer, "work", "test", &hist);
+    }
+    EXPECT_EQ(clock.reads(), 2u);
+    const std::vector<obs::TraceEvent> events = tracer.snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].durNanos, 1000u);
+    EXPECT_EQ(hist.totalCount(), 1u);
+    EXPECT_DOUBLE_EQ(hist.sum(), static_cast<double>(events[0].durNanos) * 1e-9);
+}
+
+TEST(ObsScope, RuntimeSwitchGatesTheHistogramNotTheSpan) {
+    obs::LogicalTimeSource clock(1000);
+    TimeSourceGuard guard(&clock);
+    obs::Tracer tracer(8);
+    tracer.setEnabled(true);
+    obs::Registry reg;
+    obs::Histogram& hist = reg.histogram("rc_scope_test_seconds", "scope");
+    obs::setRuntimeEnabled(false);
+    {
+        const obs::Scope scope(tracer, "work", "test", &hist);
+    }
+    obs::setRuntimeEnabled(true);
+    EXPECT_EQ(tracer.size(), 1u);
+    EXPECT_EQ(hist.totalCount(), 0u);
+    EXPECT_EQ(clock.reads(), 2u);
+}
+
+TEST(ObsScope, NoSpanAndNoHistogramNeverReadsTheClock) {
+    obs::LogicalTimeSource clock(1000);
+    TimeSourceGuard guard(&clock);
+    obs::Tracer tracer(8);  // disabled
+    obs::FlightRecorder rec(8);
+    {
+        const obs::Scope spanOnly(tracer, "work", "test");
+        const obs::Scope flightOnly(tracer, "work", "test", nullptr, &rec, "round r=1");
+    }
+    EXPECT_EQ(clock.reads(), 0u);
+    EXPECT_EQ(tracer.size(), 0u);
+    EXPECT_EQ(rec.totalRecorded(), 1u);
+}
+
+TEST(ObsScope, DisabledRecorderSeesNoScopeAndNoEvent) {
+    obs::FlightRecorder rec(8, /*enabled=*/false);
+    {
+        const obs::Scope scope("work", "test", nullptr, &rec, "round r=1");
+        rec.setEnabled(true);  // sinks are chosen when the scope opens
+        EXPECT_TRUE(rec.openScopes().empty());
+    }
+    EXPECT_TRUE(rec.openScopes().empty());
+    EXPECT_EQ(rec.totalRecorded(), 0u);
+}
+
+TEST(ObsScope, MovedFromScopeRecordsNothing) {
+    obs::LogicalTimeSource clock(1000);
+    TimeSourceGuard guard(&clock);
+    obs::Tracer tracer(8);
+    tracer.setEnabled(true);
+    obs::Registry reg;
+    obs::Histogram& hist = reg.histogram("rc_scope_test_seconds", "scope");
+    obs::FlightRecorder rec(8);
+    {
+        obs::Scope from(tracer, "work", "test", &hist, &rec, "round r=1");
+        {
+            const obs::Scope to(std::move(from));
+            EXPECT_EQ(rec.openScopes(), std::vector<std::string>{"test round r=1"});
+        }
+        EXPECT_EQ(tracer.size(), 1u);
+        EXPECT_EQ(hist.totalCount(), 1u);
+        EXPECT_EQ(rec.totalRecorded(), 1u);
+    }
+    EXPECT_EQ(tracer.size(), 1u);
+    EXPECT_EQ(hist.totalCount(), 1u);
+    EXPECT_EQ(rec.totalRecorded(), 1u);
+    EXPECT_TRUE(rec.openScopes().empty());
+    EXPECT_EQ(clock.reads(), 2u);
 }
 
 // --- determinism ------------------------------------------------------------
@@ -586,7 +674,6 @@ TEST(ObsLog, LevelParsingRoundTrips) {
 // --- runtime switch ---------------------------------------------------------
 
 TEST(ObsRuntime, MacroGateStopsRecordingWhenDisabled) {
-    if (!obs::compiledIn()) GTEST_SKIP() << "RC_OBSERVABILITY=OFF build";
     obs::Registry reg;
     obs::Counter& c = reg.counter("rc_gate_total", "gate");
     obs::setRuntimeEnabled(true);

@@ -161,8 +161,8 @@ TEST(ObsThreads, FlightRecorderExactAccountingUnderContention) {
     inParallel([&](int t) {
         for (int i = 0; i < kEvents; ++i) {
             if (i % 16 == 0) {
-                const obs::FlightScope scope(&rec, "stress",
-                                             "t=" + std::to_string(t));
+                const obs::Scope scope("stress.scope", "stress", nullptr, &rec,
+                                       "t=" + std::to_string(t));
                 rec.record(obs::FlightKind::LogLine, "stress", std::to_string(i));
             } else {
                 rec.record(obs::FlightKind::Alarm, "stress", std::to_string(i));
@@ -172,7 +172,7 @@ TEST(ObsThreads, FlightRecorderExactAccountingUnderContention) {
     stop.store(true, std::memory_order_relaxed);
     reader.join();
     // Every record landed exactly once: retained + dropped = recorded,
-    // and the scope events (one SpanClose per FlightScope) are included.
+    // and the scope events (one SpanClose per scope) are included.
     const std::uint64_t scopesPerThread = (kEvents + 15) / 16;  // i % 16 == 0 hits
     const auto expected =
         static_cast<std::uint64_t>(kThreads) * (kEvents + scopesPerThread);
@@ -189,8 +189,7 @@ TEST(ObsThreads, TracerRingExactAccounting) {
     constexpr int kSpans = 5000;
     inParallel([&](int) {
         for (int i = 0; i < kSpans; ++i) {
-            obs::SpanGuard span = tracer.span("stress.span", "test");
-            (void)span;
+            const obs::Scope span(tracer, "stress.span", "test");
         }
     });
     const std::uint64_t total = static_cast<std::uint64_t>(kThreads) * kSpans;
@@ -225,8 +224,7 @@ TEST(ObsThreads, TracerSurvivesConcurrentSnapshotAndClear) {
     });
     inParallel([&](int) {
         for (int i = 0; i < 4000; ++i) {
-            obs::SpanGuard span = tracer.span("stress.race", "test");
-            (void)span;
+            const obs::Scope span(tracer, "stress.race", "test");
         }
     });
     stop.store(true, std::memory_order_relaxed);
@@ -332,7 +330,7 @@ TEST(ObsThreads, RuntimeSwitchRacesMacroSites) {
     toggler.join();
     obs::setRuntimeEnabled(true);
     // Under toggling the counts are not exact — but they can never exceed
-    // the attempt count (and in RC_OBSERVABILITY=OFF builds both stay 0).
+    // the attempt count.
     EXPECT_LE(counter.value(), static_cast<std::uint64_t>(kThreads) * 20000);
     EXPECT_LE(hist.totalCount(), static_cast<std::uint64_t>(kThreads) * 20000);
 }
