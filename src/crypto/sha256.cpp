@@ -1,7 +1,9 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_kernels.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic {
@@ -13,22 +15,22 @@ constexpr std::uint32_t kInit[8] = {
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 };
 
-constexpr std::uint32_t kRound[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
-
 std::uint32_t rotr(std::uint32_t x, int n) {
     return (x >> n) | (x << (32 - n));
+}
+
+using BlockKernel = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+// Chosen on first use, not at load time, so a hash taken by another
+// translation unit's static initialiser already gets a valid kernel.
+BlockKernel blockKernel() {
+#if defined(__x86_64__)
+    static const BlockKernel kernel =
+        sha256_kernels::shaNiAvailable() ? sha256_kernels::shaNi : sha256_kernels::portable;
+    return kernel;
+#else
+    return sha256_kernels::portable;
+#endif
 }
 
 }  // namespace
@@ -52,6 +54,7 @@ void Sha256::reset() {
 }
 
 Sha256& Sha256::update(ByteView data) {
+    if (data.empty()) return *this;
     totalBytes_ += data.size();
     std::size_t offset = 0;
     if (bufferLen_ > 0) {
@@ -60,13 +63,13 @@ Sha256& Sha256::update(ByteView data) {
         bufferLen_ += take;
         offset = take;
         if (bufferLen_ == 64) {
-            processBlock(buffer_);
+            blockKernel()(state_, buffer_, 1);
             bufferLen_ = 0;
         }
     }
-    while (offset + 64 <= data.size()) {
-        processBlock(data.data() + offset);
-        offset += 64;
+    if (const std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
+        blockKernel()(state_, data.data() + offset, blocks);
+        offset += blocks * 64;
     }
     if (offset < data.size()) {
         bufferLen_ = data.size() - offset;
@@ -80,14 +83,16 @@ Sha256& Sha256::update(std::string_view s) {
 }
 
 Digest Sha256::finish() {
+    // Padding in one pass: 0x80, zeros up to 56 mod 64, then the message
+    // length in bits, big-endian. One block, or two when fewer than 9
+    // bytes are left in the buffered one.
+    std::uint8_t tail[128] = {};
+    std::memcpy(tail, buffer_, bufferLen_);
+    tail[bufferLen_] = 0x80;
+    const std::size_t tailLen = bufferLen_ < 56 ? 64 : 128;
     const std::uint64_t bitLen = totalBytes_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(ByteView(&pad, 1));
-    const std::uint8_t zero = 0;
-    while (bufferLen_ != 56) update(ByteView(&zero, 1));
-    std::uint8_t lenBytes[8];
-    for (int i = 0; i < 8; ++i) lenBytes[i] = static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
-    update(ByteView(lenBytes, 8));
+    for (int i = 0; i < 8; ++i) tail[tailLen - 1 - i] = static_cast<std::uint8_t>(bitLen >> (8 * i));
+    blockKernel()(state_, tail, tailLen / 64);
 
     Digest out;
     for (int i = 0; i < 8; ++i) {
@@ -99,49 +104,57 @@ Digest Sha256::finish() {
     return out;
 }
 
-void Sha256::processBlock(const std::uint8_t* block) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-               (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-               static_cast<std::uint32_t>(block[4 * i + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
+namespace sha256_kernels {
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void portable(std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+    for (; blocks > 0; --blocks, data += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) {
+            w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+                   (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+                   (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+                   static_cast<std::uint32_t>(data[4 * i + 3]);
+        }
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
 
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
+            const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
     }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
+
+}  // namespace sha256_kernels
 
 Digest sha256(ByteView data) {
     Sha256 h;

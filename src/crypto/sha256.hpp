@@ -53,8 +53,6 @@ public:
     void reset();
 
 private:
-    void processBlock(const std::uint8_t* block);
-
     std::uint32_t state_[8];
     std::uint64_t totalBytes_;
     std::uint8_t buffer_[64];

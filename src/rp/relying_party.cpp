@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "rp/file_index.hpp"
 #include "rpki/manifest_chain.hpp"
 #include "rpki/signing.hpp"
 #include "util/errors.hpp"
@@ -193,11 +194,15 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
         markPointStale(pc, pointUri, now);
         return;
     }
-    if (!verifyObject(m, issuer->cert.subjectKey)) {
-        alarms_.raise({AlarmType::MissingInformation, pointUri + kManifestName, "", false,
-                       "manifest signature does not verify", now});
-        markPointStale(pc, pointUri, now);
-        return;
+    const VerifiedManifest candidate{hashOf(*mftBytes), issuer->cert.subjectKey};
+    if (pc.verified != candidate) {
+        if (!verifyObject(m, issuer->cert.subjectKey)) {
+            alarms_.raise({AlarmType::MissingInformation, pointUri + kManifestName, "", false,
+                           "manifest signature does not verify", now});
+            markPointStale(pc, pointUri, now);
+            return;
+        }
+        pc.verified = candidate;
     }
     if (m.nextUpdate <= now) {
         // §5.3.2: only manifests expire; objects become "stale", and a
@@ -287,16 +292,12 @@ std::map<std::string, Bytes> RelyingParty::resolveFiles(const PointCache& pc,
                                                         Time now, bool* complete) {
     *complete = true;
     std::map<std::string, Bytes> out;
+    static const FileMap kNoFiles;
     const FileMap* current = snap.point(pointUri);
+    FileIndex index(current != nullptr ? *current : kNoFiles);
     for (const ManifestEntry& entry : m.entries) {
-        const Bytes* found = nullptr;
         // 1. The file under its own name in the snapshot.
-        if (current != nullptr) {
-            const auto it = current->find(entry.filename);
-            if (it != current->end() && hashOf(it->second) == entry.fileHash) {
-                found = &it->second;
-            }
-        }
+        const Bytes* found = index.named(entry.filename, entry.fileHash);
         // 2. Our cached copy (we may be replaying an older transition).
         if (found == nullptr) {
             const auto it = pc.files.find(entry.filename);
@@ -305,14 +306,7 @@ std::map<std::string, Bytes> RelyingParty::resolveFiles(const PointCache& pc,
             }
         }
         // 3. A preserved version anywhere in the point (hints mechanism).
-        if (found == nullptr && current != nullptr) {
-            for (const auto& [name, bytes] : *current) {
-                if (hashOf(bytes) == entry.fileHash) {
-                    found = &bytes;
-                    break;
-                }
-            }
-        }
+        if (found == nullptr) found = index.anyWith(entry.fileHash);
         if (found == nullptr) {
             alarms_.raise({AlarmType::MissingInformation, pointUri + entry.filename, "", false,
                            "object logged in manifest not obtained", now});

@@ -149,11 +149,22 @@ public:
                                          obs::Registry* registry = nullptr);
 
 private:
+    /// A manifest file that verified, and the issuer key it verified under.
+    struct VerifiedManifest {
+        Digest fileHash;
+        PublicKey key;
+        bool operator==(const VerifiedManifest&) const = default;
+    };
+
     struct PointCache {
         bool have = false;
         Manifest manifest;                 // head of the processed chain
         std::map<std::string, Bytes> files;  // logged object bytes we obtained
         bool stale = false;
+        /// The last manifest that verified here. Serving the same file under
+        /// the same issuer key again skips only the signature check, which
+        /// is a pure function of both. Not serialized.
+        std::optional<VerifiedManifest> verified;
     };
 
     struct ObtainedHash {

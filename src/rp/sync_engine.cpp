@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "rp/durable_store.hpp"
+#include "rp/file_index.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::rp {
@@ -203,25 +204,16 @@ FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files,
     // present and hash-correct. An honest point always satisfies this (the
     // authority publishes exactly what it logs); any miss is delivery loss
     // or corruption — a retryable transport failure, not evidence.
+    FileIndex index(files);
     for (const ManifestEntry& entry : m.entries) {
-        const auto it = files.find(entry.filename);
-        if (it != files.end()) {
-            if (fileHashOf(ByteView(it->second.data(), it->second.size())) == entry.fileHash) {
-                continue;
-            }
-            // Wrong bytes under the right name: fall through to the
-            // preserved-copy scan before judging.
+        // Wrong or no bytes under the right name: look for a preserved copy
+        // under any name before judging.
+        if (index.named(entry.filename, entry.fileHash) != nullptr ||
+            index.anyWith(entry.fileHash) != nullptr) {
+            continue;
         }
-        bool foundElsewhere = false;
-        for (const auto& [name, bytes] : files) {
-            if (fileHashOf(ByteView(bytes.data(), bytes.size())) == entry.fileHash) {
-                foundElsewhere = true;
-                break;
-            }
-        }
-        if (foundElsewhere) continue;
-        return it == files.end() ? FetchOutcome::LoggedObjectMissing
-                                 : FetchOutcome::LoggedObjectMismatch;
+        return files.count(entry.filename) == 0 ? FetchOutcome::LoggedObjectMissing
+                                                : FetchOutcome::LoggedObjectMismatch;
     }
     *manifestNumber = m.number;
     return FetchOutcome::Ok;

@@ -340,6 +340,49 @@ TEST(SyncEngine, StallorisStaleServingIsRefusedNeverSilent) {
     EXPECT_EQ(alice.validRoas().size(), 2u);
 }
 
+TEST(SyncEngine, PermutedFileNamesAreFoundByContentOnFirstAttempt) {
+    // A mirror serves every logged object under another logged name (a
+    // cyclic permutation). Each object is still present and hash-correct,
+    // so the point is accepted at once and the relying party ends in the
+    // same state as a twin fed the honest point.
+    World w;
+    w.org->issueRoa("r2", 64501, {{pfx("10.1.16.0/20"), 24}}, w.repo, w.clock.now());
+    w.org->issueRoa("r3", 64502, {{pfx("10.1.32.0/20"), 24}}, w.repo, w.clock.now());
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+
+    const FileMap clean = *honest.fetchPoint(orgPoint, 0, 0);
+    const Bytes& wire = clean.at(kManifestName);
+    const Manifest m = Manifest::decode(ByteView(wire.data(), wire.size()));
+    ASSERT_GE(m.entries.size(), 3u);
+    FileMap permuted = clean;
+    for (std::size_t i = 0; i < m.entries.size(); ++i) {
+        const std::string& to = m.entries[(i + 1) % m.entries.size()].filename;
+        permuted[to] = clean.at(m.entries[i].filename);
+        ASSERT_NE(permuted[to], clean.at(to));
+    }
+    chaos.setOverlay(orgPoint, 0, permuted);
+
+    obs::Registry registry;
+    obs::Registry twinRegistry;
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    RelyingParty twin("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &twinRegistry);
+    SyncEngine engine(alice, chaos, SyncPolicy{.maxAttempts = 3}, &registry);
+    SyncEngine twinEngine(twin, honest, SyncPolicy{.maxAttempts = 3}, &twinRegistry);
+
+    const rp::SyncReport report = engine.syncRound(w.clock.now());
+    twinEngine.syncRound(w.clock.now());
+    EXPECT_EQ(chaos.overlayApplications(), 1u);
+    EXPECT_EQ(report.pointsDelivered, report.pointsListed);
+    EXPECT_EQ(report.attempts, report.pointsListed);
+    EXPECT_EQ(report.retries, 0u);
+    EXPECT_EQ(engine.healthOf(orgPoint), PointHealth::Healthy);
+    EXPECT_EQ(alice.alarms().count(), 0u);
+    EXPECT_EQ(alice.validRoas().size(), 3u);
+    EXPECT_EQ(alice.serializeState(), twin.serializeState());
+}
+
 // ---------------------------------------------------------------------------
 // Semantic attack-zoo kinds and overlays (the adversary packs schedule
 // these; here each ChaosSource mechanism is pinned in isolation)

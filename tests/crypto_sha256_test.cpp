@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/errors.hpp"
@@ -36,11 +38,29 @@ TEST(Sha256, MillionA) {
 }
 
 TEST(Sha256, ExactBlockBoundary) {
-    // 64 bytes: exercises the padding path where the length does not fit
-    // in the final block.
-    const std::string msg(64, 'x');
-    EXPECT_EQ(sha256(msg), sha256(msg));
-    EXPECT_NE(sha256(msg), sha256(std::string(65, 'x')));
+    // 'x' * n around the padding boundaries: up to 55 bytes the length fits
+    // in the last message block, from 56 it spills into a second padding
+    // block. Reference digests from Python's hashlib. Each message is also
+    // streamed, split at every offset.
+    const std::pair<std::size_t, const char*> vectors[] = {
+        {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+        {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+        {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+        {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+        {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+        {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+        {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+    };
+    for (const auto& [n, hex] : vectors) {
+        const std::string msg(n, 'x');
+        EXPECT_EQ(sha256(msg).hex(), hex) << "n=" << n;
+        for (std::size_t split = 0; split <= n; ++split) {
+            Sha256 h;
+            h.update(std::string_view(msg).substr(0, split));
+            h.update(std::string_view(msg).substr(split));
+            EXPECT_EQ(h.finish().hex(), hex) << "n=" << n << " split at " << split;
+        }
+    }
 }
 
 TEST(Sha256, StreamingMatchesOneShot) {

@@ -1,6 +1,7 @@
 // Relying-party edge cases: replay prevention, stale-then-recover cycles,
 // forged .dead objects, desynchronization beyond the preservation window,
-// vertical ROA checks, and hash-window expiry in the global check.
+// vertical ROA checks, hash-window expiry in the global check, and the
+// checks a once-verified manifest still meets.
 #include <gtest/gtest.h>
 
 #include "consent/authority.hpp"
@@ -233,6 +234,78 @@ TEST(RpEdge, TwoRelyingPartiesIndependentCaches) {
     EXPECT_EQ(alice.alarms().count(), 0u);
     EXPECT_GT(bob.alarms().count(), 0u);
     EXPECT_EQ(alice.validRoas().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A manifest that verified once meets a change on a later sync. Serving the
+// same manifest file under the same issuer key again skips only the
+// signature check; each case below must still be caught.
+
+bool raisedOnManifest(const RelyingParty& rp, const std::string& pointUri,
+                      const std::string& detail) {
+    for (const auto& a : rp.alarms().all()) {
+        if (a.type == AlarmType::MissingInformation && a.victim == pointUri + kManifestName &&
+            a.detail == detail) {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(RpEdge, VerifiedManifestStillExpires) {
+    Fixture f;
+    f.org->issueRoa("r", 64500, {{pfx("10.1.0.0/20"), 24}}, f.repo, f.clock.now());
+    const std::string orgPoint = f.org->pubPointUri();
+    const Snapshot snap = f.repo.snapshot();
+    RelyingParty alice = f.rp("alice");
+    alice.sync(snap, f.clock.now());
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    // The same bytes, served once `now` reaches their nextUpdate.
+    f.clock.advanceTo(f.org->currentManifest().nextUpdate);
+    alice.sync(snap, f.clock.now());
+    EXPECT_TRUE(raisedOnManifest(alice, orgPoint, "manifest is stale (expired)"));
+    EXPECT_TRUE(alice.isPointStale(orgPoint));
+}
+
+TEST(RpEdge, VerifiedManifestFailsUnderReplacedIssuerKey) {
+    Fixture f;
+    const std::string orgPoint = f.org->pubPointUri();
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    // The root replaces org's RC, under the same URI, by one with another
+    // subject key; org's point serves the same bytes as before.
+    f.clock.advance(1);
+    const Signer otherKey = Signer::generate(7777, 2);
+    f.root->unsafeIssueOversizedChild("org", otherKey.publicKey(), f.org->cert().resources,
+                                      f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    const rp::RcRecord* issuer = alice.findRc(f.org->cert().uri);
+    ASSERT_NE(issuer, nullptr);
+    ASSERT_EQ(issuer->cert.subjectKey, otherKey.publicKey());
+    EXPECT_TRUE(raisedOnManifest(alice, orgPoint, "manifest signature does not verify"));
+    EXPECT_TRUE(alice.isPointStale(orgPoint));
+}
+
+TEST(RpEdge, VerifiedManifestBodyWithOtherSignatureFails) {
+    Fixture f;
+    const std::string orgPoint = f.org->pubPointUri();
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    // The same manifest body with different signature bytes.
+    f.clock.advance(1);
+    Snapshot forged = f.repo.snapshot();
+    Bytes& wire = forged.points.at(orgPoint).at(kManifestName);
+    Manifest m = Manifest::decode(ByteView(wire.data(), wire.size()));
+    m.signature[m.signature.size() / 2] ^= 0x01;
+    wire = m.encode();
+    alice.sync(forged, f.clock.now());
+    EXPECT_TRUE(raisedOnManifest(alice, orgPoint, "manifest signature does not verify"));
+    EXPECT_TRUE(alice.isPointStale(orgPoint));
 }
 
 }  // namespace
