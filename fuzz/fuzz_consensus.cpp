@@ -1,38 +1,28 @@
 // Fuzz driver for the fleet's consensus exchange (src/fleet/).
 //
-// Input layout: first byte selects the mode, the rest is the payload.
-//
-//   mode 0  vote wire format. Oracle: *encode-after-decode identity* —
-//           whatever VrpVote::decode accepts must re-encode to the exact
-//           input bytes (the encoding is canonical, so there is only one
-//           byte string per logical vote). The decoded vote is then fed
-//           to a ConsensusTracker next to three synthetic honest votes:
-//           the aggregator must never crash on hostile-but-well-formed
-//           votes, and a vote outside the honest group must be attributed.
-//   mode 1  transcript text. Oracle: *canonical fixpoint* — whatever
-//           FleetTranscript::parse accepts must serialize to a text that
-//           reparses to an equal transcript and reserializes identically.
-//   mode 2  vote transcript line. Same fixpoint oracle for
-//           VrpVote::parseLine / str().
+// The input is a vote in wire format: the one consensus input that reaches
+// a member from outside, over the bus. Oracle: *encode-after-decode
+// identity* — whatever VrpVote::decode accepts must re-encode to the exact
+// input bytes (the encoding is canonical, so there is only one byte string
+// per logical vote). The decoded vote is then fed to a ConsensusTracker
+// next to three synthetic honest votes: the aggregator must never crash on
+// hostile-but-well-formed votes, and a vote outside the honest group must
+// be attributed.
 //
 // Malformed input must raise ParseError and nothing else.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "fleet/consensus.hpp"
-#include "fleet/transcript.hpp"
 #include "fleet/vote.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::fuzz {
 namespace {
 
-using fleet::ConsensusOutcome;
 using fleet::ConsensusTracker;
 using fleet::EpochDecision;
-using fleet::FleetTranscript;
 using fleet::MemberVerdict;
 using fleet::VoteClaim;
 using fleet::VrpVote;
@@ -42,7 +32,7 @@ using fleet::VrpVote;
     std::abort();
 }
 
-void fuzzVoteWire(const std::uint8_t* data, std::size_t size) {
+void fuzzOne(const std::uint8_t* data, std::size_t size) {
     VrpVote vote;
     try {
         vote = VrpVote::decode(ByteView(data, size));
@@ -86,68 +76,6 @@ void fuzzVoteWire(const std::uint8_t* data, std::size_t size) {
         bool attributed = false;
         for (const MemberVerdict& v : d.verdicts) attributed = attributed || v.member == 3;
         if (!attributed) fail("divergent member 3 not attributed");
-    }
-}
-
-void fuzzTranscript(const std::uint8_t* data, std::size_t size) {
-    const std::string text(reinterpret_cast<const char*>(data), size);
-    FleetTranscript t;
-    try {
-        t = FleetTranscript::parse(text);
-    } catch (const ParseError&) {
-        return;
-    }
-    std::string canon;
-    try {
-        canon = t.serialize();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "serialize() threw: %s\n", e.what());
-        fail("parser accepted a transcript its serializer cannot write");
-    }
-    FleetTranscript back;
-    try {
-        back = FleetTranscript::parse(canon);
-    } catch (const ParseError&) {
-        fail("canonical transcript rejected by the parser");
-    }
-    if (!(back == t)) fail("reparsing the canonical transcript changed it");
-    if (back.serialize() != canon) fail("transcript serialization is not a fixpoint");
-}
-
-void fuzzVoteLine(const std::uint8_t* data, std::size_t size) {
-    const std::string line(reinterpret_cast<const char*>(data), size);
-    VrpVote v;
-    try {
-        v = VrpVote::parseLine(line);
-    } catch (const ParseError&) {
-        return;
-    }
-    std::string canon;
-    try {
-        canon = v.str();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "str() threw: %s\n", e.what());
-        fail("parser accepted a vote line its serializer cannot write");
-    }
-    VrpVote back;
-    try {
-        back = VrpVote::parseLine(canon);
-    } catch (const ParseError&) {
-        fail("canonical vote line rejected by the parser");
-    }
-    if (!(back == v)) fail("reparsing the canonical vote line changed it");
-    if (back.str() != canon) fail("vote line serialization is not a fixpoint");
-}
-
-void fuzzOne(const std::uint8_t* data, std::size_t size) {
-    if (size == 0) return;
-    const std::uint8_t mode = data[0] % 3;
-    ++data;
-    --size;
-    switch (mode) {
-        case 0: fuzzVoteWire(data, size); break;
-        case 1: fuzzTranscript(data, size); break;
-        case 2: fuzzVoteLine(data, size); break;
     }
 }
 

@@ -7,7 +7,7 @@
 #include "adversary/pack.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/xmss.hpp"
-#include "fleet/transcript.hpp"
+#include "fleet/vote.hpp"
 #include "obs/obs.hpp"
 #include "rp/durable_store.hpp"
 #include "rpki/objects.hpp"
@@ -196,18 +196,6 @@ std::vector<Bytes> sampleWalImages() {
 }
 
 std::vector<Bytes> sampleConsensusInputs() {
-    auto withMode = [](std::uint8_t mode, const Bytes& body) {
-        Bytes out;
-        out.reserve(body.size() + 1);
-        out.push_back(mode);
-        out.insert(out.end(), body.begin(), body.end());
-        return out;
-    };
-    auto textBody = [&](std::uint8_t mode, const std::string& s) {
-        return withMode(mode, Bytes(s.begin(), s.end()));
-    };
-
-    // Mode 0: canonical vote wire bytes.
     fleet::VrpVote plain;
     plain.member = 3;
     plain.epoch = 7;
@@ -228,59 +216,7 @@ std::vector<Bytes> sampleConsensusInputs() {
     hostile.claims = {{"rpki://evil/", 2, sha256("evil-m2")},
                       {"rpki://org/", 7, sha256("forged-m7")}};
 
-    // Mode 1: a transcript with a unanimous epoch, a quorum epoch carrying
-    // verdicts and locals, and a no-quorum withhold.
-    fleet::FleetTranscript t;
-    t.seed = 11;
-    t.members = 3;
-    t.quorum = 2;
-    t.epochs = 3;
-    for (std::uint64_t e = 0; e < 3; ++e) {
-        fleet::TranscriptEpoch row;
-        row.epoch = e;
-        fleet::VrpVote v = plain;
-        v.member = static_cast<std::uint32_t>(e);
-        v.epoch = e;
-        row.votes.push_back(v);
-        row.decision.epoch = e;
-        if (e == 2) {
-            row.decision.outcome = fleet::ConsensusOutcome::NoQuorum;
-            row.decision.agreeing = 1;
-            row.decision.votesSeen = 1;
-        } else {
-            row.decision.outcome = e == 0 ? fleet::ConsensusOutcome::Unanimous
-                                          : fleet::ConsensusOutcome::Quorum;
-            row.decision.winningHash = sha256("honest-world");
-            row.decision.agreeing = e == 0 ? 3 : 2;
-            row.decision.votesSeen = 3;
-            row.decision.winners = e == 0 ? std::vector<std::uint32_t>{0, 1, 2}
-                                          : std::vector<std::uint32_t>{0, 2};
-            if (e == 1) {
-                fleet::MemberVerdict verdict;
-                verdict.member = 1;
-                verdict.cls = fleet::MemberFaultClass::MirrorFed;
-                verdict.table7 = rp::AlarmType::GlobalInconsistency;
-                verdict.accountable = true;
-                verdict.detail = "conflict:rpki://org/:7";
-                row.decision.verdicts.push_back(verdict);
-                row.locals.push_back({0, fleet::ConsensusOutcome::Quorum, 2, 3});
-            }
-            row.hasOutput = true;
-            row.outputRoas = 1;
-        }
-        t.rows.push_back(std::move(row));
-    }
-
-    return {
-        withMode(0, plain.encode()),
-        withMode(0, empty.encode()),
-        withMode(0, hostile.encode()),
-        textBody(1, t.serialize()),
-        textBody(1, "fleettranscript version=1 seed=1 members=1 quorum=1 epochs=0\n"),
-        textBody(2, plain.str()),
-        textBody(2, empty.str()),
-        textBody(2, hostile.str()),
-    };
+    return {plain.encode(), empty.encode(), hostile.encode()};
 }
 
 std::vector<std::pair<std::string, Bytes>> samplePackTlvSeeds() {

@@ -39,12 +39,9 @@ std::vector<std::string> sampleStateTexts();
 /// tail, a corrupt frame, and the empty log.
 std::vector<Bytes> sampleWalImages();
 
-/// Seed inputs for the fleet-consensus fuzzer (fuzz_consensus). Each seed
-/// is a mode byte (0 = vote wire bytes, 1 = transcript text, 2 = vote
-/// transcript line) followed by a well-formed instance: encoded votes
-/// with and without claims, a hostile vote diverging from the synthetic
-/// honest quorum, a two-epoch transcript with verdicts and a no-quorum
-/// row, and canonical vote lines.
+/// Seed inputs for the fleet-consensus fuzzer (fuzz_consensus): encoded
+/// votes with and without claims, and a hostile vote diverging from the
+/// synthetic honest quorum.
 std::vector<Bytes> sampleConsensusInputs();
 
 /// One TLV seed per adversary scenario pack (src/adversary): each pack

@@ -7,192 +7,13 @@
 #include "crypto/xmss.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
-#include "util/parse.hpp"
 
 namespace rpkic::adversary {
-
-namespace {
 
 using consent::Authority;
 using fleet::MemberFaultClass;
 using rp::AlarmType;
 using rp::FetchOutcome;
-
-constexpr int kAlarmTypeCount = 6;
-
-AlarmType alarmTypeFromString(std::string_view s) {
-    for (int i = 0; i < kAlarmTypeCount; ++i) {
-        if (s == rp::toString(static_cast<AlarmType>(i))) return static_cast<AlarmType>(i);
-    }
-    throw ParseError("unknown alarm class in oracle: " + std::string(s));
-}
-
-FetchOutcome fetchOutcomeFromString(std::string_view s) {
-    for (std::size_t i = 0; i < rp::kFetchOutcomeCount; ++i) {
-        if (s == rp::toString(static_cast<FetchOutcome>(i))) {
-            return static_cast<FetchOutcome>(i);
-        }
-    }
-    throw ParseError("unknown probe outcome in oracle: " + std::string(s));
-}
-
-bool parseYesNo(std::string_view value, const char* field) {
-    if (value == "yes") return true;
-    if (value == "no") return false;
-    throw ParseError(std::string("bad yes/no value for '") + field + "' in oracle");
-}
-
-std::pair<std::string_view, std::string_view> splitKv(std::string_view token) {
-    const auto eq = token.find('=');
-    if (eq == std::string_view::npos) {
-        throw ParseError("oracle token is not key=value: " + std::string(token));
-    }
-    return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-std::vector<std::string_view> tokenize(std::string_view line) {
-    std::vector<std::string_view> tokens;
-    std::size_t t = 0;
-    while (t < line.size()) {
-        while (t < line.size() && line[t] == ' ') ++t;
-        std::size_t e = t;
-        while (e < line.size() && line[e] != ' ') ++e;
-        if (e > t) tokens.push_back(line.substr(t, e - t));
-        t = e;
-    }
-    return tokens;
-}
-
-}  // namespace
-
-// ===========================================================================
-// Oracle serialization
-
-std::string PackOracle::serialize() const {
-    std::ostringstream os;
-    os << "oracle v1 pack=" << pack << " quarantine=" << (expectQuarantine ? "yes" : "no")
-       << "\n";
-    if (expectAttribution) {
-        os << "attribution class=" << fleet::toString(attribution) << "\n";
-    }
-    for (const MemberFaultClass c : toleratedVerdicts) {
-        os << "verdict-allow class=" << fleet::toString(c) << "\n";
-    }
-    for (const AlarmExpectation& e : requiredAlarms) {
-        os << "require class=" << rp::toString(e.type)
-           << " accountable=" << (e.accountable ? "yes" : "no") << " min=" << e.minCount;
-        if (!e.victimContains.empty()) os << " victim=" << e.victimContains;
-        if (!e.perpetratorContains.empty()) os << " perpetrator=" << e.perpetratorContains;
-        os << "\n";
-    }
-    for (const ToleratedAlarm& t : toleratedAlarms) {
-        os << "allow class=" << rp::toString(t.type)
-           << " accountable=" << (t.accountable ? "yes" : "no") << "\n";
-    }
-    for (const RejectionExpectation& r : requiredRejections) {
-        os << "reject outcome=" << rp::toString(r.outcome) << " min=" << r.minCount << "\n";
-    }
-    return os.str();
-}
-
-PackOracle PackOracle::parse(std::string_view text) {
-    PackOracle oracle;
-    bool sawHeader = false;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const auto nl = text.find('\n', pos);
-        std::string_view line =
-            text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-        pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-        const auto tokens = tokenize(line);
-        if (tokens.empty() || tokens.front().starts_with('#')) continue;
-
-        if (tokens.front() == "oracle") {
-            if (sawHeader) throw ParseError("duplicate oracle header");
-            if (tokens.size() < 2 || tokens[1] != "v1") {
-                throw ParseError("unsupported oracle version");
-            }
-            for (std::size_t i = 2; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key == "pack") {
-                    oracle.pack = std::string(value);
-                } else if (key == "quarantine") {
-                    oracle.expectQuarantine = parseYesNo(value, "quarantine");
-                } else {
-                    throw ParseError("unknown oracle header field: " + std::string(key));
-                }
-            }
-            sawHeader = true;
-            continue;
-        }
-        if (!sawHeader) throw ParseError("oracle line before header");
-
-        if (tokens.front() == "attribution") {
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key != "class") throw ParseError("bad attribution field");
-                oracle.expectAttribution = true;
-                oracle.attribution = fleet::memberFaultClassFromString(value);
-            }
-        } else if (tokens.front() == "verdict-allow") {
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key != "class") throw ParseError("bad verdict-allow field");
-                oracle.toleratedVerdicts.push_back(fleet::memberFaultClassFromString(value));
-            }
-        } else if (tokens.front() == "require") {
-            AlarmExpectation e;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key == "class") {
-                    e.type = alarmTypeFromString(value);
-                } else if (key == "accountable") {
-                    e.accountable = parseYesNo(value, "accountable");
-                } else if (key == "min") {
-                    e.minCount = parseU64(value, "min");
-                } else if (key == "victim") {
-                    e.victimContains = std::string(value);
-                } else if (key == "perpetrator") {
-                    e.perpetratorContains = std::string(value);
-                } else {
-                    throw ParseError("unknown require field: " + std::string(key));
-                }
-            }
-            oracle.requiredAlarms.push_back(std::move(e));
-        } else if (tokens.front() == "allow") {
-            ToleratedAlarm t;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key == "class") {
-                    t.type = alarmTypeFromString(value);
-                } else if (key == "accountable") {
-                    t.accountable = parseYesNo(value, "accountable");
-                } else {
-                    throw ParseError("unknown allow field: " + std::string(key));
-                }
-            }
-            oracle.toleratedAlarms.push_back(t);
-        } else if (tokens.front() == "reject") {
-            RejectionExpectation r;
-            for (std::size_t i = 1; i < tokens.size(); ++i) {
-                const auto [key, value] = splitKv(tokens[i]);
-                if (key == "outcome") {
-                    r.outcome = fetchOutcomeFromString(value);
-                } else if (key == "min") {
-                    r.minCount = parseU64(value, "min");
-                } else {
-                    throw ParseError("unknown reject field: " + std::string(key));
-                }
-            }
-            oracle.requiredRejections.push_back(r);
-        } else {
-            throw ParseError("unexpected oracle line: " + std::string(line));
-        }
-    }
-    if (!sawHeader) throw ParseError("missing oracle header");
-    return oracle;
-}
 
 // ===========================================================================
 // Oracle diff

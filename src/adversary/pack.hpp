@@ -45,8 +45,6 @@ struct AlarmExpectation {
     std::uint64_t minCount = 1;
     std::string victimContains;
     std::string perpetratorContains;
-
-    bool operator==(const AlarmExpectation&) const = default;
 };
 
 /// An alarm shape that is allowed (attack aftermath) without being
@@ -55,8 +53,6 @@ struct AlarmExpectation {
 struct ToleratedAlarm {
     rp::AlarmType type = rp::AlarmType::MissingInformation;
     bool accountable = false;
-
-    bool operator==(const ToleratedAlarm&) const = default;
 };
 
 /// A required engine-probe rejection (the transport-level fingerprint of
@@ -64,13 +60,10 @@ struct ToleratedAlarm {
 struct RejectionExpectation {
     rp::FetchOutcome outcome = rp::FetchOutcome::Unreachable;
     std::uint64_t minCount = 1;
-
-    bool operator==(const RejectionExpectation&) const = default;
 };
 
-/// The full expected-alarm contract of one pack run. Serializes to a
-/// line-oriented text form (docs/CHAOS.md "Attack zoo") that round-trips
-/// through parse() exactly.
+/// The full expected-alarm contract of one pack run, built in code by
+/// each pack and judged by diffOracle().
 struct PackOracle {
     std::string pack;
     std::vector<AlarmExpectation> requiredAlarms;
@@ -84,11 +77,6 @@ struct PackOracle {
     bool expectAttribution = false;
     fleet::MemberFaultClass attribution = fleet::MemberFaultClass::None;
     std::vector<fleet::MemberFaultClass> toleratedVerdicts;
-
-    std::string serialize() const;
-    static PackOracle parse(std::string_view text);
-
-    bool operator==(const PackOracle&) const = default;
 };
 
 /// What a pack run actually produced, reduced to what oracles judge.

@@ -156,18 +156,6 @@ std::vector<DeadObject> AuthorityDirectory::collectNarrowingConsent(Authority& t
     return out;
 }
 
-void AuthorityDirectory::performKeyRollover(Authority& target, Repository& repo,
-                                            SimClock& clock) {
-    Authority* parent = target.parent_;
-    if (parent == nullptr) throw UsageError("cannot roll a trust anchor via its parent");
-    target.stageNewKey(repo, clock.now());
-    parent->rolloverStep1IssueSuccessor(target.name_, repo, clock.now());
-    clock.advance(options_.ts);
-    target.rolloverStep2Switch(repo, clock.now());
-    clock.advance(options_.ts);
-    parent->rolloverStep3Finish(target.name_, repo, clock.now());
-}
-
 // ===========================================================================
 // Authority
 
@@ -291,10 +279,6 @@ void Authority::writePoint(Repository& repo) const {
     }
     std::sort(hints.entries.begin(), hints.entries.end());
     repo.putFile(pubPointUri_, kHintsName, hints.encode());
-}
-
-void Authority::republishCurrentState(Repository& repo) const {
-    writePoint(repo);
 }
 
 ResourceCert Authority::makeChildCert(const std::string& childName, const std::string& fileName,

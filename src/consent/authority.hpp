@@ -80,12 +80,6 @@ public:
     std::vector<DeadObject> collectNarrowingConsent(Authority& target,
                                                     const ResourceSet& removed);
 
-    /// Full Appendix-A key rollover for `target`, driven against `repo`.
-    /// Advances `clock` by the required ts waits. The caller's relying
-    /// parties must sync between steps; use the step functions on Authority
-    /// for manual control.
-    void performKeyRollover(Authority& target, Repository& repo, SimClock& clock);
-
     std::uint64_t nextSeed() { return seed_ += 0x9e3779b97f4a7c15ULL; }
     const AuthorityOptions& options() const { return options_; }
 
@@ -210,9 +204,6 @@ public:
     /// repositories. Returns the fork (owned by the directory under
     /// name + "#mirror").
     Authority& unsafeForkForMirrorWorld();
-    /// Publishes the current point state (without a new manifest) into
-    /// `repo` — used to replay stale states.
-    void republishCurrentState(Repository& repo) const;
 
     // --- introspection ------------------------------------------------------
     std::uint64_t manifestNumber() const { return currentManifest().number; }

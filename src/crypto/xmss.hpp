@@ -29,9 +29,6 @@ struct PublicKey {
 
     Bytes toBytes() const;
     static PublicKey fromBytes(ByteView data);
-
-    /// Stable identifier for log output.
-    std::string shortId() const { return root.shortHex(); }
 };
 
 /// Parsed signature. Usually handled in serialized form (Bytes).
@@ -66,7 +63,6 @@ public:
     Bytes sign(ByteView message);
     Bytes sign(std::string_view message);
 
-    std::uint64_t signaturesUsed() const { return nextLeaf_; }
     std::uint64_t signaturesRemaining() const { return tree_.leafCount() - nextLeaf_; }
 
     /// Deliberately duplicates the signer, INCLUDING its one-time-key

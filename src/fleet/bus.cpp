@@ -2,28 +2,9 @@
 
 #include <algorithm>
 
-#include "fleet/textutil.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::fleet {
-
-std::string_view toString(LinkFaultKind k) {
-    switch (k) {
-        case LinkFaultKind::Lose: return "lose";
-        case LinkFaultKind::Delay: return "delay";
-        case LinkFaultKind::Corrupt: return "corrupt";
-        case LinkFaultKind::Partition: return "partition";
-    }
-    return "unknown";
-}
-
-LinkFaultKind linkFaultKindFromString(std::string_view s) {
-    if (s == "lose") return LinkFaultKind::Lose;
-    if (s == "delay") return LinkFaultKind::Delay;
-    if (s == "corrupt") return LinkFaultKind::Corrupt;
-    if (s == "partition") return LinkFaultKind::Partition;
-    throw ParseError("unknown link-fault kind: " + std::string(s));
-}
 
 bool LinkFault::matches(std::uint32_t f, std::uint32_t t, std::uint64_t e) const {
     if (!activeAt(e)) return false;
@@ -39,41 +20,6 @@ bool LinkFault::matches(std::uint32_t f, std::uint32_t t, std::uint64_t e) const
     if (from != kMatchAny && from != f) return false;
     if (to != kMatchAny && to != t) return false;
     return true;
-}
-
-std::string LinkFault::str() const {
-    const auto endpoint = [](std::uint32_t id) {
-        return id == kMatchAny ? std::string("any") : std::to_string(id);
-    };
-    return "linkfault kind=" + std::string(toString(kind)) + " from=" + endpoint(from) +
-           " to=" + endpoint(to) + " epoch=" + std::to_string(epoch) +
-           " epochs=" + std::to_string(epochs) + " param=" + std::to_string(param);
-}
-
-LinkFault LinkFault::parseLine(std::string_view line) {
-    LinkFault f;
-    const auto endpoint = [](std::string_view v, const char* field) -> std::uint32_t {
-        if (v == "any") return LinkFault::kMatchAny;
-        return static_cast<std::uint32_t>(parseU64(v, field));
-    };
-    for (const auto& [key, value] : detail::keyValueTokens(line, "linkfault")) {
-        if (key == "kind") {
-            f.kind = linkFaultKindFromString(value);
-        } else if (key == "from") {
-            f.from = endpoint(value, "from");
-        } else if (key == "to") {
-            f.to = endpoint(value, "to");
-        } else if (key == "epoch") {
-            f.epoch = parseU64(value, "epoch");
-        } else if (key == "epochs") {
-            f.epochs = static_cast<std::uint32_t>(parseU64(value, "epochs"));
-        } else if (key == "param") {
-            f.param = parseU64(value, "param");
-        } else {
-            throw ParseError("linkfault line has unknown key: " + std::string(key));
-        }
-    }
-    return f;
 }
 
 void MessageBus::send(std::uint32_t from, std::uint32_t to, std::uint64_t epoch,

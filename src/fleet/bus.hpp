@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -28,9 +27,6 @@ enum class LinkFaultKind : std::uint8_t {
     Corrupt = 2,    ///< bit `param` (mod payload bits) flipped in flight
     Partition = 3,  ///< `param` is a member bitmask; the two sides cannot talk
 };
-
-std::string_view toString(LinkFaultKind k);
-LinkFaultKind linkFaultKindFromString(std::string_view s);
 
 /// One scheduled link fault, active for epochs [epoch, epoch + epochs).
 /// `from`/`to` of kMatchAny match every endpoint (Partition ignores both
@@ -47,11 +43,6 @@ struct LinkFault {
 
     bool activeAt(std::uint64_t e) const { return e >= epoch && e - epoch < epochs; }
     bool matches(std::uint32_t f, std::uint32_t t, std::uint64_t e) const;
-
-    std::string str() const;
-    static LinkFault parseLine(std::string_view line);
-
-    bool operator==(const LinkFault&) const = default;
 };
 
 /// A message as the recipient sees it.

@@ -7,20 +7,6 @@
 
 namespace rpkic::fleet {
 
-namespace {
-
-rp::AlarmType alarmTypeFromToken(std::string_view s) {
-    if (s == "missing-information") return rp::AlarmType::MissingInformation;
-    if (s == "bad-key-rollover") return rp::AlarmType::BadKeyRollover;
-    if (s == "invalid-syntax") return rp::AlarmType::InvalidSyntax;
-    if (s == "child-too-broad") return rp::AlarmType::ChildTooBroad;
-    if (s == "unilateral-revocation") return rp::AlarmType::UnilateralRevocation;
-    if (s == "global-inconsistency") return rp::AlarmType::GlobalInconsistency;
-    throw ParseError("unknown table-7 class: " + std::string(s));
-}
-
-}  // namespace
-
 std::string_view toString(MemberFaultClass c) {
     switch (c) {
         case MemberFaultClass::None: return "none";
@@ -29,14 +15,6 @@ std::string_view toString(MemberFaultClass c) {
         case MemberFaultClass::MirrorFed: return "mirror-fed";
     }
     return "unknown";
-}
-
-MemberFaultClass memberFaultClassFromString(std::string_view s) {
-    if (s == "none") return MemberFaultClass::None;
-    if (s == "crashed") return MemberFaultClass::Crashed;
-    if (s == "stalled") return MemberFaultClass::Stalled;
-    if (s == "mirror-fed") return MemberFaultClass::MirrorFed;
-    throw ParseError("unknown member-fault class: " + std::string(s));
 }
 
 std::string_view toString(ConsensusOutcome o) {
@@ -48,43 +26,12 @@ std::string_view toString(ConsensusOutcome o) {
     return "unknown";
 }
 
-ConsensusOutcome consensusOutcomeFromString(std::string_view s) {
-    if (s == "unanimous") return ConsensusOutcome::Unanimous;
-    if (s == "quorum") return ConsensusOutcome::Quorum;
-    if (s == "no-quorum") return ConsensusOutcome::NoQuorum;
-    throw ParseError("unknown consensus outcome: " + std::string(s));
-}
-
 std::string MemberVerdict::str(std::uint64_t epoch) const {
     detail::requireTranscriptSafe(detail.empty() ? "-" : detail, "verdict detail");
     return "verdict epoch=" + std::to_string(epoch) + " member=" + std::to_string(member) +
            " class=" + std::string(toString(cls)) + " table7=" + std::string(rp::toString(table7)) +
            " accountable=" + (accountable ? "true" : "false") +
            " detail=" + (detail.empty() ? "-" : detail);
-}
-
-MemberVerdict MemberVerdict::parseLine(std::string_view line, std::uint64_t* epochOut) {
-    MemberVerdict v;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "verdict")) {
-        if (key == "epoch") {
-            if (epochOut != nullptr) *epochOut = parseU64(value, "epoch");
-        } else if (key == "member") {
-            v.member = static_cast<std::uint32_t>(parseU64(value, "member"));
-        } else if (key == "class") {
-            v.cls = memberFaultClassFromString(value);
-        } else if (key == "table7") {
-            v.table7 = alarmTypeFromToken(value);
-        } else if (key == "accountable") {
-            if (value != "true" && value != "false") throw ParseError("bad accountable flag");
-            v.accountable = value == "true";
-        } else if (key == "detail") {
-            if (value != "-") detail::requireParsedTokenSafe(value, "verdict detail");
-            v.detail = value == "-" ? std::string() : std::string(value);
-        } else {
-            throw ParseError("verdict line has unknown key: " + std::string(key));
-        }
-    }
-    return v;
 }
 
 std::string EpochDecision::str() const {
@@ -101,31 +48,6 @@ std::string EpochDecision::str() const {
         }
     }
     return out;
-}
-
-EpochDecision EpochDecision::parseDecisionLine(std::string_view line) {
-    EpochDecision d;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "decision")) {
-        if (key == "epoch") {
-            d.epoch = parseU64(value, "epoch");
-        } else if (key == "outcome") {
-            d.outcome = consensusOutcomeFromString(value);
-        } else if (key == "hash") {
-            d.winningHash = Digest::fromHex(value);
-        } else if (key == "agree") {
-            d.agreeing = static_cast<std::uint32_t>(parseU64(value, "agree"));
-        } else if (key == "votes") {
-            d.votesSeen = static_cast<std::uint32_t>(parseU64(value, "votes"));
-        } else if (key == "winners") {
-            if (value == "-") continue;
-            for (std::string_view item : detail::splitList(value, ',')) {
-                d.winners.push_back(static_cast<std::uint32_t>(parseU64(item, "winner")));
-            }
-        } else {
-            throw ParseError("decision line has unknown key: " + std::string(key));
-        }
-    }
-    return d;
 }
 
 ConsensusTracker::ConsensusTracker(std::uint32_t members, std::uint32_t quorum)

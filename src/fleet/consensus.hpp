@@ -50,7 +50,6 @@ enum class MemberFaultClass : std::uint8_t {
 };
 
 std::string_view toString(MemberFaultClass c);
-MemberFaultClass memberFaultClassFromString(std::string_view s);
 
 enum class ConsensusOutcome : std::uint8_t {
     Unanimous = 0,  ///< every expected member voted for the winner
@@ -59,7 +58,6 @@ enum class ConsensusOutcome : std::uint8_t {
 };
 
 std::string_view toString(ConsensusOutcome o);
-ConsensusOutcome consensusOutcomeFromString(std::string_view s);
 
 /// The quorum's judgment of one masked member.
 struct MemberVerdict {
@@ -70,9 +68,6 @@ struct MemberVerdict {
     std::string detail;  ///< single token (transcript-safe), e.g. evidence point
 
     std::string str(std::uint64_t epoch) const;
-    static MemberVerdict parseLine(std::string_view line, std::uint64_t* epochOut);
-
-    bool operator==(const MemberVerdict&) const = default;
 };
 
 /// What one epoch of consensus decided.
@@ -86,9 +81,6 @@ struct EpochDecision {
     std::vector<MemberVerdict> verdicts;      ///< masked members (quorum epochs only)
 
     std::string str() const;
-    static EpochDecision parseDecisionLine(std::string_view line);
-
-    bool operator==(const EpochDecision&) const = default;
 };
 
 /// Per-epoch consensus engine. Stateful: quorum epochs feed the winner's

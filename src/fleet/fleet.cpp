@@ -10,6 +10,7 @@
 #include "fleet/textutil.hpp"
 #include "sim/harness.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::fleet {
 
@@ -21,16 +22,6 @@ using sim::MemberProcess;
 
 namespace {
 
-std::string_view faultSpecToken(MemberFaultClass c) {
-    switch (c) {
-        case MemberFaultClass::Crashed: return "crash";
-        case MemberFaultClass::Stalled: return "stall";
-        case MemberFaultClass::MirrorFed: return "mirror";
-        case MemberFaultClass::None: break;
-    }
-    throw UsageError("member fault spec cannot carry class 'none'");
-}
-
 MemberFaultClass faultSpecClassFromToken(std::string_view s) {
     if (s == "crash") return MemberFaultClass::Crashed;
     if (s == "stall") return MemberFaultClass::Stalled;
@@ -40,23 +31,16 @@ MemberFaultClass faultSpecClassFromToken(std::string_view s) {
 
 }  // namespace
 
-std::string MemberFaultSpec::str() const {
-    std::string out = std::to_string(member) + ":" + std::string(faultSpecToken(cls)) + ":" +
-                      std::to_string(fromEpoch);
-    if (epochs != kToEnd) out += ":" + std::to_string(epochs);
-    return out;
-}
-
 MemberFaultSpec MemberFaultSpec::parse(std::string_view spec) {
     const auto parts = detail::splitList(spec, ':');
     if (parts.size() < 2 || parts.size() > 4) {
         throw ParseError("member fault spec is not member:kind[:from[:len]]: " + std::string(spec));
     }
     MemberFaultSpec s;
-    s.member = static_cast<std::uint32_t>(parseU64(parts[0], "member"));
+    s.member = parseU32(parts[0], "member");
     s.cls = faultSpecClassFromToken(parts[1]);
     if (parts.size() >= 3) s.fromEpoch = parseU64(parts[2], "from-epoch");
-    if (parts.size() == 4) s.epochs = static_cast<std::uint32_t>(parseU64(parts[3], "len"));
+    if (parts.size() == 4) s.epochs = parseU32(parts[3], "len");
     return s;
 }
 

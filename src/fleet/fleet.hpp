@@ -62,7 +62,6 @@ struct MemberFaultSpec {
         return e >= fromEpoch && (epochs == kToEnd || e - fromEpoch < epochs);
     }
 
-    std::string str() const;
     static MemberFaultSpec parse(std::string_view spec);
     /// Parses a comma-separated list ("" = none).
     static std::vector<MemberFaultSpec> parseSet(std::string_view set);

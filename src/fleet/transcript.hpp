@@ -4,8 +4,8 @@
 // The transcript is the fleet's reproducibility artifact, in the same
 // spirit as FaultPlan::serialize(): a failing run prints (or dumps via
 // --transcript-out) its transcript, and the acceptance criterion is that
-// the bytes are identical at every thread count. serialize() and parse()
-// round-trip exactly; fuzz_consensus hammers parse() with arbitrary text.
+// the bytes are identical at every thread count. Nothing reads it back:
+// it is compared byte for byte (`cmp` in CI, SHA-256 in the golden test).
 #pragma once
 
 #include <cstdint>
@@ -27,9 +27,6 @@ struct LocalOutcome {
     std::uint32_t votesSeen = 0;
 
     std::string str(std::uint64_t epoch) const;
-    static LocalOutcome parseLine(std::string_view line, std::uint64_t* epochOut);
-
-    bool operator==(const LocalOutcome&) const = default;
 };
 
 struct TranscriptEpoch {
@@ -41,8 +38,6 @@ struct TranscriptEpoch {
     std::vector<LocalOutcome> locals;
     bool hasOutput = false;
     std::uint64_t outputRoas = 0;
-
-    bool operator==(const TranscriptEpoch&) const = default;
 };
 
 struct FleetTranscript {
@@ -52,11 +47,8 @@ struct FleetTranscript {
     std::uint64_t epochs = 0;
     std::vector<TranscriptEpoch> rows;
 
-    /// Canonical text; parse(serialize()) == *this.
+    /// Canonical text.
     std::string serialize() const;
-    static FleetTranscript parse(std::string_view text);
-
-    bool operator==(const FleetTranscript&) const = default;
 };
 
 }  // namespace rpkic::fleet

@@ -92,42 +92,6 @@ std::string VrpVote::str() const {
     return out;
 }
 
-VrpVote VrpVote::parseLine(std::string_view line) {
-    VrpVote v;
-    bool sawClaims = false;
-    for (const auto& [key, value] : detail::keyValueTokens(line, "vote")) {
-        if (key == "member") {
-            v.member = static_cast<std::uint32_t>(parseU64(value, "member"));
-        } else if (key == "epoch") {
-            v.epoch = parseU64(value, "epoch");
-        } else if (key == "hash") {
-            v.vrpHash = Digest::fromHex(value);
-        } else if (key == "roas") {
-            v.vrpCount = parseU64(value, "roas");
-        } else if (key == "claims") {
-            sawClaims = true;
-            if (value == "-") continue;
-            for (std::string_view item : detail::splitList(value, ',')) {
-                const auto parts = detail::splitList(item, '@');
-                if (parts.size() != 3) throw ParseError("vote claim is not point@number@hash");
-                VoteClaim c;
-                detail::requireParsedTokenSafe(parts[0], "vote claim point uri");
-                c.pointUri = std::string(parts[0]);
-                c.number = parseU64(parts[1], "claim number");
-                c.bodyHash = Digest::fromHex(parts[2]);
-                if (!v.claims.empty() && !(v.claims.back().pointUri < c.pointUri)) {
-                    throw ParseError("vote claims not strictly sorted by point");
-                }
-                v.claims.push_back(std::move(c));
-            }
-        } else {
-            throw ParseError("vote line has unknown key: " + std::string(key));
-        }
-    }
-    if (!sawClaims) throw ParseError("vote line missing claims field");
-    return v;
-}
-
 VrpVote VrpVote::cast(const rp::RelyingParty& rp, std::uint32_t member, std::uint64_t epoch,
                       const std::string& stateText, std::uint64_t vrpCount) {
     VrpVote v;

@@ -57,9 +57,8 @@ struct VrpVote {
     /// member and epoch, so honest members share one identity per epoch.
     Digest identity() const;
 
-    /// One-line form used in transcripts; round-trips through parseLine().
+    /// One-line form used in transcripts.
     std::string str() const;
-    static VrpVote parseLine(std::string_view line);
 
     /// `rp`'s vote for `epoch`, given the stateToText form of its VRP
     /// state and that state's size.

@@ -64,11 +64,6 @@ bool ResourceSet::containsPrefix(const IpPrefix& p) const {
     return v6_.containsRange(p.firstAddress(), p.lastAddress());
 }
 
-bool ResourceSet::containsAsn(Asn asn) const {
-    if (inherit_) throw UsageError("inherit set has no resources of its own");
-    return asns_.contains(asn);
-}
-
 namespace {
 template <typename T>
 bool setSubset(const IntervalSet<T>& a, const IntervalSet<T>& b) {

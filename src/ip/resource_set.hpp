@@ -40,7 +40,6 @@ public:
     void addRangeV6(const U128& lo, const U128& hi);
 
     bool containsPrefix(const IpPrefix& p) const;
-    bool containsAsn(Asn asn) const;
 
     /// RFC 3779 subset check. An inherit set is a subset of anything (its
     /// effective resources are defined by the parent); nothing but another

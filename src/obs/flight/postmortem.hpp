@@ -12,8 +12,8 @@
 //    histograms as observation counts only — bucket shapes and sums
 //    depend on clock-read interleaving, counts do not.
 //
-// The format is parseable (parsePostmortem) so tests and tooling can
-// assert on bundle structure, not just bytes.
+// Nothing parses a bundle back: it is forensic text for a reader, and
+// tests assert on its lines.
 #pragma once
 
 #include <string>
@@ -24,19 +24,6 @@
 #include "obs/metrics.hpp"
 
 namespace rpkic::obs {
-
-/// A parsed (or to-be-built) postmortem bundle.
-struct PostmortemBundle {
-    int version = 1;
-    std::string trigger;  ///< e.g. "invariant-fail", "crash-realized", "fatal-signal"
-    std::vector<std::pair<std::string, std::string>> context;  ///< ordered key/value rows
-    std::vector<std::string> openScopes;  ///< outermost first
-    std::uint64_t droppedEvents = 0;
-    std::vector<FlightEvent> events;  ///< sequence order
-    /// Metric digest rows: "name{labels} value" for counters/gauges,
-    /// "name_count{labels} N" for histograms.
-    std::vector<std::string> metrics;
-};
 
 /// A bundle captured mid-run, carried out of a harness in its result so
 /// the caller (tool, test, CI job) decides where the bytes land.
@@ -56,10 +43,6 @@ std::string renderFlightEvents(const std::vector<FlightEvent>& events);
 std::string buildPostmortem(const FlightRecorder& recorder, const Registry* registry,
                             const std::string& trigger,
                             const std::vector<std::pair<std::string, std::string>>& context);
-
-/// Parses bundle text. Throws ParseError on malformed input (missing
-/// magic, bad section headers, unparseable event lines).
-PostmortemBundle parsePostmortem(const std::string& text);
 
 /// Installs best-effort fatal-signal handlers (SIGSEGV, SIGABRT, SIGBUS,
 /// SIGFPE, SIGILL) that serialize a bundle from the global recorder and

@@ -371,11 +371,6 @@ void Registry::reset() {
     families_.clear();
 }
 
-std::size_t Registry::familyCount() const {
-    rc::LockGuard lock(mutex_);
-    return families_.size();
-}
-
 Registry& Registry::global() {
     static Registry instance;
     return instance;

@@ -173,8 +173,6 @@ public:
     /// (tests only; production registries live for the process).
     void reset() RC_EXCLUDES(mutex_);
 
-    std::size_t familyCount() const RC_EXCLUDES(mutex_);
-
     /// The process-wide default registry the instrumentation layer uses.
     static Registry& global();
 

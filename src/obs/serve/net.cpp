@@ -184,18 +184,16 @@ struct SocketServer::Loop {
             }
             NetSession session;
             session.fd = fd;
-            auto [it, inserted] = sessions.emplace(fd, std::move(session));
+            sessions.emplace(fd, std::move(session));
             open.store(sessions.size(), std::memory_order_relaxed);
             if (sessionsTotal != nullptr) sessionsTotal->inc();
             if (sessionsOpenGauge != nullptr) sessionsOpenGauge->add(1);
-            protocol->onOpen(it->second);
         }
     }
 
     void dropSession(int fd, DropReason reason) {
         const auto it = sessions.find(fd);
         if (it == sessions.end()) return;
-        protocol->onClose(it->second, reason);
         ::close(fd);
         sessions.erase(it);
         open.store(sessions.size(), std::memory_order_relaxed);
@@ -359,7 +357,7 @@ struct SocketServer::Loop {
             }
             for (const auto& [fd, reason] : toDrop) dropSession(fd, reason);
         }
-        // Orderly shutdown: every remaining session gets its onClose.
+        // Orderly shutdown: close every remaining session.
         while (!sessions.empty()) dropSession(sessions.begin()->first, DropReason::ServerStop);
     }
 };

@@ -77,15 +77,6 @@ public:
     /// the front (erase what was parsed), queue output via send(), set
     /// closeAfterWrite/dropNow to end the session.
     virtual void onData(NetSession& session) = 0;
-
-    /// Called once per accepted connection, before any data arrives.
-    virtual void onOpen(NetSession& session) { (void)session; }
-
-    /// Called as the session leaves the table (fd still open).
-    virtual void onClose(NetSession& session, DropReason reason) {
-        (void)session;
-        (void)reason;
-    }
 };
 
 class SocketServer {

@@ -69,15 +69,4 @@ bool AlarmLog::has(AlarmType t) const {
                        [t](const Alarm& a) { return a.type == t; });
 }
 
-bool AlarmLog::hasVictim(AlarmType t, const std::string& victimSubstring) const {
-    return std::any_of(alarms_.begin(), alarms_.end(), [&](const Alarm& a) {
-        return a.type == t && a.victim.find(victimSubstring) != std::string::npos;
-    });
-}
-
-std::size_t AlarmLog::countSince(Time t) const {
-    return static_cast<std::size_t>(std::count_if(
-        alarms_.begin(), alarms_.end(), [t](const Alarm& a) { return a.raisedAt >= t; }));
-}
-
 }  // namespace rpkic::rp

@@ -70,9 +70,7 @@ public:
     const std::vector<Alarm>& all() const { return alarms_; }
     std::vector<Alarm> ofType(AlarmType t) const;
     bool has(AlarmType t) const;
-    bool hasVictim(AlarmType t, const std::string& victimSubstring) const;
     std::size_t count() const { return alarms_.size(); }
-    std::size_t countSince(Time t) const;
 
 private:
     std::vector<Alarm> alarms_;

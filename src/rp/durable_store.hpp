@@ -114,7 +114,6 @@ public:
     /// LSN of the latest commit (0 if none; LSNs start at 1).
     std::uint64_t latestLsn() const { return lastLsn_; }
 
-    bool isOpen() const { return open_; }
     bool isPoisoned() const { return poisoned_; }
     const RecoveryReport& lastRecovery() const { return lastRecovery_; }
 

@@ -1,7 +1,6 @@
 #include "rp/sync_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "rp/durable_store.hpp"
 #include "rp/file_index.hpp"
@@ -38,7 +37,12 @@ SyncEngine::SyncEngine(RelyingParty& rp, SnapshotSource& source, SyncPolicy poli
       source_(&source),
       policy_(policy),
       registry_(registry != nullptr ? registry : &obs::Registry::global()) {
-    if (policy_.maxAttempts == 0) policy_.maxAttempts = 1;
+    if (policy_.maxAttempts < 1 || policy_.maxAttempts > SyncPolicy::kMaxAttempts) {
+        throw UsageError("sync attempts per point must be in [1, " +
+                         std::to_string(SyncPolicy::kMaxAttempts) + "] (retry budget <= " +
+                         std::to_string(SyncPolicy::kMaxAttempts - 1) + "), got " +
+                         std::to_string(policy_.maxAttempts));
+    }
     const obs::Labels rpLabel{{"rp", rp_->name()}};
     roundsTotal_ = &registry_->counter("rc_sync_rounds_total",
                                        "Sync rounds the engine has run", rpLabel);
@@ -153,21 +157,19 @@ PointTelemetry SyncEngine::materialize(const PointState& ps) const {
     return pt;
 }
 
-const PointTelemetry* SyncEngine::telemetryFor(const std::string& pointUri) const {
+std::optional<PointTelemetry> SyncEngine::telemetryFor(const std::string& pointUri) const {
     const auto it = points_.find(pointUri);
-    if (it == points_.end()) return nullptr;
-    PointTelemetry& view = telemetryView_[pointUri];
-    view = materialize(it->second);
-    return &view;
+    if (it == points_.end()) return std::nullopt;
+    return materialize(it->second);
 }
 
-const std::map<std::string, PointTelemetry>& SyncEngine::telemetry() const {
-    telemetryView_.clear();
-    for (const auto& [uri, ps] : points_) telemetryView_.emplace(uri, materialize(ps));
-    return telemetryView_;
+std::map<std::string, PointTelemetry> SyncEngine::telemetry() const {
+    std::map<std::string, PointTelemetry> out;
+    for (const auto& [uri, ps] : points_) out.emplace(uri, materialize(ps));
+    return out;
 }
 
-const EngineTotals& SyncEngine::totals() const {
+EngineTotals SyncEngine::totals() const {
     EngineTotals t;
     t.rounds = roundsTotal_->value();
     t.alarmsRaised = alarmsEscalated_->value();
@@ -178,8 +180,7 @@ const EngineTotals& SyncEngine::totals() const {
         t.pointRoundsFailed += ps.roundsFailed->value();
         t.backoffSpent += static_cast<Duration>(ps.backoffTicks->value());
     }
-    totalsView_ = t;
-    return totalsView_;
+    return t;
 }
 
 FetchOutcome SyncEngine::probe(const PointState& ps, const FileMap& files,
@@ -245,9 +246,7 @@ SyncReport SyncEngine::syncRound(Time now) {
                 ps.retries->inc();
                 ++report.retries;
                 ++retriesUsed;
-                const Duration backoff = static_cast<Duration>(std::llround(
-                    static_cast<double>(policy_.initialBackoff) *
-                    std::pow(policy_.backoffMultiplier, static_cast<double>(attempt - 1))));
+                const Duration backoff = Duration{1} << (attempt - 1);
                 ps.backoffTicks->inc(static_cast<std::uint64_t>(backoff));
                 report.backoffSpent += backoff;
             }

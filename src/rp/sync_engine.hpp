@@ -26,9 +26,8 @@
 //  * telemetry: every counter lives in an obs::Registry (rc_sync_* metric
 //    families; see docs/OBSERVABILITY.md), so one Prometheus scrape of the
 //    registry shows exactly what the transport discipline did. The
-//    PointTelemetry / EngineTotals accessors below are materialized views
-//    over those registry counters — kept so harnesses and tests written
-//    against the original in-struct counters run unchanged.
+//    PointTelemetry / EngineTotals accessors below return values read
+//    from those registry counters on each call.
 #pragma once
 
 #include <array>
@@ -36,6 +35,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,14 +70,16 @@ enum class PointHealth : std::uint8_t {
 std::string_view toString(PointHealth h);
 
 struct SyncPolicy {
-    /// Fetch attempts per point per round (1 = no retries).
+    /// Upper bound on maxAttempts: keeps the doubling backoff and its
+    /// per-point tick sum far from overflow.
+    static constexpr std::uint32_t kMaxAttempts = 32;
+
+    /// Fetch attempts per point per round (1 = no retries), in
+    /// [1, kMaxAttempts]; SyncEngine's constructor throws UsageError
+    /// otherwise. The backoff before retry k (k >= 1) is 2^(k-1) ticks,
+    /// accumulated as telemetry (retries happen within one simulated tick;
+    /// the cost is accounted, not clocked).
     std::uint32_t maxAttempts = 3;
-    /// Backoff before retry k (k >= 1) is
-    /// initialBackoff * backoffMultiplier^(k-1), accumulated as telemetry
-    /// (retries happen within one simulated tick; the cost is accounted,
-    /// not clocked).
-    Duration initialBackoff = 1;
-    double backoffMultiplier = 2.0;
     /// Consecutive fully-failed rounds before a point is quarantined.
     std::uint32_t quarantineAfter = 3;
 };
@@ -185,9 +187,10 @@ public:
     const RelyingParty& relyingParty() const { return *rp_; }
 
     PointHealth healthOf(const std::string& pointUri) const;
-    const PointTelemetry* telemetryFor(const std::string& pointUri) const;
-    const std::map<std::string, PointTelemetry>& telemetry() const;
-    const EngineTotals& totals() const;
+    /// nullopt for a point the engine has never fetched.
+    std::optional<PointTelemetry> telemetryFor(const std::string& pointUri) const;
+    std::map<std::string, PointTelemetry> telemetry() const;
+    EngineTotals totals() const;
     const std::vector<SyncReport>& reports() const { return reports_; }
 
 private:
@@ -239,11 +242,6 @@ private:
     obs::Counter* alarmsEscalated_ = nullptr;
     obs::Histogram* fetchLatency_ = nullptr;
     std::array<obs::Gauge*, 4> healthGauges_{};  // by PointHealth
-
-    // Materialized views (registry reads on access; mutable caches so the
-    // original by-reference accessor signatures keep working).
-    mutable std::map<std::string, PointTelemetry> telemetryView_;
-    mutable EngineTotals totalsView_;
 };
 
 }  // namespace rpkic::rp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "rpki/encoding.hpp"
 #include "rpki/objects.hpp"
 #include "util/errors.hpp"
 #include "util/parse.hpp"
@@ -12,15 +11,6 @@ namespace rpkic {
 
 // ===========================================================================
 // Sources
-
-Snapshot SnapshotSource::fetchAll(std::uint64_t round) {
-    Snapshot out;
-    for (const std::string& uri : listPoints(round)) {
-        auto files = fetchPoint(uri, round, /*attempt=*/0);
-        if (files.has_value()) out.points.emplace(uri, std::move(*files));
-    }
-    return out;
-}
 
 std::vector<std::string> RepositorySource::listPoints(std::uint64_t round) {
     (void)round;
@@ -163,16 +153,13 @@ FaultPlan FaultPlan::parse(std::string_view text) {
                 } else if (key == "rounds") {
                     plan.rounds = parseU64(value, "rounds");
                 } else if (key == "retry") {
-                    plan.retryBudget =
-                        static_cast<std::uint32_t>(parseU64(value, "retry"));
+                    plan.retryBudget = parseU32(value, "retry");
                 } else if (key == "adversarial-ppm") {
-                    plan.adversarialPpm =
-                        static_cast<std::uint32_t>(parseU64(value, "adversarial-ppm"));
+                    plan.adversarialPpm = parseU32(value, "adversarial-ppm");
                 } else if (key == "stall-horizon") {
                     plan.stallHorizon = parseU64(value, "stall-horizon");
                 } else if (key == "crash-every") {
-                    plan.crashEvery =
-                        static_cast<std::uint32_t>(parseU64(value, "crash-every"));
+                    plan.crashEvery = parseU32(value, "crash-every");
                 } else if (key == "pack") {
                     plan.pack = std::string(value);
                 } else {
@@ -202,11 +189,9 @@ FaultPlan FaultPlan::parse(std::string_view text) {
             } else if (key == "round") {
                 f.round = parseU64(value, "round");
             } else if (key == "rounds") {
-                f.rounds = static_cast<std::uint32_t>(parseU64(value, "rounds"));
+                f.rounds = parseU32(value, "rounds");
             } else if (key == "attempts") {
-                f.attempts = value == "all"
-                                 ? Fault::kAllAttempts
-                                 : static_cast<std::uint32_t>(parseU64(value, "attempts"));
+                f.attempts = value == "all" ? Fault::kAllAttempts : parseU32(value, "attempts");
             } else if (key == "param") {
                 f.param = parseU64(value, "param");
             } else {
@@ -221,67 +206,6 @@ FaultPlan FaultPlan::parse(std::string_view text) {
         plan.faults.push_back(std::move(f));
     }
     if (!sawHeader) throw ParseError("missing fault-plan header");
-    return plan;
-}
-
-namespace {
-constexpr std::uint32_t kPlanMagic = 0x46504c31;  // "FPL1"
-}  // namespace
-
-Bytes FaultPlan::encode() const {
-    Encoder e;
-    e.u32(kPlanMagic);
-    e.u64(seed);
-    e.u64(rounds);
-    e.u32(retryBudget);
-    e.u32(adversarialPpm);
-    e.u64(stallHorizon);
-    e.u32(crashEvery);
-    e.u32(static_cast<std::uint32_t>(faults.size()));
-    for (const Fault& f : faults) {
-        e.u8(static_cast<std::uint8_t>(f.kind));
-        e.str(f.pointUri);
-        e.str(f.filename);
-        e.u64(f.round);
-        e.u32(f.rounds);
-        e.u32(f.attempts);
-        e.u64(f.param);
-    }
-    // Trailing optional field: absent for plain chaos plans, so pre-attack-
-    // zoo encodings stay byte-identical and still decode (see decode()).
-    if (!pack.empty()) e.str(pack);
-    return e.take();
-}
-
-FaultPlan FaultPlan::decode(ByteView data) {
-    Decoder d(data);
-    if (d.u32() != kPlanMagic) throw ParseError("not a fault plan (bad magic)");
-    FaultPlan plan;
-    plan.seed = d.u64();
-    plan.rounds = d.u64();
-    plan.retryBudget = d.u32();
-    plan.adversarialPpm = d.u32();
-    plan.stallHorizon = d.u64();
-    plan.crashEvery = d.u32();
-    const std::uint32_t n = d.u32();
-    if (n > 10000000) throw ParseError("implausible fault count");
-    for (std::uint32_t i = 0; i < n; ++i) {
-        Fault f;
-        const std::uint8_t kind = d.u8();
-        if (kind > static_cast<std::uint8_t>(FaultKind::kLast)) {
-            throw ParseError("bad fault kind in plan");
-        }
-        f.kind = static_cast<FaultKind>(kind);
-        f.pointUri = d.str();
-        f.filename = d.str();
-        f.round = d.u64();
-        f.rounds = d.u32();
-        f.attempts = d.u32();
-        f.param = d.u64();
-        plan.faults.push_back(std::move(f));
-    }
-    if (!d.atEnd()) plan.pack = d.str();
-    d.expectEnd();
     return plan;
 }
 

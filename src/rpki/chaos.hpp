@@ -63,10 +63,6 @@ public:
     /// index within that round. nullopt = point unreachable this attempt.
     virtual std::optional<FileMap> fetchPoint(const std::string& pointUri, std::uint64_t round,
                                               std::uint32_t attempt) = 0;
-
-    /// Convenience: assemble a whole-repository snapshot with one attempt
-    /// per point (what the legacy RelyingParty::sync path consumed).
-    Snapshot fetchAll(std::uint64_t round);
 };
 
 /// The honest source: serves the live Repository verbatim.
@@ -168,10 +164,6 @@ struct FaultPlan {
     /// Line-oriented text encoding; round-trips through parse() exactly.
     std::string serialize() const;
     static FaultPlan parse(std::string_view text);
-
-    /// Compact TLV encoding; round-trips through decode() exactly.
-    Bytes encode() const;
-    static FaultPlan decode(ByteView data);
 
     bool operator==(const FaultPlan&) const = default;
 };

@@ -68,10 +68,10 @@ bool chainLagging(const RelyingParty& chaotic, const SyncEngine& engine,
     const auto pointLags = [&](const std::string& p) {
         if (p.empty()) return false;
         if (chaotic.isPointStale(p)) return true;
-        const rp::PointTelemetry* mine = engine.telemetryFor(p);
-        const rp::PointTelemetry* theirs = twinEngine.telemetryFor(p);
-        if (theirs == nullptr || !theirs->sawManifest) return false;
-        return mine == nullptr || !mine->sawManifest ||
+        const std::optional<rp::PointTelemetry> mine = engine.telemetryFor(p);
+        const std::optional<rp::PointTelemetry> theirs = twinEngine.telemetryFor(p);
+        if (!theirs.has_value() || !theirs->sawManifest) return false;
+        return !mine.has_value() || !mine->sawManifest ||
                mine->highestManifestNumber < theirs->highestManifestNumber;
     };
     std::string uri = startUri;
@@ -451,10 +451,11 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
     s.faultApplications = chaos.faultApplications();
     if (chaotic.alive()) {  // a failed restart leaves no process to read
         const SyncEngine& engine = chaotic.engine();
-        s.attempts = engine.totals().attempts;
-        s.retries = engine.totals().retries;
-        s.faultsAbsorbed = engine.totals().faultsAbsorbed;
-        s.pointRoundsFailed = engine.totals().pointRoundsFailed;
+        const rp::EngineTotals totals = engine.totals();
+        s.attempts = totals.attempts;
+        s.retries = totals.retries;
+        s.faultsAbsorbed = totals.faultsAbsorbed;
+        s.pointRoundsFailed = totals.pointRoundsFailed;
         for (const auto& [uri, pt] : engine.telemetry()) {
             s.maxStaleStreak = std::max(s.maxStaleStreak, pt.longestStaleStreak);
             s.recoveries += pt.recoveries;

@@ -232,16 +232,6 @@ const OpLogEntry& RandomScheduleDriver::step(Time now) {
     }
 }
 
-bool RandomScheduleDriver::wasUnilaterallyWhacked(const std::string& rcUri) const {
-    for (const auto& entry : log_) {
-        if (std::find(entry.unconsentedVictims.begin(), entry.unconsentedVictims.end(), rcUri) !=
-            entry.unconsentedVictims.end()) {
-            return true;
-        }
-    }
-    return false;
-}
-
 // ===========================================================================
 // Counterexamples (§5.6)
 

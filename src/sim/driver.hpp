@@ -50,9 +50,6 @@ public:
     const std::vector<OpLogEntry>& log() const { return log_; }
     std::vector<ResourceCert> trustAnchors() const;
 
-    /// True if any op so far whacked `rcUri` without consent.
-    bool wasUnilaterallyWhacked(const std::string& rcUri) const;
-
 private:
     consent::Authority* randomLiveAuthority(bool allowRoot);
     void record(Time now, std::string description, bool adversarial,

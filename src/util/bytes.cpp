@@ -38,15 +38,4 @@ Bytes fromHex(std::string_view hex) {
     return out;
 }
 
-Bytes bytesOfString(std::string_view s) {
-    return Bytes(s.begin(), s.end());
-}
-
-bool bytesEqual(ByteView a, ByteView b) {
-    if (a.size() != b.size()) return false;
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);
-    return acc == 0;
-}
-
 }  // namespace rpkic

@@ -19,10 +19,4 @@ std::string toHex(ByteView data);
 /// Inverse of toHex. Throws ParseError on odd length or non-hex characters.
 Bytes fromHex(std::string_view hex);
 
-/// Bytes of a UTF-8/ASCII string, without the terminating NUL.
-Bytes bytesOfString(std::string_view s);
-
-/// Constant-time-ish equality (not security critical here, but cheap).
-bool bytesEqual(ByteView a, ByteView b);
-
 }  // namespace rpkic

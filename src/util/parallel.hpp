@@ -95,20 +95,6 @@ public:
         return out;
     }
 
-    /// Deterministic ordered reduction: maps every index through `fn` in
-    /// parallel, then folds the results into `init` strictly in index
-    /// order on the calling thread. With a commutative-and-associative
-    /// fold this equals the parallel-tally result; with any fold it
-    /// equals the sequential one — which is why the detector uses it for
-    /// report assembly.
-    template <typename Acc, typename R>
-    Acc mapReduceOrdered(std::size_t n, Acc init, const std::function<R(std::size_t)>& fn,
-                         const std::function<void(Acc&, R&&)>& fold) {
-        std::vector<R> results = parallelMap<R>(n, fn);
-        for (R& r : results) fold(init, std::move(r));
-        return init;
-    }
-
 private:
     struct Job;
 

@@ -1,6 +1,5 @@
-// Checked decimal parsing shared by the tree's line-oriented text formats
-// (fault plans, pack oracles, fleet votes and transcripts) and by
-// command-line flags.
+// Checked decimal parsing shared by the fault-plan text form, the
+// --faulty-set spec and command-line flags.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,16 @@ inline std::uint64_t parseU64(std::string_view value, const char* field) {
         out = out * 10 + digit;
     }
     return out;
+}
+
+/// parseU64, then rejects values above UINT32_MAX: a u32 field never
+/// silently wraps.
+inline std::uint32_t parseU32(std::string_view value, const char* field) {
+    const std::uint64_t out = parseU64(value, field);
+    if (out > UINT32_MAX) {
+        throw ParseError(std::string(field) + " overflows u32: " + std::string(value));
+    }
+    return static_cast<std::uint32_t>(out);
 }
 
 }  // namespace rpkic

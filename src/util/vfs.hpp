@@ -146,10 +146,6 @@ public:
     /// Fail (IoError, no effect, no crash) the mutating operation at
     /// `opIndex` — a full disk, an EXDEV rename, an fsync error.
     void armFailAt(std::uint64_t opIndex) { failAt_ = opIndex; }
-    void disarm() {
-        crashAt_.reset();
-        failAt_.reset();
-    }
 
     /// Mutating operations performed so far (writes, appends, syncs,
     /// renames, removes — the crash-point index space).

@@ -52,7 +52,6 @@ std::string ClassicTree::addTrustAnchor(const std::string& name, ResourceSet res
     n.cert.notBefore = 0;
     n.cert.notAfter = options_.certLifetime;
     signObject(n.cert, n.signer);  // self-signed
-    ++signaturesPerformed_;
     nodes_.emplace(name, std::move(n));
     trustAnchorNames_.push_back(name);
     return name;
@@ -75,7 +74,6 @@ std::string ClassicTree::addChild(const std::string& parent, const std::string& 
     n.cert.notBefore = 0;
     n.cert.notAfter = options_.certLifetime;
     signObject(n.cert, p.signer);
-    ++signaturesPerformed_;
     p.childFiles[name] = certFileFor(name);
     nodes_.emplace(name, std::move(n));
     return name;
@@ -95,7 +93,6 @@ std::string ClassicTree::addRoa(const std::string& issuer, const std::string& la
     roa.notBefore = 0;
     roa.notAfter = options_.certLifetime;
     signObject(roa, p.signer);
-    ++signaturesPerformed_;
     p.roaFiles[filename] = roa.encode();
     return filename;
 }
@@ -113,13 +110,6 @@ void ClassicTree::revokeChild(const std::string& parent, const std::string& chil
     p.revokedSerials.push_back(c.cert.serial);
 }
 
-void ClassicTree::deleteChildCert(const std::string& parent, const std::string& childName) {
-    Node& p = node(parent);
-    if (p.childFiles.erase(childName) == 0) {
-        throw UsageError(childName + " is not a child of " + parent);
-    }
-}
-
 void ClassicTree::overwriteChildResources(const std::string& parent,
                                           const std::string& childName,
                                           ResourceSet newResources) {
@@ -131,15 +121,10 @@ void ClassicTree::overwriteChildResources(const std::string& parent,
     c.cert.resources = std::move(newResources);
     c.cert.serial = p.nextSerial++;
     signObject(c.cert, p.signer);
-    ++signaturesPerformed_;
 }
 
 void ClassicTree::freeze(const std::string& name) {
     node(name).frozen = true;
-}
-
-void ClassicTree::unfreeze(const std::string& name) {
-    node(name).frozen = false;
 }
 
 void ClassicTree::publish(Repository& repo, Time now) {
@@ -157,7 +142,6 @@ void ClassicTree::publishNode(Repository& repo, Node& n, Time now) {
     crl.nextUpdate = now + options_.manifestLifetime;
     crl.revokedSerials = n.revokedSerials;
     signObject(crl, n.signer);
-    ++signaturesPerformed_;
     const Bytes crlBytes = crl.encode();
 
     // Collect current files: child RCs + ROAs + CRL.
@@ -179,7 +163,6 @@ void ClassicTree::publishNode(Repository& repo, Node& n, Time now) {
         m.entries.push_back({filename, fileHashOf(ByteView(bytes.data(), bytes.size())), 0});
     }
     signObject(m, n.signer);
-    ++signaturesPerformed_;
 
     // Replace the publication point wholesale.
     repo.removePoint(n.pubPointUri);

@@ -50,8 +50,6 @@ public:
     void deleteRoa(const std::string& issuer, const std::string& label);
     /// Revokes a child's RC via the issuer's CRL (the RC file remains).
     void revokeChild(const std::string& parent, const std::string& childName);
-    /// Deletes a child's RC file outright (and its registration).
-    void deleteChildCert(const std::string& parent, const std::string& childName);
     /// Case Study 3: overwrite the child's RC at the same URI with one for
     /// different resources (same key, higher serial).
     void overwriteChildResources(const std::string& parent, const std::string& childName,
@@ -59,7 +57,6 @@ public:
     /// Case Study 4: freeze a node — its manifest/CRL stop being renewed,
     /// so they go stale once `manifestLifetime` passes.
     void freeze(const std::string& name);
-    void unfreeze(const std::string& name);
 
     // --- publication ------------------------------------------------------
     /// Rebuilds CRL + manifest for every non-frozen node and writes all
@@ -72,8 +69,6 @@ public:
     std::string pubPointOf(const std::string& name) const;
     std::vector<std::string> nodeNames() const;
     bool hasNode(const std::string& name) const;
-    /// Signatures performed since construction (for §5.7 "less crypto").
-    std::uint64_t signaturesPerformed() const { return signaturesPerformed_; }
 
 private:
     struct Node {
@@ -100,7 +95,6 @@ private:
 
     ClassicTreeOptions options_;
     std::uint64_t nextSignerSeed_;
-    std::uint64_t signaturesPerformed_ = 0;
     std::map<std::string, Node> nodes_;
     std::vector<std::string> trustAnchorNames_;
 };

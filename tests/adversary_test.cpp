@@ -59,26 +59,6 @@ TEST(PackRegistry, UnknownNamesAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle serialization
-
-TEST(PackOracleText, EveryShippedOracleRoundTripsExactly) {
-    for (const std::string& name : packNames()) {
-        const PackOracle oracle = makePack(name)->oracle();
-        const std::string text = oracle.serialize();
-        const PackOracle back = PackOracle::parse(text);
-        EXPECT_EQ(back, oracle) << "oracle text round-trip failed for " << name;
-        // Canonical: serializing again is byte-identical.
-        EXPECT_EQ(back.serialize(), text);
-    }
-}
-
-TEST(PackOracleText, MalformedInputsRaiseParseError) {
-    EXPECT_THROW((void)PackOracle::parse("not an oracle"), ParseError);
-    const std::string good = makePack("stalloris-drain")->oracle().serialize();
-    EXPECT_THROW((void)PackOracle::parse(good + "require-alarm class=meteor\n"), ParseError);
-}
-
-// ---------------------------------------------------------------------------
 // diffOracle semantics
 
 PackOracle emptyOracle(const std::string& pack) {

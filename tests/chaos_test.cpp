@@ -64,27 +64,26 @@ TEST(FaultPlan, TextRoundTripsExactly) {
     EXPECT_EQ(back.serialize(), text);
 }
 
-TEST(FaultPlan, TlvRoundTripsExactly) {
-    const FaultPlan plan = samplePlan();
-    const Bytes wire = plan.encode();
-    const FaultPlan back = FaultPlan::decode(ByteView(wire.data(), wire.size()));
-    EXPECT_EQ(back, plan);
-    EXPECT_EQ(back.encode(), wire);
-}
-
 TEST(FaultPlan, MalformedInputsRaiseParseError) {
     EXPECT_THROW((void)FaultPlan::parse("not a fault plan"), ParseError);
     EXPECT_THROW((void)FaultPlan::parse("faultplan v2 seed=1 rounds=1"), ParseError);
     EXPECT_THROW(
         (void)FaultPlan::parse(samplePlan().serialize() + "fault kind=meteor point=x\n"),
         ParseError);
-    const Bytes wire = samplePlan().encode();
-    for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, wire.size() / 2}) {
-        EXPECT_THROW((void)FaultPlan::decode(ByteView(wire.data(), cut)), ParseError);
+}
+
+TEST(FaultPlan, U32FieldsRejectValuesAboveU32) {
+    // 2^32 would wrap to 0 (a retry budget of 0 on replay) and 2^32 + 1 to 1.
+    const std::string header = "faultplan v1 seed=1 rounds=4 ";
+    EXPECT_EQ(FaultPlan::parse(header + "retry=4294967295\n").retryBudget, 4294967295u);
+    for (const char* field : {"retry", "adversarial-ppm", "crash-every"}) {
+        EXPECT_THROW((void)FaultPlan::parse(header + field + "=4294967296\n"), ParseError)
+            << field;
     }
-    Bytes garbled = wire;
-    garbled[0] ^= 0xff;  // magic
-    EXPECT_THROW((void)FaultPlan::decode(ByteView(garbled.data(), garbled.size())),
+    const std::string fault = "fault kind=drop-point point=rpki://org/ round=1 ";
+    EXPECT_THROW((void)FaultPlan::parse(header + "\n" + fault + "rounds=4294967297\n"),
+                 ParseError);
+    EXPECT_THROW((void)FaultPlan::parse(header + "\n" + fault + "attempts=4294967296\n"),
                  ParseError);
 }
 
@@ -132,8 +131,6 @@ TEST(FaultPlan, PackFieldRoundTripsAndLegacyPlansStillParse) {
     const std::string text = plan.serialize();
     EXPECT_NE(text.find("pack=stalloris-drain"), std::string::npos);
     EXPECT_EQ(FaultPlan::parse(text), plan);
-    const Bytes wire = plan.encode();
-    EXPECT_EQ(FaultPlan::decode(ByteView(wire.data(), wire.size())), plan);
     // A pack-free plan never mentions pack=, so pre-attack-zoo plan files
     // keep round-tripping byte-identically.
     EXPECT_EQ(samplePlan().serialize().find("pack="), std::string::npos);
@@ -218,8 +215,8 @@ TEST(SyncEngine, TransientFaultsAreAbsorbedWithoutAlarms) {
         w.org->refreshManifest(w.repo, w.clock.now());
     }
 
-    const rp::PointTelemetry* pt = engine.telemetryFor(orgPoint);
-    ASSERT_NE(pt, nullptr);
+    const std::optional<rp::PointTelemetry> pt = engine.telemetryFor(orgPoint);
+    ASSERT_TRUE(pt.has_value());
     EXPECT_EQ(pt->roundsDelivered, 4u);       // every round ultimately delivered
     EXPECT_EQ(pt->roundsFailed, 0u);
     EXPECT_EQ(pt->retries, 2u);               // one retry per glitched round
@@ -234,6 +231,26 @@ TEST(SyncEngine, TransientFaultsAreAbsorbedWithoutAlarms) {
     EXPECT_EQ(alice.alarms().count(), 0u);
     EXPECT_FALSE(alice.isPointStale(orgPoint));
     EXPECT_EQ(alice.validRoas().size(), 1u);
+}
+
+TEST(SyncEngine, AttemptBudgetOutsideOneToThirtyTwoIsAUsageError) {
+    World w;
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    chaos.addFault({FaultKind::DropPoint, orgPoint, "", 0, 1, Fault::kAllAttempts, 0});
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8});
+
+    // 33 attempts reach retry 32; 0 is what a wrapped retryBudget + 1 gives.
+    EXPECT_THROW(SyncEngine(alice, chaos, SyncPolicy{.maxAttempts = 33}), UsageError);
+    EXPECT_THROW(SyncEngine(alice, chaos, SyncPolicy{.maxAttempts = 0}), UsageError);
+
+    // At the bound, a point that fails every attempt doubles its backoff
+    // through retry 31: 1 + 2 + ... + 2^30 ticks.
+    SyncEngine engine(alice, chaos, SyncPolicy{.maxAttempts = SyncPolicy::kMaxAttempts});
+    const rp::SyncReport rep = engine.syncRound(w.clock.now());
+    EXPECT_EQ(rep.retries, 31u);  // all org's: root delivers first try
+    EXPECT_EQ(rep.backoffSpent, (Duration{1} << 31) - 1);
 }
 
 TEST(SyncEngine, BudgetExhaustionDegradesGracefullyAndQuarantines) {
@@ -280,8 +297,8 @@ TEST(SyncEngine, BudgetExhaustionDegradesGracefullyAndQuarantines) {
     engine.syncRound(w.clock.now());
     EXPECT_EQ(engine.healthOf(orgPoint), PointHealth::Degraded);  // just out of quarantine
     EXPECT_FALSE(alice.isPointStale(orgPoint));
-    const rp::PointTelemetry* pt = engine.telemetryFor(orgPoint);
-    ASSERT_NE(pt, nullptr);
+    const std::optional<rp::PointTelemetry> pt = engine.telemetryFor(orgPoint);
+    ASSERT_TRUE(pt.has_value());
     EXPECT_EQ(pt->recoveries, 1u);
     EXPECT_EQ(pt->longestStaleStreak, 4u);
 }
@@ -324,8 +341,8 @@ TEST(SyncEngine, StallorisStaleServingIsRefusedNeverSilent) {
         EXPECT_EQ(engine.healthOf(orgPoint), PointHealth::Stale) << "round " << round;
     }
 
-    const rp::PointTelemetry* pt = engine.telemetryFor(orgPoint);
-    ASSERT_NE(pt, nullptr);
+    const std::optional<rp::PointTelemetry> pt = engine.telemetryFor(orgPoint);
+    ASSERT_TRUE(pt.has_value());
     EXPECT_EQ(pt->rejections.at(FetchOutcome::Regressed), 4u);        // 2 stale rounds x 2
     EXPECT_EQ(pt->rejections.at(FetchOutcome::ManifestMissing), 2u);  // withhold round
     EXPECT_TRUE(alice.alarms().has(AlarmType::MissingInformation));

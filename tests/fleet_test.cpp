@@ -77,16 +77,6 @@ TEST(VoteWire, RejectsUnsortedOrDuplicateClaims) {
     EXPECT_THROW(VrpVote::decode(ByteView(wire.data(), wire.size())), ParseError);
 }
 
-TEST(VoteText, LineRoundTrips) {
-    const VrpVote v = sampleVote();
-    const std::string line = v.str();
-    EXPECT_EQ(VrpVote::parseLine(line), v);
-
-    VrpVote empty;
-    empty.vrpHash = digestOf("x");
-    EXPECT_EQ(VrpVote::parseLine(empty.str()), empty);
-}
-
 // ---------------------------------------------------------------------------
 // Message bus
 
@@ -143,11 +133,6 @@ TEST(Bus, PartitionSplitsByBitmask) {
     EXPECT_EQ(bus.collect(1, 0).size(), 1u);
     EXPECT_EQ(bus.collect(2, 0).size(), 1u);  // only the same-side message
     EXPECT_EQ(bus.stats().lost, 1u);
-}
-
-TEST(Bus, LinkFaultLineRoundTrips) {
-    const LinkFault f{LinkFaultKind::Partition, LinkFault::kMatchAny, 2, 5, 3, 0b0101};
-    EXPECT_EQ(LinkFault::parseLine(f.str()), f);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,10 +267,16 @@ TEST(FaultSpec, ParsesAndPrints) {
     EXPECT_EQ(set[0], (MemberFaultSpec{1, MemberFaultClass::Crashed, 5, 6}));
     EXPECT_EQ(set[1], (MemberFaultSpec{3, MemberFaultClass::MirrorFed, 4}));
     EXPECT_EQ(set[2], (MemberFaultSpec{0, MemberFaultClass::Stalled, 0}));
-    for (const auto& s : set) EXPECT_EQ(MemberFaultSpec::parse(s.str()), s);
     EXPECT_TRUE(MemberFaultSpec::parseSet("").empty());
     EXPECT_THROW(MemberFaultSpec::parse("1:sabotage"), ParseError);
     EXPECT_THROW(MemberFaultSpec::parse("1"), ParseError);
+}
+
+TEST(FaultSpec, MemberAndLengthAboveU32AreRejected) {
+    // 2^32 + 1 would wrap to member 1; 2^32 to a zero-epoch window.
+    EXPECT_THROW(MemberFaultSpec::parse("4294967297:crash:1"), ParseError);
+    EXPECT_THROW(MemberFaultSpec::parse("1:crash:1:4294967296"), ParseError);
+    EXPECT_EQ(MemberFaultSpec::parse("1:crash:1:4294967295").epochs, MemberFaultSpec::kToEnd);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,16 +390,6 @@ TEST(Fleet, TranscriptIsByteIdenticalAcrossThreadCounts) {
         }
     }
     EXPECT_FALSE(reference.empty());
-}
-
-TEST(Fleet, TranscriptRoundTripsThroughText) {
-    FleetConfig cfg = baseConfig();
-    cfg.faulty = MemberFaultSpec::parseSet("1:crash:3:4,2:stall:6");
-    const FleetResult r = runFleet(cfg);
-    const std::string text = r.transcript.serialize();
-    const FleetTranscript back = FleetTranscript::parse(text);
-    EXPECT_EQ(back, r.transcript);
-    EXPECT_EQ(back.serialize(), text);
 }
 
 TEST(Fleet, RejoinedMemberRecoversFromDurableStore) {

@@ -1,7 +1,7 @@
 // Flight recorder + postmortem bundles (src/obs/flight/).
 //
 // Covers the PR's determinism contract end to end: ring wraparound and
-// drop accounting, scope stacking, bundle build/parse round-trips, and —
+// drop accounting, scope stacking, the bundle text's sections, and —
 // the load-bearing property — byte-identical postmortem bundles across
 // same-seed runs of the soak, the crash sweep, and the fleet at every
 // pool size.
@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "sim/chaos_soak.hpp"
 #include "sim/crash_sweep.hpp"
-#include "util/errors.hpp"
 #include "util/parallel.hpp"
 
 namespace rpkic {
@@ -166,62 +165,34 @@ TEST(Postmortem, BundleRoundTripsThroughParse) {
 
     const std::string text = obs::buildPostmortem(
         rec, &registry, "invariant-fail", {{"seed", "1"}, {"round", "3"}});
-    const obs::PostmortemBundle bundle = obs::parsePostmortem(text);
 
-    EXPECT_EQ(bundle.version, 1);
-    EXPECT_EQ(bundle.trigger, "invariant-fail");
-    ASSERT_EQ(bundle.context.size(), 2u);
-    EXPECT_EQ(bundle.context[0].first, "seed");
-    EXPECT_EQ(bundle.context[0].second, "1");
-    ASSERT_EQ(bundle.openScopes.size(), 1u);
-    EXPECT_EQ(bundle.openScopes[0], "soak run seed=1");
-    ASSERT_EQ(bundle.events.size(), 1u);
-    EXPECT_EQ(bundle.events[0].kind, FlightKind::InvariantFail);
-    EXPECT_EQ(bundle.events[0].detail, "round 3: I2 violated");
-    EXPECT_EQ(bundle.droppedEvents, 0u);
+    // Trigger, context rows in order, the open scope, then the flight
+    // section with its one event.
+    EXPECT_EQ(text.rfind("RPKIC-POSTMORTEM v1\n"
+                         "trigger: invariant-fail\n"
+                         "context: seed = 1\n"
+                         "context: round = 3\n"
+                         "-- scopes open=1 --\n"
+                         "scope: soak run seed=1\n"
+                         "-- flight events=1 dropped=0 --\n"
+                         "evt: seq=",
+                         0),
+              0u)
+        << text;
+    EXPECT_NE(text.find(" kind=invariant-fail comp=soak | round 3: I2 violated\n-- metrics "),
+              std::string::npos)
+        << text;
+    EXPECT_TRUE(text.ends_with("\n-- end --\n"));
 
     // Metrics digest: counters and gauges in full, histograms as _count
     // only (bucket shapes depend on clock interleaving; counts do not).
-    bool sawCounter = false, sawGauge = false, sawHistCount = false, sawBucket = false;
-    for (const std::string& row : bundle.metrics) {
-        if (row.find("rc_test_ops_total") != std::string::npos) sawCounter = true;
-        if (row.find("rc_test_depth") != std::string::npos) sawGauge = true;
-        if (row.find("rc_test_lat_seconds_count") != std::string::npos) sawHistCount = true;
-        if (row.find("_bucket") != std::string::npos) sawBucket = true;
-    }
-    EXPECT_TRUE(sawCounter);
-    EXPECT_TRUE(sawGauge);
-    EXPECT_TRUE(sawHistCount);
-    EXPECT_FALSE(sawBucket);
-}
-
-TEST(Postmortem, ParseRejectsMalformedInput) {
-    EXPECT_THROW(obs::parsePostmortem(""), ParseError);
-    EXPECT_THROW(obs::parsePostmortem("not a bundle\n"), ParseError);
-    FlightRecorder rec(4);
-    std::string text = obs::buildPostmortem(rec, nullptr, "t", {});
-    text.resize(text.size() / 2);  // truncation must not parse
-    EXPECT_THROW(obs::parsePostmortem(text), ParseError);
-}
-
-TEST(Postmortem, ParseRejectsCountsBeyondU64) {
-    FlightRecorder rec(4);
-    rec.record(FlightKind::Alarm, "rp", "a");
-    const std::string text = obs::buildPostmortem(rec, nullptr, "t", {});
-    ASSERT_NO_THROW(obs::parsePostmortem(text));
-    const auto edited = [&](const std::string& from, const std::string& to) {
-        std::string out = text;
-        const std::size_t at = out.find(from);
-        EXPECT_NE(at, std::string::npos) << from;
-        return at == std::string::npos ? out : out.replace(at, from.size(), to);
-    };
-    // 2^64 + 1 and 2^64: an unchecked parser wraps them to 1 and 0.
-    EXPECT_THROW(obs::parsePostmortem(edited("events=1 ", "events=18446744073709551617 ")),
-                 ParseError);
-    EXPECT_THROW(obs::parsePostmortem(edited("dropped=0 ", "dropped=18446744073709551616 ")),
-                 ParseError);
-    EXPECT_THROW(obs::parsePostmortem(edited("evt: seq=1 ", "evt: seq=18446744073709551616 ")),
-                 ParseError);
+    const std::size_t metricsAt = text.find("\n-- metrics ");
+    ASSERT_NE(metricsAt, std::string::npos);
+    const std::string metrics = text.substr(metricsAt);
+    EXPECT_NE(metrics.find("\nrc_test_ops_total"), std::string::npos);
+    EXPECT_NE(metrics.find("\nrc_test_depth"), std::string::npos);
+    EXPECT_NE(metrics.find("\nrc_test_lat_seconds_count"), std::string::npos);
+    EXPECT_EQ(metrics.find("_bucket"), std::string::npos);
 }
 
 TEST(Postmortem, RenderFlightEventsIsStable) {
@@ -247,9 +218,10 @@ TEST(FlightDeterminism, ForcedSoakFailureCapturesParseableBundle) {
     ASSERT_FALSE(r.postmortems.empty());
     const obs::CapturedBundle& b = r.postmortems.back();
     EXPECT_EQ(b.trigger, "invariant-fail");
-    const obs::PostmortemBundle parsed = obs::parsePostmortem(b.bytes);
-    EXPECT_EQ(parsed.trigger, "invariant-fail");
-    EXPECT_FALSE(parsed.events.empty());
+    EXPECT_EQ(b.bytes.rfind("RPKIC-POSTMORTEM v1\ntrigger: invariant-fail\n", 0), 0u);
+    // A non-empty flight section.
+    EXPECT_EQ(b.bytes.find("\n-- flight events=0 "), std::string::npos);
+    EXPECT_NE(b.bytes.find("\nevt: seq="), std::string::npos);
 }
 
 TEST(FlightDeterminism, SameSeedSoakBundlesAreByteIdentical) {
@@ -273,8 +245,14 @@ TEST(FlightDeterminism, CrashSoakCapturesCrashRealizedBundles) {
     ASSERT_FALSE(a.postmortems.empty());
     bool sawCrash = false;
     for (const obs::CapturedBundle& bundle : a.postmortems) {
-        if (bundle.trigger == "crash-realized") sawCrash = true;
-        EXPECT_NO_THROW(obs::parsePostmortem(bundle.bytes));
+        EXPECT_EQ(bundle.bytes.rfind("RPKIC-POSTMORTEM v1\ntrigger: " + bundle.trigger + "\n", 0),
+                  0u);
+        EXPECT_TRUE(bundle.bytes.ends_with("\n-- end --\n"));
+        if (bundle.trigger != "crash-realized") continue;
+        sawCrash = true;
+        // The realized crash is in the flight section of its own bundle.
+        EXPECT_NE(bundle.bytes.find(" kind=crash-realized comp=soak | "), std::string::npos)
+            << bundle.bytes;
     }
     EXPECT_TRUE(sawCrash);
     ASSERT_EQ(a.postmortems.size(), b.postmortems.size());

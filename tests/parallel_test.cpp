@@ -57,21 +57,6 @@ TEST(Pool, ParallelMapPreservesIndexOrder) {
     }
 }
 
-TEST(Pool, MapReduceOrderedMatchesSequentialForNonCommutativeFold) {
-    // String concatenation is order-sensitive; ordered reduction must give
-    // the sequential answer at every thread count.
-    std::string expected;
-    for (int i = 0; i < 40; ++i) expected += std::to_string(i) + ";";
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-        Pool pool(threads);
-        const std::string got = pool.mapReduceOrdered<std::string, std::string>(
-            40, std::string{},
-            [](std::size_t i) { return std::to_string(i) + ";"; },
-            [](std::string& acc, std::string&& part) { acc += part; });
-        EXPECT_EQ(got, expected) << "threads=" << threads;
-    }
-}
-
 TEST(Pool, LowestIndexExceptionWinsAndAllIndicesRun) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         Pool pool(threads);
