@@ -41,88 +41,74 @@ std::vector<Asn> trackedAsns(const PrefixValidityIndex& a, const PrefixValidityI
     return out;
 }
 
-/// The length-`len` ancestor of `p`'s first address in the prefix tree.
-U128 ancestorFirstAddress(const IpPrefix& p, int len) {
-    const int shift = familyBits(p.family) - len;
-    return (p.firstAddress() >> shift) << shift;
+/// ASes with at least one announced or withdrawn tuple, ascending: the
+/// only ASes whose valid triangles differ between the two states.
+std::vector<Asn> touchedAsns(const TupleDelta& delta) {
+    std::vector<Asn> out;
+    out.reserve(delta.announced.size() + delta.withdrawn.size());
+    for (const RoaTuple& t : delta.announced) out.push_back(t.asn);
+    for (const RoaTuple& t : delta.withdrawn) out.push_back(t.asn);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
 }
 
-/// Prefix-keyed lookup over a state's (sorted) tuple vector: for a query
-/// prefix, walk its <= W+1 ancestor prefixes and collect every tuple
-/// registered at one of them — the covering set — in O(W log n) instead
-/// of a linear scan. Keys carry the tuple's position so matches can be
-/// emitted in exact state order (what the old quadratic scan produced).
-class CoveringTupleIndex {
-public:
-    explicit CoveringTupleIndex(const std::vector<RoaTuple>& tuples) : tuples_(tuples) {
-        keys_.reserve(tuples.size());
-        for (std::uint32_t i = 0; i < tuples.size(); ++i) {
-            const IpPrefix& p = tuples[i].prefix;
-            keys_.push_back({p.firstAddress(), i, p.length, p.family});
-        }
-        std::sort(keys_.begin(), keys_.end(), [](const Key& a, const Key& b) {
-            if (a.family != b.family) return a.family < b.family;
-            if (a.first != b.first) return a.first < b.first;
-            if (a.length != b.length) return a.length < b.length;
-            return a.index < b.index;
-        });
-    }
-
-    /// Tuples of the indexed state covering `query` under an AS other
-    /// than `exclude`, in state (sorted-tuple) order.
-    std::vector<RoaTuple> coveringTuples(const IpPrefix& query, Asn exclude) const {
-        std::vector<std::uint32_t> matches;
-        for (int len = 0; len <= query.length; ++len) {
-            const U128 first = ancestorFirstAddress(query, len);
-            const auto probe = [&](const Key& k) {
-                if (k.family != query.family) return k.family < query.family;
-                if (k.first != first) return k.first < first;
-                return k.length < len;
-            };
-            auto it = std::lower_bound(keys_.begin(), keys_.end(), Key{},
-                                       [&](const Key& k, const Key&) { return probe(k); });
-            for (; it != keys_.end() && it->family == query.family && it->first == first &&
-                   it->length == len;
-                 ++it) {
-                if (tuples_[it->index].asn != exclude) matches.push_back(it->index);
+/// The routes whose classification can differ between the two states:
+/// those announced by a tuple of a touched AS. A route of any other AS is
+/// announced by the same tuple in both states, so that tuple keeps its
+/// prefix known in both, and the AS's valid triangles are the same in
+/// both.
+std::vector<Route> affectedRoutes(const RpkiState& prev, const RpkiState& cur,
+                                  const std::vector<Asn>& touched) {
+    std::vector<Route> out;
+    for (const RpkiState* state : {&prev, &cur}) {
+        for (const RoaTuple& t : state->tuples()) {
+            if (std::binary_search(touched.begin(), touched.end(), t.asn)) {
+                out.push_back(t.announcedRoute());
             }
         }
-        // Tuple positions ascend with tuple sort order, so sorting the
-        // positions reproduces the historical scan order exactly.
-        std::sort(matches.begin(), matches.end());
-        std::vector<RoaTuple> out;
-        out.reserve(matches.size());
-        for (const std::uint32_t i : matches) out.push_back(tuples_[i]);
-        return out;
     }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
 
-private:
-    struct Key {
-        U128 first;
-        std::uint32_t index = 0;
-        std::uint8_t length = 0;
-        IpFamily family = IpFamily::v4;
-    };
+/// The length-`len` ancestor of `p` in the prefix tree.
+IpPrefix ancestor(const IpPrefix& p, int len) {
+    const int shift = familyBits(p.family) - len;
+    return IpPrefix{p.family, (p.firstAddress() >> shift) << shift, static_cast<std::uint8_t>(len)};
+}
 
-    const std::vector<RoaTuple>& tuples_;
-    std::vector<Key> keys_;
-};
+/// Tuples of the (sorted) `tuples` covering `query` under an AS other
+/// than `exclude`: a binary search for each of the query's <= W+1
+/// ancestor prefixes, O(W log n) instead of a linear scan. The ancestors
+/// ascend in prefix order, so the matches come out in state order (what
+/// the historical quadratic scan produced).
+std::vector<RoaTuple> coveringTuples(const std::vector<RoaTuple>& tuples, const IpPrefix& query,
+                                     Asn exclude) {
+    std::vector<RoaTuple> out;
+    for (int len = 0; len <= query.length; ++len) {
+        const IpPrefix up = ancestor(query, len);
+        auto it = std::lower_bound(
+            tuples.begin(), tuples.end(), up,
+            [](const RoaTuple& t, const IpPrefix& p) { return t.prefix < p; });
+        for (; it != tuples.end() && it->prefix == up; ++it) {
+            if (it->asn != exclude) out.push_back(*it);
+        }
+    }
+    return out;
+}
 
-}  // namespace
-
-std::vector<CompetingRoa> findCompetingRoas(const RpkiState& prev, const RpkiState& cur,
-                                            rc::parallel::Pool& pool) {
-    const std::vector<RoaTuple> added = cur.minus(prev);
-    if (added.empty()) return {};
-    const CoveringTupleIndex index(prev.tuples());
-
+std::vector<CompetingRoa> competingRoas(const std::vector<RoaTuple>& prevTuples,
+                                        const std::vector<RoaTuple>& added,
+                                        rc::parallel::Pool& pool) {
     // Fan out per added tuple; reassemble in added (state) order so the
     // output is byte-identical to the sequential path.
     const std::vector<std::vector<CompetingRoa>> perAdded =
         pool.parallelMap<std::vector<CompetingRoa>>(added.size(), [&](std::size_t i) {
             std::vector<CompetingRoa> hits;
             for (const RoaTuple& existing :
-                 index.coveringTuples(added[i].prefix, added[i].asn)) {
+                 coveringTuples(prevTuples, added[i].prefix, added[i].asn)) {
                 hits.push_back({added[i], existing});
             }
             return hits;
@@ -131,6 +117,13 @@ std::vector<CompetingRoa> findCompetingRoas(const RpkiState& prev, const RpkiSta
     std::vector<CompetingRoa> out;
     for (const auto& hits : perAdded) out.insert(out.end(), hits.begin(), hits.end());
     return out;
+}
+
+}  // namespace
+
+std::vector<CompetingRoa> findCompetingRoas(const RpkiState& prev, const RpkiState& cur,
+                                            rc::parallel::Pool& pool) {
+    return competingRoas(prev.tuples(), cur.minus(prev), pool);
 }
 
 DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidityIndex& cur,
@@ -144,23 +137,25 @@ DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidity
     report.invalidAddressesBefore = prev.invalidFootprintAddresses();
     report.invalidAddressesAfter = cur.invalidFootprintAddresses();
 
+    const TupleDelta delta = tupleDelta(prev.state(), cur.state());
     const TriangleSet& knownPrev = prev.knownTriangles();
     const TriangleSet& knownCur = cur.knownTriangles();
-    const TriangleSet newlyKnown = knownCur.subtract(knownPrev);
+    const std::uint64_t newlyKnown = knownCur.subtract(knownPrev).prefixCount();
     const TriangleSet6& known6Prev = prev.knownTriangles6();
     const TriangleSet6& known6Cur = cur.knownTriangles6();
 
-    // Per-ASN diff rows are fully independent: fan them out, then merge
-    // the commutative tally in ASN order so the report is byte-identical
-    // to the sequential path at every thread count.
+    // Set operations run only for touched ASes. Every other AS keeps its
+    // valid triangles, so it has no valid->* or unknown->valid pairs; and
+    // those triangles lie inside knownPrev, which the newly known space
+    // excludes, so all newly known space is invalid for it.
     struct AsnPartial {
         AsDowngrades row;
         std::uint64_t unknownToValidPairs = 0;
     };
-    const std::vector<Asn> asns = trackedAsns(prev, cur);
+    const std::vector<Asn> touched = touchedAsns(delta);
     const std::vector<AsnPartial> partials =
-        pool.parallelMap<AsnPartial>(asns.size(), [&](std::size_t k) {
-            const Asn asn = asns[k];
+        pool.parallelMap<AsnPartial>(touched.size(), [&](std::size_t k) {
+            const Asn asn = touched[k];
             AsnPartial part;
             AsDowngrades& row = part.row;
             row.asn = asn;
@@ -206,43 +201,43 @@ DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidity
                 part.unknownToValidPairs += gained6.subtract(known6Prev).prefixCount();
             }
 
-            // unknown -> invalid for this AS: space that became covered
-            // and is not valid for the AS now.
-            const TriangleSet nowInvalid = newlyKnown.subtract(validCur);
-            row.unknownToInvalidPairs = nowInvalid.prefixCount();
+            // unknown -> invalid for this AS: newly known space not valid
+            // for it now. validCur lies inside knownCur, so the newly known
+            // part of it is validCur \ knownPrev.
+            row.unknownToInvalidPairs = newlyKnown - validCur.subtract(knownPrev).prefixCount();
             return part;
         });
 
-    for (const AsnPartial& part : partials) {
-        report.unknownToValidPairs += part.unknownToValidPairs;
-        report.validToInvalidPairs += part.row.validToInvalidPairs;
-        report.validToUnknownPairs += part.row.validToUnknownPairs;
-        report.unknownToInvalidPairs += part.row.unknownToInvalidPairs;
-        if (part.row.validToInvalidPairs > 0 || part.row.validToUnknownPairs > 0 ||
-            part.row.unknownToInvalidPairs > 0) {
-            report.perAs.push_back(part.row);
+    // Tally in ASN order over both AS universes, so the report is
+    // byte-identical to the sequential path at every thread count.
+    std::size_t nextTouched = 0;
+    for (const Asn asn : trackedAsns(prev, cur)) {
+        AsnPartial untouched;
+        const AsnPartial* part = &untouched;
+        if (nextTouched < touched.size() && touched[nextTouched] == asn) {
+            part = &partials[nextTouched++];
+        } else {
+            untouched.row.asn = asn;
+            untouched.row.unknownToInvalidPairs = newlyKnown;
+        }
+        report.unknownToValidPairs += part->unknownToValidPairs;
+        report.validToInvalidPairs += part->row.validToInvalidPairs;
+        report.validToUnknownPairs += part->row.validToUnknownPairs;
+        report.unknownToInvalidPairs += part->row.unknownToInvalidPairs;
+        if (part->row.validToInvalidPairs > 0 || part->row.validToUnknownPairs > 0 ||
+            part->row.unknownToInvalidPairs > 0) {
+            report.perAs.push_back(part->row);
         }
     }
 
     // Competing ROAs (paper §6): each tuple that appeared, checked against
-    // the previous state's tuples covering its prefix under another AS —
-    // via the prefix-keyed covering index, not the old quadratic scan.
-    report.competingRoas = findCompetingRoas(prev.state(), cur.state(), pool);
+    // the previous state's tuples covering its prefix under another AS.
+    report.competingRoas = competingRoas(prev.state().tuples(), delta.announced, pool);
 
-    // Tuple-level transitions: evaluate the announced route of every tuple
-    // appearing in either state under both indexes.
-    std::vector<RoaTuple> allTuples = prev.state().tuples();
-    const auto& curTuples = cur.state().tuples();
-    allTuples.insert(allTuples.end(), curTuples.begin(), curTuples.end());
-    std::sort(allTuples.begin(), allTuples.end());
-    allTuples.erase(std::unique(allTuples.begin(), allTuples.end()), allTuples.end());
-
-    std::vector<Route> routes;
-    routes.reserve(allTuples.size());
-    for (const auto& t : allTuples) routes.push_back(t.announcedRoute());
-    std::sort(routes.begin(), routes.end());
-    routes.erase(std::unique(routes.begin(), routes.end()), routes.end());
-
+    // Tuple-level transitions: the announced route of every tuple of
+    // either state, evaluated under both indexes wherever its
+    // classification can have changed.
+    const std::vector<Route> routes = affectedRoutes(prev.state(), cur.state(), touched);
     struct MaybeTransition {
         RouteTransition transition;
         bool changed = false;
@@ -276,6 +271,16 @@ DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidity
     RC_OBS_COUNT(obs::Registry::global().counter(
                      "rc_detector_diffs_total", "State diffs computed by the detector"),
                  1);
+    // Work counters: byte-stable across runs and thread counts, so they
+    // can gate churn-proportional cost where a timing could not.
+    RC_OBS_COUNT(obs::Registry::global().counter(
+                     "rc_detector_ases_diffed_total",
+                     "ASes whose valid triangles a diff ran set operations on"),
+                 touched.size());
+    RC_OBS_COUNT(obs::Registry::global().counter(
+                     "rc_detector_routes_classified_total",
+                     "Routes a diff classified under both states"),
+                 routes.size());
     return report;
 }
 

@@ -101,7 +101,10 @@ TupleDelta tupleDelta(const RpkiState& prev, const RpkiState& cur);
 /// visualization).
 std::vector<IpPrefix> samplePrefixes(const TriangleSet& t, std::size_t maxCount);
 
-/// Compares two indexed states. O(n log n) in the total triangle size.
+/// Compares two indexed states. Set operations run only for the ASes
+/// the tuple delta touches, and only their routes are classified, so
+/// beyond linear sweeps of the tuple vectors and AS lists the cost
+/// follows the churn, not the state size.
 /// Runs on the process default pool (sequential unless RC_THREADS /
 /// --threads raised it); reports are byte-identical at every thread count.
 DowngradeReport diffStates(const PrefixValidityIndex& prev, const PrefixValidityIndex& cur,
@@ -117,8 +120,8 @@ DowngradeReport diffStates(const RpkiState& prev, const RpkiState& cur,
 
 /// Newly added tuples of `cur` (relative to `prev`) whose prefix is
 /// covered by a `prev` tuple under a different AS (paper §6). Uses a
-/// prefix-indexed covering walk: O((|prev| + |added| * W) log |prev|) with
-/// W the address width — replacing the old O(|added| * |prev|) scan.
+/// covering walk over `prev`'s sorted tuples: O(|added| * W log |prev|)
+/// with W the address width — replacing the old O(|added| * |prev|) scan.
 /// Output order matches the historical nested-loop order (added tuples in
 /// state order, covering tuples in state order).
 std::vector<CompetingRoa> findCompetingRoas(const RpkiState& prev, const RpkiState& cur,

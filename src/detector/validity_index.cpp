@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/obs.hpp"
+#include "util/errors.hpp"
 
 namespace rpkic {
 
@@ -49,12 +50,16 @@ PrefixValidityIndex::PrefixValidityIndex(std::shared_ptr<const RpkiState> state,
                                     "rc_detector_index_build_seconds",
                                     "Time to build a PrefixValidityIndex from an RpkiState")
                               : nullptr);
-    TriangleSet::RawLevels knownRaw;
-    TriangleSet6::RawLevels known6Raw;
+    // Known triangles: each tuple's range once, under its prefix length.
+    TriangleSet::RawLevels knownByLength;
+    TriangleSet6::RawLevels known6ByLength;
     std::unordered_map<Asn, TriangleSet::RawLevels> validRaw;
     std::unordered_map<Asn, TriangleSet6::RawLevels> valid6Raw;
 
     for (const auto& t : state_->tuples()) {
+        // A maxLength past the address width would index past the levels.
+        RC_CHECK(t.maxLength <= t.prefix.bits(),
+                 "detector: maxLength beyond the address width in " + t.str());
         if (t.prefix.family == IpFamily::v4) {
             const Interval<std::uint64_t> range{t.prefix.firstAddress().toU64(),
                                                 t.prefix.lastAddress().toU64()};
@@ -62,23 +67,19 @@ PrefixValidityIndex::PrefixValidityIndex(std::shared_ptr<const RpkiState> state,
             auto& vr = validRaw[t.asn];
             for (int q = t.prefix.length; q <= t.maxLength; ++q) vr[q].push_back(range);
             // Known triangle: depths len(P)..32, every AS.
-            for (int q = t.prefix.length; q <= TriangleSet::kMaxLen; ++q) {
-                knownRaw[q].push_back(range);
-            }
+            knownByLength[t.prefix.length].push_back(range);
         } else {
             const Interval<U128> range{t.prefix.firstAddress(), t.prefix.lastAddress()};
             auto& vr = valid6Raw[t.asn];
             for (int q = t.prefix.length; q <= t.maxLength; ++q) vr[q].push_back(range);
-            for (int q = t.prefix.length; q <= TriangleSet6::kMaxLen; ++q) {
-                known6Raw[q].push_back(range);
-            }
+            known6ByLength[t.prefix.length].push_back(range);
         }
     }
 
-    // Known triangles: per-level fromIntervals fan-out (the levels are
-    // independent sort/merge passes).
-    known_ = TriangleSet::build(knownRaw, pool);
-    known6_ = TriangleSet6::build(known6Raw, pool);
+    // Each known level depends on the one above it, so they are built in
+    // order on this thread.
+    known_ = TriangleSet::cumulative(knownByLength);
+    known6_ = TriangleSet6::cumulative(known6ByLength);
 
     // Per-ASN valid triangles: one independent TriangleSet::build per AS,
     // fanned out over a deterministic sorted key order. Each worker owns

@@ -14,8 +14,11 @@
 // stored interval — so containsRange() answers membership exactly.
 //
 // Construction is O(n log n) for n tuples, as the paper claims. The
-// structure is generic over address width: IPv4 uses 33 levels over
-// 64-bit storage, IPv6 129 levels over U128.
+// known triangle is built without sorting: RpkiState keeps its tuples
+// ordered by (family, address, length), so each prefix length's ranges
+// arrive ordered by address, and level q is level q-1 merged with the
+// ranges of length q. The structure is generic over address width: IPv4
+// uses 33 levels over 64-bit storage, IPv6 129 levels over U128.
 #pragma once
 
 #include <array>
@@ -56,7 +59,6 @@ public:
     using RawLevels = std::array<std::vector<Interval<AddrT>>, MaxLenV + 1>;
 
     const IntervalSet<AddrT>& level(int length) const { return levels_.at(length); }
-    IntervalSet<AddrT>& level(int length) { return levels_.at(length); }
 
     bool containsPrefix(const IpPrefix& p) const {
         const AddrT lo = detail::addrValue<AddrT>(p.firstAddress());
@@ -116,14 +118,17 @@ public:
         return t;
     }
 
-    /// Parallel build: levels are independent, so each level's
-    /// fromIntervals sort/merge is dispatched through `pool`. The result
-    /// is identical to build() at every thread count.
-    static BasicTriangleSet build(const RawLevels& raw, rc::parallel::Pool& pool) {
+    /// Builds the union of triangles that all reach the bottom level (a
+    /// known triangle): `byTop[q]` holds the ranges of the triangles whose
+    /// top is level q, each list ordered by lo (RC_CHECKed, not sorted).
+    /// Level q is level q-1 merged with byTop[q], so each range is merged
+    /// once instead of pushed into every level below its top.
+    static BasicTriangleSet cumulative(const RawLevels& byTop) {
         BasicTriangleSet t;
-        pool.parallelFor(static_cast<std::size_t>(kMaxLen) + 1, [&](std::size_t q) {
-            t.levels_[q] = IntervalSet<AddrT>::fromIntervals(raw[q]);
-        });
+        for (int q = 0; q <= kMaxLen; ++q) {
+            const IntervalSet<AddrT> starting = IntervalSet<AddrT>::fromSorted(byTop[q]);
+            t.levels_[q] = q == 0 ? starting : t.levels_[q - 1].unionWith(starting);
+        }
         return t;
     }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/errors.hpp"
@@ -81,16 +82,19 @@ public:
         out.intervals_.reserve(raw.size());
         for (const auto& iv : raw) {
             if (iv.hi < iv.lo) throw UsageError("interval hi < lo");
-            if (!out.intervals_.empty()) {
-                auto& back = out.intervals_.back();
-                const bool mergeable =
-                    !(back.hi < iv.lo) || (!(back.hi == maxValue()) && back.hi + T{1} == iv.lo);
-                if (mergeable) {
-                    back.hi = std::max(back.hi, iv.hi);
-                    continue;
-                }
-            }
-            out.intervals_.push_back(iv);
+            out.take(iv);
+        }
+        return out;
+    }
+
+    /// Builds a set from possibly overlapping intervals already ordered by
+    /// lo, in one linear pass: the order is RC_CHECKed, not sorted.
+    static IntervalSet fromSorted(std::span<const Interval<T>> byLo) {
+        IntervalSet out;
+        for (std::size_t i = 0; i < byLo.size(); ++i) {
+            RC_CHECK(!(byLo[i].hi < byLo[i].lo), "interval hi < lo");
+            RC_CHECK(i == 0 || !(byLo[i].lo < byLo[i - 1].lo), "intervals not ordered by lo");
+            out.take(byLo[i]);
         }
         return out;
     }
@@ -131,61 +135,54 @@ public:
         IntervalSet out;
         auto a = intervals_.begin();
         auto b = other.intervals_.begin();
-        auto take = [&out](const Interval<T>& iv) {
-            if (!out.intervals_.empty()) {
-                auto& back = out.intervals_.back();
-                const bool mergeable =
-                    !(back.hi < iv.lo) || (!(back.hi == maxValue()) && back.hi + T{1} == iv.lo);
-                if (mergeable) {
-                    back.hi = std::max(back.hi, iv.hi);
-                    return;
-                }
-            }
-            out.intervals_.push_back(iv);
-        };
         while (a != intervals_.end() && b != other.intervals_.end()) {
-            if (a->lo < b->lo || (a->lo == b->lo && a->hi < b->hi)) take(*a++);
-            else take(*b++);
+            if (a->lo < b->lo || (a->lo == b->lo && a->hi < b->hi)) out.take(*a++);
+            else out.take(*b++);
         }
-        while (a != intervals_.end()) take(*a++);
-        while (b != other.intervals_.end()) take(*b++);
+        while (a != intervals_.end()) out.take(*a++);
+        while (b != other.intervals_.end()) out.take(*b++);
         return out;
     }
 
-    /// Set intersection (linear sweep).
+    /// Set intersection. Walks the smaller set and gallops through the
+    /// larger one, so a small set against a large one costs
+    /// O(small * log large) instead of a scan of both.
     IntervalSet intersect(const IntervalSet& other) const {
+        const bool mine = intervals_.size() <= other.intervals_.size();
+        const std::vector<Interval<T>>& small = mine ? intervals_ : other.intervals_;
+        const std::vector<Interval<T>>& large = mine ? other.intervals_ : intervals_;
         IntervalSet out;
-        auto a = intervals_.begin();
-        auto b = other.intervals_.begin();
-        while (a != intervals_.end() && b != other.intervals_.end()) {
-            const T lo = std::max(a->lo, b->lo);
-            const T hi = std::min(a->hi, b->hi);
-            if (!(hi < lo)) out.intervals_.push_back({lo, hi});
-            if (a->hi < b->hi) ++a;
-            else ++b;
+        std::size_t j = 0;
+        for (const auto& iv : small) {
+            j = gallopTo(large, j, iv.lo);
+            for (std::size_t k = j; k < large.size() && !(iv.hi < large[k].lo); ++k) {
+                out.intervals_.push_back(
+                    {std::max(iv.lo, large[k].lo), std::min(iv.hi, large[k].hi)});
+            }
         }
         return out;
     }
 
-    /// Set difference: elements of *this not in `other` (linear sweep).
+    /// Set difference: elements of *this not in `other`, galloping through
+    /// `other`, so subtracting a large set from a small one does not scan
+    /// the large one.
     IntervalSet subtract(const IntervalSet& other) const {
+        const std::vector<Interval<T>>& cuts = other.intervals_;
         IntervalSet out;
-        auto b = other.intervals_.begin();
+        std::size_t j = 0;
         for (const auto& iv : intervals_) {
+            j = gallopTo(cuts, j, iv.lo);
             T cursor = iv.lo;
-            bool exhausted = false;
-            while (b != other.intervals_.end() && b->hi < cursor) ++b;
-            auto bb = b;
-            while (!exhausted && bb != other.intervals_.end() && !(iv.hi < bb->lo)) {
-                if (cursor < bb->lo) out.intervals_.push_back({cursor, bb->lo - T{1}});
-                if (iv.hi < bb->hi || iv.hi == bb->hi) {
-                    exhausted = true;  // remainder of iv is covered
-                } else {
-                    cursor = bb->hi + T{1};
-                    ++bb;
+            bool covered = false;
+            for (std::size_t k = j; k < cuts.size() && !(iv.hi < cuts[k].lo); ++k) {
+                if (cursor < cuts[k].lo) out.intervals_.push_back({cursor, cuts[k].lo - T{1}});
+                if (!(cuts[k].hi < iv.hi)) {
+                    covered = true;  // the rest of iv is cut away
+                    break;
                 }
+                cursor = cuts[k].hi + T{1};
             }
-            if (!exhausted) out.intervals_.push_back({cursor, iv.hi});
+            if (!covered) out.intervals_.push_back({cursor, iv.hi});
         }
         return out;
     }
@@ -218,6 +215,40 @@ private:
     static constexpr T maxValue() {
         if constexpr (requires { T::max(); }) return T::max();
         else return ~T{0};
+    }
+
+    /// Appends `iv`, merging it into the last interval when the two
+    /// overlap or touch. Callers append in ascending lo order.
+    void take(const Interval<T>& iv) {
+        if (!intervals_.empty()) {
+            auto& back = intervals_.back();
+            if (!(back.hi < iv.lo) || (!(back.hi == maxValue()) && back.hi + T{1} == iv.lo)) {
+                back.hi = std::max(back.hi, iv.hi);
+                return;
+            }
+        }
+        intervals_.push_back(iv);
+    }
+
+    /// First index i >= from with ivs[i].hi >= x, or ivs.size():
+    /// exponential then binary search, so k ascending probes across n
+    /// intervals cost O(k log(n / k)).
+    static std::size_t gallopTo(const std::vector<Interval<T>>& ivs, std::size_t from,
+                                const T& x) {
+        const std::size_t n = ivs.size();
+        if (from >= n || !(ivs[from].hi < x)) return from;
+        std::size_t below = from;  // ivs[below].hi < x
+        std::size_t step = 1;
+        while (below + step < n && ivs[below + step].hi < x) {
+            below += step;
+            step *= 2;
+        }
+        const auto first = ivs.begin() + static_cast<std::ptrdiff_t>(below + 1);
+        const auto last = ivs.begin() + static_cast<std::ptrdiff_t>(std::min(below + step, n));
+        return static_cast<std::size_t>(
+            std::lower_bound(first, last, x,
+                             [](const Interval<T>& iv, const T& v) { return iv.hi < v; }) -
+            ivs.begin());
     }
 
     static double elementCount(const Interval<T>& iv) {

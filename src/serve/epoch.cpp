@@ -175,22 +175,26 @@ std::shared_ptr<const Epoch> EpochStore::current() const {
     return ring_.empty() ? nullptr : ring_.back();
 }
 
-std::optional<std::string> EpochStore::deltasSince(std::uint32_t serial) const {
+std::optional<EpochStore::DeltaReply> EpochStore::appendDeltaReply(std::uint32_t serial,
+                                                                   std::string& out) const {
     rc::LockGuard lock(mutex_);
     if (ring_.empty()) return std::nullopt;
     const std::uint32_t currentSerial = ring_.back()->serial;
-    if (serial == currentSerial) return std::string();
     if (serialLess(currentSerial, serial)) return std::nullopt;  // ahead of us
     // Distance walks serial space with wraparound; the ring holds
     // consecutive serials ending at currentSerial, so the client's epoch
     // is at index size-1-distance when it is still held.
     const std::uint32_t distance = currentSerial - serial;
     if (distance > ring_.size() - 1) return std::nullopt;  // evicted
-    std::string out;
-    for (std::size_t i = ring_.size() - distance; i < ring_.size(); ++i) {
-        out += ring_[i]->deltaPdus;
+    const std::size_t first = ring_.size() - distance;
+    DeltaReply reply{currentSerial, 0};
+    for (std::size_t i = first; i < ring_.size(); ++i) {
+        reply.payloadBytes += ring_[i]->deltaPdus.size();
     }
-    return out;
+    out.reserve(out.size() + kCacheResponseBytes + reply.payloadBytes + kEndOfDataBytes);
+    appendCacheResponse(out, options_.sessionId);
+    for (std::size_t i = first; i < ring_.size(); ++i) out += ring_[i]->deltaPdus;
+    return reply;
 }
 
 std::size_t EpochStore::epochsHeld() const {

@@ -13,8 +13,8 @@
 // Serial numbers are RFC 1982 serial-space values: they increment by one
 // per epoch and wrap at 2^32; comparisons must go through serialLess().
 // The store keeps a bounded ring of recent epochs; a client whose serial
-// fell off the ring gets a Cache Reset (deltasSince returns nullopt) and
-// must re-fetch the full snapshot.
+// fell off the ring gets a Cache Reset (appendDeltaReply returns nullopt)
+// and must re-fetch the full snapshot.
 //
 // Thread model: publish() is called from the sync thread, readers (the
 // RTR server loop, tests, the load harness) from any thread; a mutex
@@ -40,6 +40,8 @@ namespace rpkic::serve {
 // RTR wire vocabulary (RFC 8210, protocol version 1).
 
 inline constexpr std::uint8_t kRtrVersion = 1;
+inline constexpr std::size_t kCacheResponseBytes = 8;
+inline constexpr std::size_t kEndOfDataBytes = 24;
 
 enum class PduType : std::uint8_t {
     SerialNotify = 0,
@@ -133,11 +135,22 @@ public:
     /// Latest epoch, or nullptr before the first publish.
     std::shared_ptr<const Epoch> current() const;
 
-    /// Concatenated delta payload moving a client from `serial` to the
-    /// current epoch ("" when already current). nullopt when `serial` is
-    /// unknown, evicted, or ahead of the store — the caller must answer
+    /// What appendDeltaReply appended.
+    struct DeltaReply {
+        std::uint32_t serial = 0;      ///< the epoch the payload reaches
+        std::size_t payloadBytes = 0;  ///< prefix PDU bytes, headers excluded
+    };
+
+    /// Appends the body of the reply to a Serial Query from `serial`: a
+    /// Cache Response, then the delta payloads moving the client to the
+    /// current epoch (none when already current). Under one lock, so the
+    /// returned serial — the one the caller's End of Data must carry —
+    /// is the epoch the payload reaches even while publish() runs on
+    /// another thread. Reserves `out` once for the whole reply, End of
+    /// Data included. Returns nullopt and appends nothing when `serial`
+    /// is unknown, evicted, or ahead of the store: the caller must answer
     /// with a Cache Reset.
-    std::optional<std::string> deltasSince(std::uint32_t serial) const;
+    std::optional<DeltaReply> appendDeltaReply(std::uint32_t serial, std::string& out) const;
 
     std::size_t epochsHeld() const;
 

@@ -1,5 +1,6 @@
 #include "serve/rtr.hpp"
 
+#include <optional>
 #include <utility>
 
 namespace rpkic::serve {
@@ -24,102 +25,113 @@ RtrCore::RtrCore(EpochStore& store, Options options)
     }
 }
 
-void RtrCore::countQuery(const std::string& type) {
+void RtrCore::countQuery(Query type) {
     obs::Registry* reg = options_.registry;
     if (reg == nullptr) return;
-    obs::Counter*& slot = queryCounters_[type];
+    obs::Counter*& slot = queryCounters_[static_cast<std::size_t>(type)];
     if (slot == nullptr) {
         slot = &reg->counter("rc_rtr_queries_total", "RTR queries received, by type",
-                             {{"type", type}});
+                             {{"type", type == Query::Serial ? "serial" : "reset"}});
     }
     slot->inc();
 }
 
-void RtrCore::countResponse(const std::string& kind) {
+void RtrCore::countResponse(Response kind) {
     obs::Registry* reg = options_.registry;
     if (reg == nullptr) return;
-    obs::Counter*& slot = responseCounters_[kind];
+    obs::Counter*& slot = responseCounters_[static_cast<std::size_t>(kind)];
     if (slot == nullptr) {
+        static constexpr const char* kKinds[] = {"delta", "snapshot", "cache-reset", "no-data"};
         slot = &reg->counter("rc_rtr_responses_total", "RTR responses sent, by kind",
-                             {{"kind", kind}});
+                             {{"kind", kKinds[static_cast<std::size_t>(kind)]}});
     }
     slot->inc();
 }
 
 bool RtrCore::handleSerialQuery(const PduHeader& header, std::string_view pdu,
                                 std::string& out) {
-    countQuery("serial");
+    countQuery(Query::Serial);
     const std::uint32_t clientSerial =
         (static_cast<std::uint32_t>(static_cast<unsigned char>(pdu[8])) << 24) |
         (static_cast<std::uint32_t>(static_cast<unsigned char>(pdu[9])) << 16) |
         (static_cast<std::uint32_t>(static_cast<unsigned char>(pdu[10])) << 8) |
         static_cast<std::uint32_t>(static_cast<unsigned char>(pdu[11]));
-    const std::shared_ptr<const Epoch> current = store_.current();
-    if (current == nullptr) {
+    if (store_.current() == nullptr) {
         appendErrorReport(out, RtrError::NoDataAvailable, "", "no epoch published yet");
-        countResponse("no-data");
+        countResponse(Response::NoData);
         return true;
     }
     if (header.session != store_.sessionId()) {
         // A serial from some other cache lifetime is meaningless here;
         // force the client back to a full reset.
         appendCacheReset(out);
-        countResponse("cache-reset");
+        countResponse(Response::CacheReset);
         return true;
     }
-    const std::optional<std::string> deltas = store_.deltasSince(clientSerial);
-    if (!deltas.has_value()) {
+    // The End of Data serial comes from the same locked read as the
+    // payload: a publish in between must not let the payload run ahead
+    // of the serial it is announced under (RFC 8210 §5.6).
+    const std::optional<EpochStore::DeltaReply> reply = store_.appendDeltaReply(clientSerial, out);
+    if (!reply.has_value()) {
         appendCacheReset(out);
-        countResponse("cache-reset");
+        countResponse(Response::CacheReset);
         return true;
     }
-    appendCacheResponse(out, store_.sessionId());
-    out += *deltas;
-    appendEndOfData(out, store_.sessionId(), current->serial, options_.refreshSeconds,
+    appendEndOfData(out, store_.sessionId(), reply->serial, options_.refreshSeconds,
                     options_.retrySeconds, options_.expireSeconds);
-    if (deltaBytes_ != nullptr) deltaBytes_->inc(deltas->size());
-    countResponse("delta");
+    if (deltaBytes_ != nullptr) deltaBytes_->inc(reply->payloadBytes);
+    countResponse(Response::Delta);
     return true;
 }
 
 bool RtrCore::handleResetQuery(std::string& out) {
-    countQuery("reset");
+    countQuery(Query::Reset);
     const std::shared_ptr<const Epoch> current = store_.current();
     if (current == nullptr) {
         appendErrorReport(out, RtrError::NoDataAvailable, "", "no epoch published yet");
-        countResponse("no-data");
+        countResponse(Response::NoData);
         return true;
     }
+    out.reserve(out.size() + kCacheResponseBytes + current->snapshotPdus.size() +
+                kEndOfDataBytes);
     appendCacheResponse(out, store_.sessionId());
     out += current->snapshotPdus;
     appendEndOfData(out, store_.sessionId(), current->serial, options_.refreshSeconds,
                     options_.retrySeconds, options_.expireSeconds);
     if (snapshotBytes_ != nullptr) snapshotBytes_->inc(current->snapshotPdus.size());
-    countResponse("snapshot");
+    countResponse(Response::Snapshot);
     return true;
 }
 
 bool RtrCore::consume(std::string& in, std::string& out) {
+    std::size_t used = 0;
+    const bool keep = consumePdus(in, used, out);
+    in.erase(0, used);
+    return keep;
+}
+
+bool RtrCore::consumePdus(std::string_view in, std::size_t& used, std::string& out) {
     while (true) {
+        const std::string_view rest = in.substr(used);
         PduHeader header;
-        if (!peekPduHeader(in, &header)) return true;  // incomplete header
+        if (!peekPduHeader(rest, &header)) return true;  // incomplete header
         if (header.version != kRtrVersion) {
             if (protocolErrors_ != nullptr) protocolErrors_->inc();
-            appendErrorReport(out, RtrError::UnsupportedVersion, in.substr(0, 8),
+            appendErrorReport(out, RtrError::UnsupportedVersion, rest.substr(0, 8),
                               "expected protocol version 1");
-            in.clear();
+            used = in.size();
             return false;
         }
         if (header.length < 8 || header.length > kMaxInboundPduBytes) {
             if (protocolErrors_ != nullptr) protocolErrors_->inc();
-            appendErrorReport(out, RtrError::CorruptData, in.substr(0, 8),
+            appendErrorReport(out, RtrError::CorruptData, rest.substr(0, 8),
                               "implausible PDU length");
-            in.clear();
+            used = in.size();
             return false;
         }
-        if (in.size() < header.length) return true;  // incomplete body
-        const std::string pdu = in.substr(0, header.length);
-        in.erase(0, header.length);
+        if (rest.size() < header.length) return true;  // incomplete body
+        const std::string_view pdu = rest.substr(0, header.length);
+        used += header.length;
 
         switch (static_cast<PduType>(header.type)) {
             case PduType::SerialQuery:

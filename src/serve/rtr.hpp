@@ -14,8 +14,8 @@
 // session (the poke that makes caches come back with a Serial Query).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -48,15 +48,23 @@ public:
     std::string notifyPdu() const;
 
 private:
+    enum class Query : std::uint8_t { Serial, Reset };
+    enum class Response : std::uint8_t { Delta, Snapshot, CacheReset, NoData };
+
+    /// Consumes every complete PDU at the front of `in`; `used` returns
+    /// how many bytes were parsed.
+    bool consumePdus(std::string_view in, std::size_t& used, std::string& out);
     bool handleSerialQuery(const PduHeader& header, std::string_view pdu, std::string& out);
     bool handleResetQuery(std::string& out);
-    void countQuery(const std::string& type);
-    void countResponse(const std::string& kind);
+    void countQuery(Query type);
+    void countResponse(Response kind);
 
     EpochStore& store_;
     Options options_;
-    std::map<std::string, obs::Counter*> queryCounters_;
-    std::map<std::string, obs::Counter*> responseCounters_;
+    // One slot per label value, registered on first use so the metrics
+    // text lists only the kinds actually served.
+    std::array<obs::Counter*, 2> queryCounters_{};
+    std::array<obs::Counter*, 4> responseCounters_{};
     obs::Counter* deltaBytes_ = nullptr;
     obs::Counter* snapshotBytes_ = nullptr;
     obs::Counter* protocolErrors_ = nullptr;

@@ -19,45 +19,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "detector_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace rpkic {
 namespace {
 
-RpkiState randomState(Rng& rng, std::size_t tuples, bool withV6) {
-    std::vector<RoaTuple> out;
-    out.reserve(tuples);
-    for (std::size_t i = 0; i < tuples; ++i) {
-        const Asn asn = static_cast<Asn>(1 + rng.nextBelow(40));
-        if (withV6 && rng.nextBool(0.25)) {
-            const int len = static_cast<int>(rng.nextInRange(16, 64));
-            const U128 addr{rng.nextU64(), rng.nextU64()};
-            const auto maxLen = static_cast<std::uint8_t>(
-                rng.nextInRange(static_cast<std::uint64_t>(len),
-                                static_cast<std::uint64_t>(std::min(len + 16, 128))));
-            out.push_back({IpPrefix::v6(addr, len), maxLen, asn});
-        } else {
-            const int len = static_cast<int>(rng.nextInRange(8, 28));
-            const auto addr = static_cast<std::uint32_t>(rng.nextU64());
-            const auto maxLen = static_cast<std::uint8_t>(
-                rng.nextInRange(static_cast<std::uint64_t>(len), 32));
-            out.push_back({IpPrefix::v4(addr, len), maxLen, asn});
-        }
-    }
-    return RpkiState(std::move(out));
-}
-
-// Drops ~20% of `base` and adds `churn` fresh tuples: consecutive
-// snapshots share most of their content, like real RPKI days.
-RpkiState churned(Rng& rng, const RpkiState& base, std::size_t churn, bool withV6) {
-    std::vector<RoaTuple> out;
-    for (const auto& t : base.tuples()) {
-        if (!rng.nextBool(0.2)) out.push_back(t);
-    }
-    const RpkiState fresh = randomState(rng, churn, withV6);
-    out.insert(out.end(), fresh.tuples().begin(), fresh.tuples().end());
-    return RpkiState(std::move(out));
-}
+using oracle::churned;
+using oracle::randomState;
 
 TEST(DetectorParallel, ReportsAreByteIdenticalAcrossThreadCounts) {
     rc::parallel::Pool sequential(1);
@@ -87,18 +56,8 @@ TEST(DetectorParallel, ReportsAreByteIdenticalAcrossThreadCounts) {
     }
 }
 
-// The historical nested-loop scan, kept as the test oracle for the
-// prefix-indexed replacement.
-std::vector<CompetingRoa> competingRoasQuadratic(const RpkiState& prev, const RpkiState& cur) {
-    std::vector<CompetingRoa> out;
-    for (const auto& added : cur.minus(prev)) {
-        for (const auto& existing : prev.tuples()) {
-            if (existing.asn == added.asn) continue;
-            if (existing.prefix.covers(added.prefix)) out.push_back({added, existing});
-        }
-    }
-    return out;
-}
+// The historical nested-loop scan is the oracle for the covering walk.
+using oracle::competingRoas;
 
 TEST(CompetingRoas, IndexedWalkMatchesQuadraticOracleOnRandomCorpora) {
     rc::parallel::Pool pool(4);
@@ -107,7 +66,7 @@ TEST(CompetingRoas, IndexedWalkMatchesQuadraticOracleOnRandomCorpora) {
         const RpkiState prev = randomState(rng, 250, true);
         const RpkiState cur = churned(rng, prev, 80, true);
         const std::vector<CompetingRoa> fast = findCompetingRoas(prev, cur, pool);
-        const std::vector<CompetingRoa> slow = competingRoasQuadratic(prev, cur);
+        const std::vector<CompetingRoa> slow = competingRoas(prev, cur);
         ASSERT_EQ(fast.size(), slow.size()) << "seed " << seed;
         for (std::size_t i = 0; i < fast.size(); ++i) {
             ASSERT_EQ(fast[i], slow[i]) << "seed " << seed << " entry " << i
@@ -131,7 +90,7 @@ TEST(CompetingRoas, NestedRoasAcrossFamilies) {
         {IpPrefix::parse("2001:db8:1::/48"), 48, 888},  // contests the v6 ROA only
     });
     const auto got = findCompetingRoas(prev, cur, pool);
-    ASSERT_EQ(got, competingRoasQuadratic(prev, cur));
+    ASSERT_EQ(got, competingRoas(prev, cur));
     ASSERT_EQ(got.size(), 3u);
     EXPECT_EQ(got[0].added.asn, 999u);
     EXPECT_EQ(got[2].added.asn, 888u);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace rpkic {
@@ -311,6 +315,123 @@ TEST_P(DetectorProperty, ClassifyMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// ---------------------------------------------------------------------------
+// Churn-proportional work, pinned by the detector's deterministic work
+// counters rather than by a time.
+
+/// A state shaped like pipebench's vrp-heavy workload: 48 authorities,
+/// each holding a /14 and a /48, with 21 ASes of 20 tuples apiece —
+/// three quarters /16../24 IPv4 with maxLength up to +4, the rest
+/// /48../56 IPv6 with maxLength up to +8.
+RpkiState vrpHeavyShaped(Rng& rng) {
+    std::vector<RoaTuple> tuples;
+    Asn asn = 100000;
+    for (std::uint32_t leaf = 0; leaf < 48; ++leaf) {
+        const std::uint32_t v4Base = 0x0A000000u + (leaf << 18);
+        const std::uint64_t v6Base = 0x20010db800000000ull | (std::uint64_t{leaf} << 16);
+        for (int roa = 0; roa < 21; ++roa, ++asn) {
+            for (int i = 0; i < 20; ++i) {
+                if (rng.nextBelow(4) != 0) {
+                    const int len = static_cast<int>(rng.nextInRange(16, 24));
+                    const auto slot = static_cast<std::uint32_t>(rng.nextBelow(1ull << (len - 14)));
+                    tuples.push_back({IpPrefix::v4(v4Base + (slot << (32 - len)), len),
+                                      static_cast<std::uint8_t>(len + rng.nextBelow(5)), asn});
+                } else {
+                    const int len = static_cast<int>(rng.nextInRange(48, 56));
+                    const std::uint64_t sub = rng.nextBelow(1ull << (len - 48)) << (64 - len);
+                    tuples.push_back({IpPrefix::v6(U128(v6Base | sub, 0), len),
+                                      static_cast<std::uint8_t>(len + rng.nextBelow(9)), asn});
+                }
+            }
+        }
+    }
+    return RpkiState(std::move(tuples));
+}
+
+struct DiffWork {
+    std::uint64_t asesDiffed = 0;
+    std::uint64_t routesClassified = 0;
+};
+
+DiffWork diffWork(const PrefixValidityIndex& prev, const PrefixValidityIndex& cur) {
+    obs::Counter& ases = obs::Registry::global().counter(
+        "rc_detector_ases_diffed_total", "ASes whose valid triangles a diff ran set operations on");
+    obs::Counter& routes = obs::Registry::global().counter(
+        "rc_detector_routes_classified_total", "Routes a diff classified under both states");
+    const std::uint64_t ases0 = ases.value();
+    const std::uint64_t routes0 = routes.value();
+    (void)diffStates(prev, cur);
+    return {ases.value() - ases0, routes.value() - routes0};
+}
+
+/// Distinct routes announced by tuples of either state that belong to
+/// an AS in `asns`.
+std::uint64_t routesOf(const RpkiState& a, const RpkiState& b, const std::vector<Asn>& asns) {
+    std::vector<Route> out;
+    for (const RpkiState* s : {&a, &b}) {
+        for (const RoaTuple& t : s->tuples()) {
+            if (std::find(asns.begin(), asns.end(), t.asn) != asns.end()) {
+                out.push_back(t.announcedRoute());
+            }
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return static_cast<std::uint64_t>(std::unique(out.begin(), out.end()) - out.begin());
+}
+
+TEST(DetectorWork, OneChangedTupleDiffsOnlyWhatItTouches) {
+    ASSERT_TRUE(obs::runtimeEnabled());
+    Rng rng(2014);
+    const auto prev = std::make_shared<const RpkiState>(vrpHeavyShaped(rng));
+    ASSERT_GT(prev->size(), 19000u);
+    const PrefixValidityIndex prevIdx(prev);
+    ASSERT_GT(prevIdx.asns().size(), 1000u);
+
+    for (int trial = 0; trial < 8; ++trial) {
+        // Replace one tuple by a tuple of another AS, at that AS's
+        // prefix when the families match.
+        std::vector<RoaTuple> tuples = prev->tuples();
+        const std::size_t victim = rng.nextBelow(tuples.size());
+        const RoaTuple gone = tuples[victim];
+        const RoaTuple& donor = tuples[rng.nextBelow(tuples.size())];
+        RoaTuple added = gone;
+        added.asn = donor.asn;
+        added.prefix = donor.prefix.family == gone.prefix.family ? donor.prefix : gone.prefix;
+        added.maxLength = static_cast<std::uint8_t>(added.prefix.length);
+        tuples[victim] = added;
+        const auto cur = std::make_shared<const RpkiState>(std::move(tuples));
+        const TupleDelta delta = tupleDelta(*prev, *cur);
+        if (delta.empty()) continue;
+
+        std::vector<Asn> touched;
+        for (const auto* side : {&delta.announced, &delta.withdrawn}) {
+            for (const RoaTuple& t : *side) touched.push_back(t.asn);
+        }
+        std::sort(touched.begin(), touched.end());
+        touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+        const DiffWork work = diffWork(prevIdx, PrefixValidityIndex(cur));
+        EXPECT_LE(work.asesDiffed, 2u);
+        EXPECT_EQ(work.asesDiffed, touched.size()) << "trial " << trial;
+        EXPECT_EQ(work.routesClassified, routesOf(*prev, *cur, touched))
+            << "trial " << trial;
+        EXPECT_LT(work.routesClassified, prev->size() / 50) << "trial " << trial;
+    }
+}
+
+TEST(DetectorWork, DiffFromEmptyCountsEveryAsAndRoute) {
+    Rng rng(2014);
+    const auto cur = std::make_shared<const RpkiState>(vrpHeavyShaped(rng));
+    const PrefixValidityIndex curIdx(cur);
+    const DiffWork work = diffWork(PrefixValidityIndex(RpkiState()), curIdx);
+    EXPECT_EQ(work.asesDiffed, curIdx.asns().size());
+    std::vector<Route> routes;
+    for (const RoaTuple& t : cur->tuples()) routes.push_back(t.announcedRoute());
+    std::sort(routes.begin(), routes.end());
+    routes.erase(std::unique(routes.begin(), routes.end()), routes.end());
+    EXPECT_EQ(work.routesClassified, routes.size());
+}
 
 }  // namespace
 }  // namespace rpkic

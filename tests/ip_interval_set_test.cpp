@@ -141,6 +141,14 @@ Oracle randomOracle(Rng& rng) {
     return o;
 }
 
+/// Each element present with probability `density`: dozens of short
+/// intervals.
+Oracle fragmentedOracle(Rng& rng, double density) {
+    Oracle o;
+    for (std::size_t i = 0; i < kUniverse; ++i) o[i] = rng.nextBool(density);
+    return o;
+}
+
 class IntervalSetProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IntervalSetProperty, AlgebraMatchesBitsetOracle) {
@@ -162,6 +170,24 @@ TEST_P(IntervalSetProperty, AlgebraMatchesBitsetOracle) {
         for (std::size_t i = 1; i < ivs.size(); ++i) {
             EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1);
         }
+    }
+}
+
+TEST_P(IntervalSetProperty, SkewedSizesMatchBitsetOracle) {
+    // A fragmented set against a few intervals: intersect and subtract
+    // gallop through the larger side, in both argument orders.
+    Rng rng(GetParam() * 104729 + 7);
+    for (int iter = 0; iter < 50; ++iter) {
+        const Oracle om = fragmentedOracle(rng, 0.4);
+        const Oracle of = randomOracle(rng);
+        const Set64 many = fromOracle(om);
+        const Set64 few = fromOracle(of);
+
+        EXPECT_EQ(toOracle(many.intersect(few)), om & of);
+        EXPECT_EQ(many.intersect(few), few.intersect(many));
+        EXPECT_EQ(toOracle(many.subtract(few)), om & ~of);
+        EXPECT_EQ(toOracle(few.subtract(many)), of & ~om);
+        EXPECT_EQ(toOracle(many.unionWith(few)), om | of);
     }
 }
 

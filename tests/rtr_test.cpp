@@ -11,9 +11,14 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -58,6 +63,22 @@ std::uint32_t u32At(const std::string& bytes, std::size_t at) {
            (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 1])) << 16) |
            (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 2])) << 8) |
            static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 3]));
+}
+
+/// The delta payload a Serial Query from `serial` receives (the reply
+/// body after its Cache Response), or nullopt for a Cache Reset. Also
+/// checks the reply was sized once, End of Data included.
+std::optional<std::string> deltasSince(const EpochStore& store, std::uint32_t serial) {
+    std::string out;
+    const std::optional<EpochStore::DeltaReply> reply = store.appendDeltaReply(serial, out);
+    if (!reply.has_value()) {
+        EXPECT_TRUE(out.empty());
+        return std::nullopt;
+    }
+    EXPECT_EQ(reply->serial, store.current()->serial);
+    EXPECT_EQ(out.size(), kCacheResponseBytes + reply->payloadBytes);
+    EXPECT_GE(out.capacity(), out.size() + kEndOfDataBytes);
+    return out.substr(kCacheResponseBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,8 +227,8 @@ TEST(EpochStore, FirstEpochIsSnapshotOnly) {
     EXPECT_TRUE(epoch->deltaPdus.empty());
     EXPECT_EQ(store.current(), epoch);
     EXPECT_EQ(store.epochsHeld(), 1u);
-    ASSERT_TRUE(store.deltasSince(0).has_value());
-    EXPECT_EQ(*store.deltasSince(0), "");
+    ASSERT_TRUE(deltasSince(store, 0).has_value());
+    EXPECT_EQ(*deltasSince(store, 0), "");
 }
 
 TEST(EpochStore, DeltaAnnouncesThenWithdraws) {
@@ -224,8 +245,8 @@ TEST(EpochStore, DeltaAnnouncesThenWithdraws) {
     EXPECT_EQ(u32At(pdus[0].bytes, 12), 0x0a020000u);
     EXPECT_EQ(pdus[1].bytes[8], 0);  // then withdraw 10.0.0.0/8
     EXPECT_EQ(u32At(pdus[1].bytes, 12), 0x0a000000u);
-    EXPECT_EQ(*store.deltasSince(0), epoch->deltaPdus);
-    EXPECT_EQ(*store.deltasSince(1), "");
+    EXPECT_EQ(*deltasSince(store, 0), epoch->deltaPdus);
+    EXPECT_EQ(*deltasSince(store, 1), "");
 }
 
 TEST(EpochStore, DeltasConcatenateAcrossEpochs) {
@@ -234,9 +255,9 @@ TEST(EpochStore, DeltasConcatenateAcrossEpochs) {
     const auto e1 = store.publish(2, state({tuple("10.0.0.0/8", 8, 1),
                                             tuple("10.1.0.0/16", 24, 2)}));
     const auto e2 = store.publish(3, state({tuple("10.1.0.0/16", 24, 2)}));
-    ASSERT_TRUE(store.deltasSince(0).has_value());
-    EXPECT_EQ(*store.deltasSince(0), e1->deltaPdus + e2->deltaPdus);
-    EXPECT_EQ(*store.deltasSince(1), e2->deltaPdus);
+    ASSERT_TRUE(deltasSince(store, 0).has_value());
+    EXPECT_EQ(*deltasSince(store, 0), e1->deltaPdus + e2->deltaPdus);
+    EXPECT_EQ(*deltasSince(store, 1), e2->deltaPdus);
 }
 
 TEST(EpochStore, EvictionAndAheadSerialsForceCacheReset) {
@@ -248,12 +269,12 @@ TEST(EpochStore, EvictionAndAheadSerialsForceCacheReset) {
                                           static_cast<Asn>(round))}));
     }
     EXPECT_EQ(store.epochsHeld(), 2u);  // serials 2 and 3 survive
-    EXPECT_FALSE(store.deltasSince(0).has_value());  // evicted
-    EXPECT_FALSE(store.deltasSince(1).has_value());  // evicted
-    EXPECT_TRUE(store.deltasSince(2).has_value());
-    EXPECT_EQ(*store.deltasSince(3), "");
-    EXPECT_FALSE(store.deltasSince(4).has_value());  // ahead of the store
-    EXPECT_FALSE(store.deltasSince(0x90000000u).has_value());
+    EXPECT_FALSE(deltasSince(store, 0).has_value());  // evicted
+    EXPECT_FALSE(deltasSince(store, 1).has_value());  // evicted
+    EXPECT_TRUE(deltasSince(store, 2).has_value());
+    EXPECT_EQ(*deltasSince(store, 3), "");
+    EXPECT_FALSE(deltasSince(store, 4).has_value());  // ahead of the store
+    EXPECT_FALSE(deltasSince(store, 0x90000000u).has_value());
 }
 
 TEST(EpochStore, SerialsWrapAtTwoToThe32) {
@@ -268,10 +289,10 @@ TEST(EpochStore, SerialsWrapAtTwoToThe32) {
     EXPECT_EQ(e2->serial, 0u);
     EXPECT_EQ(store.current()->serial, 0u);
     // A client at the pre-wrap serial still gets an incremental delta.
-    ASSERT_TRUE(store.deltasSince(0xfffffffeu).has_value());
-    EXPECT_EQ(*store.deltasSince(0xfffffffeu), e1->deltaPdus + e2->deltaPdus);
-    EXPECT_EQ(*store.deltasSince(0xffffffffu), e2->deltaPdus);
-    EXPECT_EQ(*store.deltasSince(0), "");
+    ASSERT_TRUE(deltasSince(store, 0xfffffffeu).has_value());
+    EXPECT_EQ(*deltasSince(store, 0xfffffffeu), e1->deltaPdus + e2->deltaPdus);
+    EXPECT_EQ(*deltasSince(store, 0xffffffffu), e2->deltaPdus);
+    EXPECT_EQ(*deltasSince(store, 0), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -505,6 +526,78 @@ TEST(RtrCore, MetersQueriesResponsesAndErrors) {
     const obs::FamilySnapshot* deltaBytes = snap.find("rc_rtr_delta_bytes_total");
     ASSERT_NE(deltaBytes, nullptr);
     EXPECT_EQ(deltaBytes->series[0].value, 20.0);  // one announce PDU
+}
+
+TEST(RtrCore, EndOfDataSerialMatchesTheDeltaUnderConcurrentPublish) {
+    // One thread publishes one-tuple epochs while another polls with
+    // Serial Queries and applies every reply to its VRP set. An End of
+    // Data serial read apart from the payload lets a publish in between
+    // send deltas up to S+1 under serial S; the next query from S then
+    // announces a tuple the router already holds (RFC 8210 §5.6).
+    constexpr int kEpochs = 3000;
+    EpochStore::Options options;
+    options.capacity = kEpochs + 1;  // no Cache Reset: every poll is a delta
+    EpochStore store(options);
+    const auto epochState = [](int k) {
+        const auto addr = 0x0a000000u + (static_cast<std::uint32_t>(k) << 8);
+        return state({RoaTuple{IpPrefix::v4(addr, 24), 24, static_cast<Asn>(k)}});
+    };
+    store.publish(0, epochState(0));
+
+    // A VRP is its prefix PDU with the announce flag cleared.
+    const auto vrpKey = [](const std::string& pdu) {
+        std::string key = pdu;
+        key[8] = 0;
+        return key;
+    };
+    std::set<std::string> vrps;
+    for (const ParsedPdu& pdu : parsePdus(store.current()->snapshotPdus)) {
+        vrps.insert(vrpKey(pdu.bytes));
+    }
+    std::uint32_t serial = store.current()->serial;
+    std::size_t duplicateAnnounces = 0;
+    std::size_t absentWithdraws = 0;
+    std::size_t polls = 0;
+    RtrCore core(store);
+    const auto poll = [&] {
+        std::string in, out;
+        appendSerialQuery(in, store.sessionId(), serial);
+        ASSERT_TRUE(core.consume(in, out));
+        const std::vector<ParsedPdu> pdus = parsePdus(out);
+        ASSERT_GE(pdus.size(), 2u);
+        ASSERT_EQ(pdus.back().header.type, static_cast<std::uint8_t>(PduType::EndOfData));
+        for (std::size_t i = 1; i + 1 < pdus.size(); ++i) {
+            const std::string key = vrpKey(pdus[i].bytes);
+            if (pdus[i].bytes[8] == 1) {
+                if (!vrps.insert(key).second) ++duplicateAnnounces;
+            } else if (vrps.erase(key) == 0) {
+                ++absentWithdraws;
+            }
+        }
+        serial = u32At(pdus.back().bytes, 8);
+        ++polls;
+    };
+
+    std::atomic<bool> done{false};
+    std::thread publisher([&] {
+        for (int k = 1; k <= kEpochs; ++k) {
+            store.publish(static_cast<std::uint64_t>(k), epochState(k));
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        done.store(true);
+    });
+    while (!done.load()) poll();
+    publisher.join();
+    poll();
+
+    EXPECT_EQ(duplicateAnnounces, 0u) << "over " << polls << " polls";
+    EXPECT_EQ(absentWithdraws, 0u) << "over " << polls << " polls";
+    EXPECT_EQ(serial, store.current()->serial);
+    std::set<std::string> want;
+    for (const ParsedPdu& pdu : parsePdus(store.current()->snapshotPdus)) {
+        want.insert(vrpKey(pdu.bytes));
+    }
+    EXPECT_EQ(vrps, want);
 }
 
 // ---------------------------------------------------------------------------
