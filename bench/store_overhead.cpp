@@ -90,11 +90,10 @@ CommitMicro commitMicro(vfs::Vfs& fs, const std::string& vfsName, const std::str
     opts.name = "bench";
     rp::DurableStore store(fs, dir, opts, &registry);
     store.open();
-    const ByteView view(payload.data(), payload.size());
-    store.commit(view, 0);  // warm-up: first commit creates the WAL
+    store.commit(payload, 0);  // warm-up: first commit creates the WAL
     Stopwatch timer;
     for (int i = 0; i < commits; ++i)
-        store.commit(view, static_cast<std::uint64_t>(i + 1));
+        store.commit(payload, static_cast<std::uint64_t>(i + 1));
     CommitMicro m;
     m.vfsName = vfsName;
     m.payloadBytes = payload.size();

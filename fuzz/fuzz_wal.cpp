@@ -114,7 +114,7 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
         if (store.latestMeta() != recoveredMeta) fail("re-recovery changed the meta");
         if (store.latestLsn() != recoveredLsn) fail("re-recovery changed the LSN");
         try {
-            store.commit(ByteView(probe.data(), probe.size()), probeMeta);
+            store.commit(probe, probeMeta);
         } catch (...) {
             fail("commit() after recovery threw");
         }

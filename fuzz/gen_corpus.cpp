@@ -4,9 +4,9 @@
 //
 //   ./build/fuzz/gen_corpus [output-root]     # default: fuzz/corpus
 //
-// The golden test SharedCorpus.CheckedInTlvSeedsMatchGenerators (in
-// tests/fuzz_decode_test.cpp) fails when the corpus and the builders
-// drift, so forgetting to re-run this is caught by ctest.
+// The SharedCorpus.* drift guards (in tests/fuzz_decode_test.cpp) fail
+// when the tlv, manifest_chain or wal corpus and the builders drift, so
+// forgetting to re-run this is caught by ctest.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>

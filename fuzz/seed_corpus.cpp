@@ -162,24 +162,18 @@ std::vector<Bytes> sampleWalImages() {
 
     const Bytes empty = walImageOf([](rp::DurableStore&) {});
     const Bytes single = walImageOf([&](rp::DurableStore& s) {
-        const Bytes p = payload("state-round-1");
-        s.commit(ByteView(p.data(), p.size()), 1);
+        s.commit(payload("state-round-1"), 1);
     });
     const Bytes multi = walImageOf([&](rp::DurableStore& s) {
-        const Bytes a = payload("alpha");
-        const Bytes b = payload("");  // empty payloads are legal commits
-        const Bytes c = payload("a much longer relying-party state payload, "
-                                "so frames span more than one torn-write unit");
-        s.commit(ByteView(a.data(), a.size()), 1);
-        s.commit(ByteView(b.data(), b.size()), 2);
-        s.commit(ByteView(c.data(), c.size()), 3);
+        s.commit(payload("alpha"), 1);
+        s.commit(payload(""), 2);  // empty payloads are legal commits
+        s.commit(payload("a much longer relying-party state payload, "
+                         "so frames span more than one torn-write unit"), 3);
     });
     const Bytes afterFold = walImageOf([&](rp::DurableStore& s) {
-        const Bytes a = payload("before-the-fold");
-        const Bytes b = payload("after-the-fold");
-        s.commit(ByteView(a.data(), a.size()), 1);
+        s.commit(payload("before-the-fold"), 1);
         s.checkpointNow();  // resets the WAL; LSNs keep counting
-        s.commit(ByteView(b.data(), b.size()), 2);
+        s.commit(payload("after-the-fold"), 2);
     });
     Bytes torn = multi;
     torn.resize(torn.size() - std::min<std::size_t>(torn.size(), 5));  // torn tail

@@ -11,6 +11,9 @@ namespace rpkic::obs {
 
 namespace {
 
+/// Cap on one request's head plus body.
+constexpr std::size_t kMaxRequestBytes = 65536;
+
 const char* statusText(int status) {
     switch (status) {
         case 200: return "OK";
@@ -103,11 +106,11 @@ struct HttpServer::Proto : SocketProtocol {
 
     /// Parses one complete request out of session.in. Returns 0 when the
     /// head is incomplete, 1 on success, -1 on malformed input, -2 when
-    /// the request exceeds maxRequestBytes.
+    /// the request exceeds kMaxRequestBytes.
     int parseRequest(NetSession& session, HttpRequest* request) {
         const std::size_t headEnd = session.in.find("\r\n\r\n");
         if (headEnd == std::string::npos) {
-            return session.in.size() > options.maxRequestBytes ? -2 : 0;
+            return session.in.size() > kMaxRequestBytes ? -2 : 0;
         }
         const std::string head = session.in.substr(0, headEnd);
         std::size_t lineStart = 0;
@@ -153,7 +156,7 @@ struct HttpServer::Proto : SocketProtocol {
             const unsigned long long n = std::strtoull(lengthText.c_str(), &end, 10);
             if (end == lengthText.c_str() || *end != '\0') return -1;
             contentLength = static_cast<std::size_t>(n);
-            if (headEnd + 4 + contentLength > options.maxRequestBytes) return -1;
+            if (headEnd + 4 + contentLength > kMaxRequestBytes) return -1;
         }
         if (session.in.size() < headEnd + 4 + contentLength) return 0;
         request->body = session.in.substr(headEnd + 4, contentLength);

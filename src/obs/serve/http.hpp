@@ -55,7 +55,6 @@ class HttpServer {
 public:
     struct Options {
         std::size_t maxSessions = 1024;       ///< concurrent connections
-        std::size_t maxRequestBytes = 65536;  ///< request head + body cap
         /// SO_SNDBUF for accepted sockets (0 = kernel default); see
         /// SocketServer::Options::sessionSendBuffer.
         int sessionSendBuffer = 0;

@@ -114,40 +114,29 @@ Bytes RelyingParty::serializeState() const {
     // Integrity footer: a truncated or bit-flipped cache must fail with a
     // precise checksum error before any field is interpreted, never with a
     // mid-stream decode error that might half-apply.
-    Bytes out = e.take();
-    const Digest digest = sha256(ByteView(out.data(), out.size()));
-    Encoder footer;
-    footer.u64(out.size());
-    footer.digest(digest);
-    footer.u32(kFooterMagic);
-    const Bytes& tail = footer.view();
-    out.insert(out.end(), tail.begin(), tail.end());
-    return out;
+    const std::size_t bodyLen = e.view().size();
+    const Digest digest = sha256(ByteView(e.view().data(), bodyLen));
+    e.u64(bodyLen);
+    e.digest(digest);
+    e.u32(kFooterMagic);
+    return e.take();
 }
 
-RelyingParty RelyingParty::deserializeState(ByteView data, bool allowLegacy,
-                                            obs::Registry* registry) {
-    ByteView body = data;
-    bool footered = false;
-    if (data.size() >= kFooterLen) {
-        Decoder f(data.subspan(data.size() - kFooterLen));
-        const std::uint64_t bodyLen = f.u64();
-        const Digest stored = f.digest();
-        const std::uint32_t magic = f.u32();
-        if (magic == kFooterMagic && bodyLen == data.size() - kFooterLen) {
-            body = data.subspan(0, data.size() - kFooterLen);
-            const Digest actual = sha256(body);
-            if (actual != stored) {
-                throw ParseError("cache checksum mismatch: footer says " + stored.shortHex() +
-                                 ", content hashes to " + actual.shortHex());
-            }
-            footered = true;
-        }
+RelyingParty RelyingParty::deserializeState(ByteView data, obs::Registry* registry) {
+    if (data.size() < kFooterLen) {
+        throw ParseError("cache has no integrity footer (truncated or not a cache)");
     }
-    if (!footered && !allowLegacy) {
-        throw ParseError(
-            "cache has no integrity footer (truncated, or a legacy cache — "
-            "pass allowLegacy to accept footerless caches)");
+    const ByteView body = data.subspan(0, data.size() - kFooterLen);
+    Decoder f(data.subspan(body.size()));
+    const std::uint64_t bodyLen = f.u64();
+    const Digest stored = f.digest();
+    if (f.u32() != kFooterMagic || bodyLen != body.size()) {
+        throw ParseError("cache has no integrity footer (truncated or not a cache)");
+    }
+    const Digest actual = sha256(body);
+    if (actual != stored) {
+        throw ParseError("cache checksum mismatch: footer says " + stored.shortHex() +
+                         ", content hashes to " + actual.shortHex());
     }
 
     Decoder d(body);

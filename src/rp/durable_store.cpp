@@ -309,7 +309,7 @@ void DurableStore::scanWal(std::uint64_t ckptSeq, RecoveryReport& report) {
     report.tornBytesDiscarded += wal.size() - pos;
 }
 
-void DurableStore::commit(ByteView payload, std::uint64_t meta) {
+void DurableStore::commit(Bytes payload, std::uint64_t meta) {
     if (!open_) throw UsageError("DurableStore::commit before open()");
     if (poisoned_) {
         throw UsageError("DurableStore::commit on a poisoned store; reopen to repair");
@@ -327,13 +327,13 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
         throw;
     }
     lastLsn_ = lsn;
-    latest_ = Bytes(payload.begin(), payload.end());
+    latest_ = std::move(payload);
     latestMeta_ = meta;
     if (recorder_ != nullptr || obs::FlightRecorder::global().enabled()) {
         obs::flightRecord(recorder_, obs::FlightKind::StoreCommit,
                           "store/" + options_.name,
                           "lsn=" + std::to_string(lsn) + " meta=" + std::to_string(meta) +
-                              " bytes=" + std::to_string(payload.size()));
+                              " bytes=" + std::to_string(latest_->size()));
     }
     commitsTotal_->inc();
     ++commitsSinceCheckpoint_;
@@ -345,18 +345,15 @@ void DurableStore::commit(ByteView payload, std::uint64_t meta) {
 void DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta) {
     RC_CHECK(payload.size() <= kMaxFrameBody - kFrameHeaderLen,
              "durable-store payload exceeds the 1 GiB frame bound");
-    Bytes body;
-    body.reserve(kFrameHeaderLen + payload.size());
-    body.push_back(kFrameCommit);
-    putBe64(body, lsn);
-    putBe64(body, meta);
-    body.insert(body.end(), payload.begin(), payload.end());
-    const Digest digest = sha256(ByteView(body.data(), body.size()));
-
+    const std::size_t bodyLen = kFrameHeaderLen + payload.size();
     Bytes frame;
-    frame.reserve(4 + body.size() + kDigestLen);
-    putBe32(frame, static_cast<std::uint32_t>(body.size()));
-    frame.insert(frame.end(), body.begin(), body.end());
+    frame.reserve(4 + bodyLen + kDigestLen);
+    putBe32(frame, static_cast<std::uint32_t>(bodyLen));
+    frame.push_back(kFrameCommit);
+    putBe64(frame, lsn);
+    putBe64(frame, meta);
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    const Digest digest = sha256(ByteView(frame.data() + 4, bodyLen));
     frame.insert(frame.end(), digest.bytes.begin(), digest.bytes.end());
     fs_.appendFile(walPath(), ByteView(frame.data(), frame.size()));
     appendsTotal_->inc();

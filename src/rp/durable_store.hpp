@@ -97,11 +97,14 @@ public:
     RecoveryReport open();
 
     /// Durably commits `payload` (with a caller-defined `meta`, e.g. the
-    /// sync round) — all-or-nothing across process death. Throws IoError
-    /// if the underlying filesystem fails; the commit then did not happen
-    /// and the store refuses further commits until reopened. Throws
-    /// UsageError if called before open() or after poisoning.
-    void commit(ByteView payload, std::uint64_t meta = 0);
+    /// sync round) — all-or-nothing across process death. The store takes
+    /// the buffer: once the frame is durable it becomes latest(), so the
+    /// only copy made is the WAL frame itself. Throws IoError if the
+    /// underlying filesystem fails; the commit then did not happen,
+    /// latest() is unchanged, and the store refuses further commits until
+    /// reopened. Throws UsageError if called before open() or after
+    /// poisoning.
+    void commit(Bytes payload, std::uint64_t meta = 0);
 
     /// Folds the latest committed payload into a checkpoint and resets the
     /// WAL. No-op if nothing has ever been committed.

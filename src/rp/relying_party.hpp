@@ -139,14 +139,12 @@ public:
     /// or bit rot is detected before any field is interpreted.
     Bytes serializeState() const;
     /// Restores a relying party from serializeState() output. Throws
-    /// ParseError on malformed input; a damaged footer yields a precise
-    /// "cache checksum mismatch" instead of a mid-stream decode error.
-    /// `allowLegacy` accepts pre-footer caches (explicit opt-in: a legacy
-    /// cache has no integrity protection). `registry` is forwarded to the
+    /// ParseError on malformed input: a missing footer yields "no integrity
+    /// footer" and a damaged one a precise "cache checksum mismatch",
+    /// never a mid-stream decode error. `registry` is forwarded to the
     /// restored instance (nullptr = global), so crash-recovery harnesses
     /// keep their run-local metrics registries.
-    static RelyingParty deserializeState(ByteView data, bool allowLegacy = false,
-                                         obs::Registry* registry = nullptr);
+    static RelyingParty deserializeState(ByteView data, obs::Registry* registry = nullptr);
 
 private:
     /// A manifest file that verified, and the issuer key it verified under.

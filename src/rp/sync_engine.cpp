@@ -349,10 +349,7 @@ SyncReport SyncEngine::syncRound(Time now) {
     // anywhere up to the commit point replays this round from the previous
     // committed state; RelyingParty::sync of an unchanged snapshot is a
     // no-op, so the replay converges instead of double-counting.
-    if (store_ != nullptr) {
-        const Bytes state = rp_->serializeState();
-        store_->commit(ByteView(state.data(), state.size()), round_);
-    }
+    if (store_ != nullptr) store_->commit(rp_->serializeState(), round_);
     if (epochSink_ != nullptr) epochSink_(round_, std::move(epochState));
     reports_.push_back(report);
     return report;

@@ -11,6 +11,11 @@ namespace {
 /// longer is garbage and the session is dropped before buffering it.
 constexpr std::uint32_t kMaxInboundPduBytes = 4096;
 
+// End of Data timing advice: the RFC 8210 §6 defaults.
+constexpr std::uint32_t kRefreshSeconds = 3600;
+constexpr std::uint32_t kRetrySeconds = 600;
+constexpr std::uint32_t kExpireSeconds = 7200;
+
 }  // namespace
 
 RtrCore::RtrCore(EpochStore& store, Options options)
@@ -77,8 +82,8 @@ bool RtrCore::handleSerialQuery(const PduHeader& header, std::string_view pdu,
         countResponse(Response::CacheReset);
         return true;
     }
-    appendEndOfData(out, store_.sessionId(), reply->serial, options_.refreshSeconds,
-                    options_.retrySeconds, options_.expireSeconds);
+    appendEndOfData(out, store_.sessionId(), reply->serial, kRefreshSeconds, kRetrySeconds,
+                    kExpireSeconds);
     if (deltaBytes_ != nullptr) deltaBytes_->inc(reply->payloadBytes);
     countResponse(Response::Delta);
     return true;
@@ -96,8 +101,8 @@ bool RtrCore::handleResetQuery(std::string& out) {
                 kEndOfDataBytes);
     appendCacheResponse(out, store_.sessionId());
     out += current->snapshotPdus;
-    appendEndOfData(out, store_.sessionId(), current->serial, options_.refreshSeconds,
-                    options_.retrySeconds, options_.expireSeconds);
+    appendEndOfData(out, store_.sessionId(), current->serial, kRefreshSeconds, kRetrySeconds,
+                    kExpireSeconds);
     if (snapshotBytes_ != nullptr) snapshotBytes_->inc(current->snapshotPdus.size());
     countResponse(Response::Snapshot);
     return true;

@@ -28,10 +28,6 @@ namespace rpkic::serve {
 class RtrCore {
 public:
     struct Options {
-        // End of Data timing advice (RFC 8210 §5.8 ranges).
-        std::uint32_t refreshSeconds = 3600;
-        std::uint32_t retrySeconds = 600;
-        std::uint32_t expireSeconds = 7200;
         obs::Registry* registry = nullptr;  ///< rc_rtr_* instruments
     };
 

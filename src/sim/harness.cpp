@@ -116,7 +116,7 @@ MemberProcess::Restart MemberProcess::restart(std::optional<std::uint64_t> resum
         if (const std::optional<Bytes>& blob = store_->latest(); blob.has_value()) {
             failure = "recovered payload does not deserialize: ";
             rp_.emplace(rp::RelyingParty::deserializeState(ByteView(blob->data(), blob->size()),
-                                                           /*allowLegacy=*/false, registry_));
+                                                           registry_));
             // I8: the store must return a state some commit produced — not
             // a near miss. Re-serializing the restored relying party has to
             // reproduce the recovered bytes exactly.

@@ -6,6 +6,9 @@
 namespace rpkic::vanilla {
 
 namespace {
+/// notAfter of every RC and ROA: effectively never expires.
+constexpr Time kCertLifetime = 1000000;
+
 std::string pubPointUriFor(const std::string& name) {
     return "rpki://" + name + "/";
 }
@@ -50,7 +53,7 @@ std::string ClassicTree::addTrustAnchor(const std::string& name, ResourceSet res
     n.cert.pubPointUri = n.pubPointUri;
     n.cert.resources = std::move(resources);
     n.cert.notBefore = 0;
-    n.cert.notAfter = options_.certLifetime;
+    n.cert.notAfter = kCertLifetime;
     signObject(n.cert, n.signer);  // self-signed
     nodes_.emplace(name, std::move(n));
     trustAnchorNames_.push_back(name);
@@ -72,7 +75,7 @@ std::string ClassicTree::addChild(const std::string& parent, const std::string& 
     n.cert.pubPointUri = n.pubPointUri;
     n.cert.resources = std::move(resources);
     n.cert.notBefore = 0;
-    n.cert.notAfter = options_.certLifetime;
+    n.cert.notAfter = kCertLifetime;
     signObject(n.cert, p.signer);
     p.childFiles[name] = certFileFor(name);
     nodes_.emplace(name, std::move(n));
@@ -91,7 +94,7 @@ std::string ClassicTree::addRoa(const std::string& issuer, const std::string& la
     roa.asn = asn;
     roa.prefixes = std::move(prefixes);
     roa.notBefore = 0;
-    roa.notAfter = options_.certLifetime;
+    roa.notAfter = kCertLifetime;
     signObject(roa, p.signer);
     p.roaFiles[filename] = roa.encode();
     return filename;

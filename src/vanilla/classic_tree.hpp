@@ -22,7 +22,6 @@ namespace rpkic::vanilla {
 struct ClassicTreeOptions {
     std::uint64_t seed = 1;
     int signerHeight = 6;        ///< 2^h signatures per authority key
-    Time certLifetime = 1000000; ///< RCs/ROAs effectively do not expire
     Time manifestLifetime = 1;   ///< manifests must be republished every tick
 };
 

@@ -140,13 +140,13 @@ TEST(DurableStore, CommitsSurviveReopenNewestWins) {
     vfs::MemVfs fs(11);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);  // no auto-ckpt
     EXPECT_FALSE(store.lastRecovery().recovered);
-    EXPECT_THROW(store.commit(view(blob("x"))), UsageError);  // before open()
+    EXPECT_THROW(store.commit(blob("x")), UsageError);  // before open()
 
     store.open();
     EXPECT_FALSE(store.lastRecovery().recovered);
-    store.commit(view(blob("v1")), 1);
-    store.commit(view(blob("v2")), 2);
-    store.commit(view(blob("v3")), 3);
+    store.commit(blob("v1"), 1);
+    store.commit(blob("v2"), 2);
+    store.commit(blob("v3"), 3);
     EXPECT_EQ(store.latestLsn(), 3u);
 
     DurableStore again(fs, "st", StoreOptions{0, "t"}, &reg);
@@ -165,11 +165,11 @@ TEST(DurableStore, CheckpointFoldsWalAndRecoveryPrefersIt) {
     vfs::MemVfs fs(13);
     DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);
     store.open();
-    store.commit(view(blob("a")), 1);
-    store.commit(view(blob("b")), 2);  // triggers the checkpoint fold
+    store.commit(blob("a"), 1);
+    store.commit(blob("b"), 2);  // triggers the checkpoint fold
     EXPECT_TRUE(fs.exists(store.checkpointPath(2)));
     EXPECT_EQ(fs.readFile(store.walPath()).size(), 0u);  // WAL reset
-    store.commit(view(blob("c")), 3);  // lands in the fresh WAL
+    store.commit(blob("c"), 3);  // lands in the fresh WAL
 
     DurableStore again(fs, "st", StoreOptions{2, "t"}, &reg);
     const RecoveryReport rec = again.open();
@@ -180,7 +180,7 @@ TEST(DurableStore, CheckpointFoldsWalAndRecoveryPrefersIt) {
     EXPECT_EQ(*again.latest(), blob("c"));
     EXPECT_EQ(again.latestMeta(), 3u);
     // LSNs continue across the reopen.
-    again.commit(view(blob("d")), 4);
+    again.commit(blob("d"), 4);
     EXPECT_EQ(again.latestLsn(), 4u);
 }
 
@@ -189,23 +189,23 @@ TEST(DurableStore, IoFailurePoisonsUntilReopenRepairs) {
     vfs::MemVfs fs(17);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);
     store.open();
-    store.commit(view(blob("good")), 1);
+    store.commit(blob("good"), 1);
 
     fs.armFailAt(fs.opCount());  // fail the next append
-    EXPECT_THROW(store.commit(view(blob("bad")), 2), vfs::IoError);
+    EXPECT_THROW(store.commit(blob("bad"), 2), vfs::IoError);
     EXPECT_TRUE(store.isPoisoned());
     // The failed commit did not happen; the store refuses to append after
     // a possibly-partial tail but still serves the committed payload.
     ASSERT_TRUE(store.latest().has_value());
     EXPECT_EQ(*store.latest(), blob("good"));
-    EXPECT_THROW(store.commit(view(blob("bad2")), 2), UsageError);
+    EXPECT_THROW(store.commit(blob("bad2"), 2), UsageError);
     EXPECT_THROW(store.checkpointNow(), UsageError);
 
     const RecoveryReport rec = store.open();  // repair
     EXPECT_FALSE(store.isPoisoned());
     EXPECT_TRUE(rec.recovered);
     EXPECT_EQ(*store.latest(), blob("good"));
-    store.commit(view(blob("after")), 2);
+    store.commit(blob("after"), 2);
     EXPECT_EQ(*store.latest(), blob("after"));
 }
 
@@ -223,7 +223,7 @@ protected:
         for (int i = 1; i <= 4; ++i) {
             const Bytes payload = blob("payload-" + std::to_string(i));
             committed_.push_back(payload);
-            store.commit(view(payload), static_cast<std::uint64_t>(i));
+            store.commit(payload, static_cast<std::uint64_t>(i));
         }
         wal_ = fs.readFile(store.walPath());
         walPath_ = store.walPath();
@@ -247,7 +247,7 @@ protected:
                 << what << " at " << at << ": recovered a mixture state";
         }
         // Repair must leave the store usable.
-        ASSERT_NO_THROW(store.commit(view(blob("fresh")), 99)) << what << " at " << at;
+        ASSERT_NO_THROW(store.commit(blob("fresh"), 99)) << what << " at " << at;
     }
 
     obs::Registry reg_;
@@ -276,10 +276,10 @@ TEST(DurableStore, CorruptCheckpointFallsBackToOlderState) {
     vfs::MemVfs fs(31);
     DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);
     store.open();
-    store.commit(view(blob("a")), 1);
-    store.commit(view(blob("b")), 2);  // checkpoint at lsn 2, WAL reset
-    store.commit(view(blob("c")), 3);
-    store.commit(view(blob("d")), 4);  // checkpoint at lsn 4
+    store.commit(blob("a"), 1);
+    store.commit(blob("b"), 2);  // checkpoint at lsn 2, WAL reset
+    store.commit(blob("c"), 3);
+    store.commit(blob("d"), 4);  // checkpoint at lsn 4
 
     // Flip a byte inside the newest checkpoint: recovery must fall back
     // (here: to the WAL-less older state via the lsn-2 checkpoint if it
@@ -312,7 +312,7 @@ TEST(DurableStore, RepairSurvivesCorruptCheckpointAtTheReplayedLsn) {
     vfs::MemVfs fs(7);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);
     store.open();
-    store.commit(view(blob("payload-1")), 11);  // WAL frame at lsn 1
+    store.commit(blob("payload-1"), 11);  // WAL frame at lsn 1
 
     // Plant garbage where the repair checkpoint for lsn 1 will land.
     fs.writeFile(store.checkpointPath(1), view(blob("not a checkpoint")));

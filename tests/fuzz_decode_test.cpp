@@ -7,11 +7,14 @@
 #include <algorithm>
 
 #include "consent/authority.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/xmss.hpp"
 #include "fuzz/seed_corpus.hpp"
+#include "rp/durable_store.hpp"
 #include "rp/relying_party.hpp"
 #include "rpki/objects.hpp"
 #include "util/rng.hpp"
+#include "util/vfs.hpp"
 
 namespace rpkic {
 namespace {
@@ -27,38 +30,43 @@ const std::vector<Bytes>& sampleObjects() {
     return corpus;
 }
 
-TEST(SharedCorpus, CheckedInTlvSeedsMatchGenerators) {
-    // The on-disk corpus must stay in sync with the canonical seed
-    // builders: run build/fuzz/gen_corpus after wire-format changes. The
-    // generated set is the object samples plus one attack-shaped seed per
-    // adversary pack (fuzz/gen_corpus writes those as pack_<name>.bin).
-    const std::vector<Bytes>& corpus = sampleObjects();
+/// The on-disk corpus must stay in sync with the canonical seed builders:
+/// run build/fuzz/gen_corpus after wire-format changes.
+void expectCorpusMatches(const std::vector<Bytes>& corpus, const std::vector<Bytes>& generated,
+                         const char* dir) {
     ASSERT_FALSE(corpus.empty());
+    EXPECT_EQ(corpus.size(), generated.size());
+    for (const Bytes& seed : generated) {
+        EXPECT_NE(std::find(corpus.begin(), corpus.end(), seed), corpus.end())
+            << "seed missing from fuzz/corpus/" << dir << " — re-run gen_corpus";
+    }
+}
+
+TEST(SharedCorpus, CheckedInTlvSeedsMatchGenerators) {
+    // The object samples plus one attack-shaped seed per adversary pack
+    // (fuzz/gen_corpus writes those as pack_<name>.bin).
     std::vector<Bytes> generated = fuzz::sampleObjects();
     for (auto& [name, bytes] : fuzz::samplePackTlvSeeds()) {
         generated.push_back(std::move(bytes));
     }
-    EXPECT_EQ(corpus.size(), generated.size());
-    for (const Bytes& seed : generated) {
-        EXPECT_NE(std::find(corpus.begin(), corpus.end(), seed), corpus.end())
-            << "seed missing from fuzz/corpus/tlv — re-run gen_corpus";
-    }
+    expectCorpusMatches(sampleObjects(), generated, "tlv");
 }
 
 TEST(SharedCorpus, CheckedInChainProgramsMatchGenerators) {
-    // Same drift guard for the manifest-chain opcode programs: opcode
-    // samples plus one chain-shape program per adversary pack.
-    const std::vector<Bytes> corpus = fuzz::loadCorpusDir(RC_CORPUS_DIR "/manifest_chain");
-    ASSERT_FALSE(corpus.empty());
+    // Opcode samples plus one chain-shape program per adversary pack.
     std::vector<Bytes> generated = fuzz::sampleChainPrograms();
     for (auto& [name, bytes] : fuzz::samplePackChainPrograms()) {
         generated.push_back(std::move(bytes));
     }
-    EXPECT_EQ(corpus.size(), generated.size());
-    for (const Bytes& seed : generated) {
-        EXPECT_NE(std::find(corpus.begin(), corpus.end(), seed), corpus.end())
-            << "seed missing from fuzz/corpus/manifest_chain — re-run gen_corpus";
-    }
+    expectCorpusMatches(fuzz::loadCorpusDir(RC_CORPUS_DIR "/manifest_chain"), generated,
+                        "manifest_chain");
+}
+
+TEST(SharedCorpus, CheckedInWalImagesMatchGenerators) {
+    // The durable store's WAL and checkpoint images: these seeds hold real
+    // commit frames, so they pin the on-disk frame format byte for byte.
+    expectCorpusMatches(fuzz::loadCorpusDir(RC_CORPUS_DIR "/wal"), fuzz::sampleWalImages(),
+                        "wal");
 }
 
 /// Decodes by dispatching on the type byte; returns true on success.
@@ -204,6 +212,26 @@ TEST_P(FuzzStateBlob, MutatedCacheLoadsFullyOrThrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzStateBlob, ::testing::Values(1, 2, 3, 4));
+
+TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
+    // The relying party's cache image and the checkpoint file the durable
+    // store folds it into, byte for byte. Restarted relying parties and
+    // rpkic-audit --cache read these files back; a moved digest is a
+    // format change and belongs in docs/DURABILITY.md.
+    const Bytes state = realisticStateBlob();
+    EXPECT_EQ(sha256(ByteView(state.data(), state.size())).hex(),
+              "badf882ccdc2956c5653b2d6d936b4488b2b1bfee444dc92aab1f4830a7690e0");
+
+    obs::Registry registry;
+    vfs::MemVfs fs(1);
+    rp::DurableStore store(fs, "st", rp::StoreOptions{2, "pin"}, &registry);
+    store.open();
+    store.commit(state, 1);
+    store.commit(state, 2);  // the second commit folds the WAL into ckpt-<2>
+    const Bytes ckpt = fs.readFile(store.checkpointPath(2));
+    EXPECT_EQ(sha256(ByteView(ckpt.data(), ckpt.size())).hex(),
+              "56bc710a0ad2659ea8e1a5540df49a9c35d6479b18bcf89eb18ee973e270ad8e");
+}
 
 TEST(FuzzDecode, MutatedSignaturesNeverVerify) {
     // Signature forgery via byte-level mutation must always fail.

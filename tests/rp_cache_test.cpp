@@ -160,7 +160,7 @@ TEST(RpCache, ChecksumMismatchIsPreciseNotMidStream) {
     }
 }
 
-TEST(RpCache, LegacyFooterlessCachesNeedExplicitOptIn) {
+TEST(RpCache, FooterlessCachesAreRefused) {
     constexpr std::size_t kFooterLen = 8 + 32 + 4;
     Fixture f;
     RelyingParty alice("alice", {f.root->cert()}, RpOptions{.ts = 4, .tg = 8});
@@ -168,24 +168,17 @@ TEST(RpCache, LegacyFooterlessCachesNeedExplicitOptIn) {
     const Bytes blob = alice.serializeState();
     ASSERT_GT(blob.size(), kFooterLen);
 
-    // A pre-footer cache is exactly today's body without the trailer.
-    const Bytes legacy(blob.begin(), blob.end() - static_cast<std::ptrdiff_t>(kFooterLen));
-
-    // Strict mode refuses it with a precise diagnosis...
+    // A footerless cache is the serialized body without its trailer. It
+    // carries no integrity protection, so the reader refuses it with a
+    // precise diagnosis.
+    const Bytes footerless(blob.begin(), blob.end() - static_cast<std::ptrdiff_t>(kFooterLen));
     try {
-        (void)RelyingParty::deserializeState(ByteView(legacy.data(), legacy.size()));
-        FAIL() << "footerless cache was accepted without the opt-in";
+        (void)RelyingParty::deserializeState(ByteView(footerless.data(), footerless.size()));
+        FAIL() << "footerless cache was accepted";
     } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("no integrity footer"), std::string::npos)
             << e.what();
     }
-
-    // ... and the explicit opt-in restores the identical state, which then
-    // re-serializes in the new footered format.
-    RelyingParty restored = RelyingParty::deserializeState(
-        ByteView(legacy.data(), legacy.size()), /*allowLegacy=*/true);
-    EXPECT_EQ(restored.roaState(), alice.roaState());
-    EXPECT_EQ(restored.serializeState(), blob);
 }
 
 }  // namespace

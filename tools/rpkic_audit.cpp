@@ -15,10 +15,12 @@
 //
 //   rpkic-audit --ta ta.cer --cache rp.cache todays-snapshot/
 //
+// The save writes FILE.tmp, fsyncs it and renames it over FILE, so a crash
+// or a full disk mid-write leaves the previous cache intact. A cache
+// without its integrity footer is refused.
+//
 // Exit status: 0 = no alarms, 2 = alarms raised, 1 = usage/IO error.
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "rp/relying_party.hpp"
 #include "rpki/fs_repository.hpp"
 #include "util/errors.hpp"
+#include "util/vfs.hpp"
 
 using namespace rpkic;
 
@@ -50,15 +53,11 @@ int main(int argc, char** argv) {
     }
 
     try {
+        vfs::DiskVfs disk;
         std::optional<rp::RelyingParty> alice;
-        if (!cachePath.empty() && std::filesystem::exists(cachePath)) {
-            std::ifstream in(cachePath, std::ios::binary);
-            const Bytes blob((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-            // allowLegacy: caches written by earlier versions carry no
-            // integrity footer but must stay readable by the audit tool.
-            alice = rp::RelyingParty::deserializeState(ByteView(blob.data(), blob.size()),
-                                                       /*allowLegacy=*/true);
+        if (!cachePath.empty() && disk.exists(cachePath)) {
+            const Bytes blob = disk.readFile(cachePath);
+            alice = rp::RelyingParty::deserializeState(ByteView(blob.data(), blob.size()));
             std::printf("resumed from cache %s (%zu bytes)\n", cachePath.c_str(), blob.size());
         } else {
             std::vector<ResourceCert> tas;
@@ -83,9 +82,10 @@ int main(int argc, char** argv) {
 
         if (!cachePath.empty()) {
             const Bytes blob = alice->serializeState();
-            std::ofstream out(cachePath, std::ios::binary);
-            out.write(reinterpret_cast<const char*>(blob.data()),
-                      static_cast<std::streamsize>(blob.size()));
+            const std::string tmp = cachePath + ".tmp";
+            disk.writeFile(tmp, ByteView(blob.data(), blob.size()));
+            disk.sync(tmp);
+            disk.renameFile(tmp, cachePath);
             std::printf("saved cache %s (%zu bytes)\n", cachePath.c_str(), blob.size());
         }
         std::printf("\n%zu alarm(s) total\n", alice->alarms().count());
