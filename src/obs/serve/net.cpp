@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -182,6 +183,11 @@ struct SocketServer::Loop {
                 const int size = options.sessionSendBuffer;
                 ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof size);
             }
+            // Writes are whole replies or PDUs. Under Nagle a Serial Notify
+            // sent within the peer's delayed-ACK timeout (~40 ms on Linux)
+            // of the previous reply would wait for that ACK.
+            const int noDelay = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &noDelay, sizeof noDelay);
             NetSession session;
             session.fd = fd;
             sessions.emplace(fd, std::move(session));

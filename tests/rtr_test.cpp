@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -709,6 +710,47 @@ TEST(RtrServer, ServesSnapshotDeltaAndNotifyOverTcp) {
     EXPECT_EQ(server.sessionsOpen(), 1u);
     server.stop();
     EXPECT_FALSE(server.running());
+}
+
+TEST(RtrServer, NotifyRightAfterAResponseIsNotHeldBack) {
+    // Under Nagle the server would hold a Serial Notify sent right after a
+    // response until the cache's delayed ACK of that response (~40 ms on
+    // Linux) arrived; sessions are TCP_NODELAY so it goes out at once.
+    EpochStore store;
+    std::vector<RoaTuple> tuples{tuple("10.0.0.0/8", 24, 1)};
+    store.publish(1, state(tuples));
+    RtrServer server(store);
+    std::string error;
+    ASSERT_TRUE(server.start("127.0.0.1:0", &error)) << error;
+    RtrClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    std::string query;
+    appendResetQuery(query);
+    ASSERT_TRUE(client.sendAll(query));
+    ASSERT_EQ(client.readResponse().size(), 3u);
+
+    std::vector<double> notifyMs;
+    for (int round = 2; round < 18; ++round) {
+        const std::uint32_t from = store.current()->serial;
+        const std::string prefix = "10." + std::to_string(round) + ".0.0/16";
+        tuples.push_back(tuple(prefix.c_str(), 24, static_cast<Asn>(round)));
+        const auto epoch = store.publish(round, state(tuples));
+        const auto start = std::chrono::steady_clock::now();
+        server.notify();
+        std::vector<ParsedPdu> pdus = client.readResponse();
+        notifyMs.push_back(
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+                .count());
+        ASSERT_EQ(pdus.size(), 1u);
+        EXPECT_EQ(u32At(pdus[0].bytes, 8), epoch->serial);
+        query.clear();
+        appendSerialQuery(query, store.sessionId(), from);
+        ASSERT_TRUE(client.sendAll(query));
+        ASSERT_EQ(client.readResponse().size(), 3u);
+    }
+    std::sort(notifyMs.begin(), notifyMs.end());
+    EXPECT_LT(notifyMs[notifyMs.size() / 2], 20.0) << "median Serial Notify delivery, ms";
+    server.stop();
 }
 
 TEST(RtrServer, ProtocolErrorClosesTheConnection) {
