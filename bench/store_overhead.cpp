@@ -8,9 +8,11 @@
 //                  durability layer is armed but no crash ever fires).
 //                  The overhead is the with/without wall-time ratio —
 //                  the acceptance budget is <10%.
-//   commit micro — raw commit() throughput for a representative payload
-//                  over MemVfs (the model) and DiskVfs (real fsync cost),
-//                  reported per-commit.
+//   commit micro — raw commit() throughput for a representative image and
+//                  delta (an image frame after open(), a delta frame per
+//                  commit and an image checkpoint every 8) over MemVfs (the
+//                  model) and DiskVfs (real fsync cost), reported
+//                  per-commit.
 //
 //   store_overhead [--iters N] [--trials K] [--json-out FILE]
 //
@@ -73,7 +75,8 @@ Bytes representativePayload(std::size_t n) {
 
 struct CommitMicro {
     std::string vfsName;
-    std::size_t payloadBytes = 0;
+    std::size_t imageBytes = 0;
+    std::size_t deltaBytes = 0;
     int commits = 0;
     double totalMs = 0.0;
 
@@ -83,20 +86,21 @@ struct CommitMicro {
 };
 
 CommitMicro commitMicro(vfs::Vfs& fs, const std::string& vfsName, const std::string& dir,
-                        const Bytes& payload, int commits) {
+                        const Bytes& image, const Bytes& delta, int commits) {
     obs::Registry registry;
     rp::StoreOptions opts;
     opts.checkpointEvery = 8;  // default cadence: folds are part of the cost
     opts.name = "bench";
     rp::DurableStore store(fs, dir, opts, &registry);
     store.open();
-    store.commit(payload, 0);  // warm-up: first commit creates the WAL
+    const rp::CommitSource state{[&] { return image; }, [&] { return delta; }};
+    store.commit(state, 0);  // warm-up: the image frame creates the WAL
     Stopwatch timer;
-    for (int i = 0; i < commits; ++i)
-        store.commit(payload, static_cast<std::uint64_t>(i + 1));
+    for (int i = 0; i < commits; ++i) store.commit(state, static_cast<std::uint64_t>(i + 1));
     CommitMicro m;
     m.vfsName = vfsName;
-    m.payloadBytes = payload.size();
+    m.imageBytes = image.size();
+    m.deltaBytes = delta.size();
     m.commits = commits;
     m.totalMs = timer.elapsedMs();
     return m;
@@ -152,22 +156,24 @@ int main(int argc, char** argv) {
     std::printf("\nstore overhead on the pipeline: %.2f%%  (budget: <10%%)\n", overheadPct);
 
     bench::subheading("commit() micro (per-commit cost)");
-    const Bytes payload = representativePayload(8192);
+    const Bytes image = representativePayload(8192);
+    const Bytes delta(image.begin(), image.begin() + 512);
     vfs::MemVfs memFs(1);
-    const CommitMicro mem = commitMicro(memFs, "mem", "bench-store", payload, 2000);
+    const CommitMicro mem = commitMicro(memFs, "mem", "bench-store", image, delta, 2000);
 
     const std::string diskDir = "bench-store-state";
     std::error_code ec;
     std::filesystem::remove_all(diskDir, ec);
     vfs::DiskVfs diskFs;
-    const CommitMicro disk = commitMicro(diskFs, "disk", diskDir, payload, 200);
+    const CommitMicro disk = commitMicro(diskFs, "disk", diskDir, image, delta, 200);
     std::filesystem::remove_all(diskDir, ec);
 
-    bench::row({"vfs", "payload-B", "commits", "total-ms", "per-commit-us"});
-    bench::separator(5);
+    bench::row({"vfs", "image-B", "delta-B", "commits", "total-ms", "per-commit-us"});
+    bench::separator(6);
     for (const auto& m : {mem, disk}) {
-        bench::row({m.vfsName, std::to_string(m.payloadBytes), std::to_string(m.commits),
-                    bench::num(m.totalMs, 2), bench::num(m.perCommitUs(), 1)});
+        bench::row({m.vfsName, std::to_string(m.imageBytes), std::to_string(m.deltaBytes),
+                    std::to_string(m.commits), bench::num(m.totalMs, 2),
+                    bench::num(m.perCommitUs(), 1)});
     }
 
     if (!jsonOut.empty()) {
@@ -190,9 +196,9 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < micros.size(); ++i) {
             const auto& m = micros[i];
             std::snprintf(buf, sizeof buf,
-                          "    {\"vfs\": \"%s\", \"payload_bytes\": %zu, \"commits\": %d, "
-                          "\"total_ms\": %.3f, \"per_commit_us\": %.3f}%s\n",
-                          m.vfsName.c_str(), m.payloadBytes, m.commits, m.totalMs,
+                          "    {\"vfs\": \"%s\", \"image_bytes\": %zu, \"delta_bytes\": %zu, "
+                          "\"commits\": %d, \"total_ms\": %.3f, \"per_commit_us\": %.3f}%s\n",
+                          m.vfsName.c_str(), m.imageBytes, m.deltaBytes, m.commits, m.totalMs,
                           m.perCommitUs(), i + 1 < micros.size() ? "," : "");
             out << buf;
         }

@@ -1,29 +1,33 @@
 // Fuzz driver for the durable store's recovery path (rp/durable_store).
 // The input is an arbitrary on-disk image planted under the store
 // directory before open() runs. Oracle: *recover -> re-commit -> recover
-// idempotence*.
+// idempotence* over what recovery returns — (image, deltas, meta, lsn):
 //
 //   1. open() must never throw on an arbitrary image — a torn or corrupt
 //      WAL/checkpoint is, by definition, what a crash leaves behind, and
 //      recovery's contract is to classify it, not to die on it;
 //   2. a second open() over the same bytes recovers the identical
-//      (payload, meta, lsn) triple, even when the first open() repaired
-//      the directory (repair folds state, it must not change it);
-//   3. commit() of a probe payload after recovery succeeds and advances
-//      the LSN past whatever was recovered;
-//   4. a final open() recovers exactly the probe — fresh commits are never
-//      swallowed by whatever garbage preceded them.
+//      (image, deltas, meta, lsn), even when the first open() repaired the
+//      directory (repair removes garbage, it must not change the state);
+//   3. after recovery the store asks for an image first (never a delta)
+//      and then for a delta; both commits succeed and advance the LSN;
+//   4. a final open() recovers exactly the probe state — fresh commits are
+//      never swallowed by whatever garbage preceded them, whether or not
+//      the second commit folded. The probe's "state" is its bytes, and a
+//      delta appends: composing image + deltas must give image || delta.
 //
 // Input layout: byte 0 selects where the remaining bytes land
-// (0 = wal.log, 1 = a checkpoint file, 2 = both, 3 = split across both),
+// (0 = wal.log, 1 = a checkpoint file, 2 = both, 3 = a checkpoint and
+// the WAL: a big-endian u32 length, that many bytes planted as the
+// checkpoint named by the seq its header carries, the rest as wal.log),
 // so the fuzzer reaches the WAL scanner and the checkpoint loader with
 // the same corpus. The seeds (fuzz/seed_corpus.cpp sampleWalImages) are
-// real WAL images produced by driving a DurableStore, mode byte included.
+// real store images produced by driving a DurableStore, mode byte
+// included.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -37,6 +41,25 @@ namespace {
 [[noreturn]] void fail(const char* what) {
     std::fprintf(stderr, "fuzz_wal: oracle violated: %s\n", what);
     std::abort();
+}
+
+std::uint64_t readBe(const std::uint8_t* p, std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
+    return v;
+}
+
+/// "ckpt-<16 hex digits>.bin" for `lsn`.
+std::string checkpointFile(std::uint64_t lsn) {
+    char name[32];
+    std::snprintf(name, sizeof name, "ckpt-%016llx.bin", static_cast<unsigned long long>(lsn));
+    return name;
+}
+
+Bytes compose(const rp::RecoveredState& state) {
+    Bytes out = state.image;
+    for (const Bytes& d : state.deltas) out.insert(out.end(), d.begin(), d.end());
+    return out;
 }
 
 void fuzzOne(const std::uint8_t* data, std::size_t size) {
@@ -57,17 +80,20 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
             fs.writeFile(dir + "/wal.log", image);
             break;
         case 1:
-            fs.writeFile(dir + "/ckpt-0000000000000001.bin", image);
+            fs.writeFile(dir + "/" + checkpointFile(1), image);
             break;
         case 2:
             fs.writeFile(dir + "/wal.log", image);
-            fs.writeFile(dir + "/ckpt-0000000000000001.bin", image);
+            fs.writeFile(dir + "/" + checkpointFile(1), image);
             break;
         default: {
-            const std::size_t half = image.size() / 2;
-            fs.writeFile(dir + "/ckpt-00000000000000a0.bin", ByteView(image.data(), half));
-            fs.writeFile(dir + "/wal.log",
-                         ByteView(image.data() + half, image.size() - half));
+            const std::size_t len =
+                image.size() >= 4 ? std::min<std::size_t>(readBe(image.data(), 4), image.size() - 4)
+                                  : 0;
+            const ByteView ckpt = image.size() >= 4 ? image.subspan(4, len) : image;
+            const std::uint64_t seq = ckpt.size() >= 16 ? readBe(ckpt.data() + 8, 8) : 0xa0;
+            fs.writeFile(dir + "/" + checkpointFile(seq), ckpt);
+            fs.writeFile(dir + "/wal.log", image.subspan(std::min(image.size(), 4 + len)));
             break;
         }
     }
@@ -77,62 +103,67 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
     opts.name = "fuzzwal";
 
     // 1. Recovery never throws, and an empty recovery means LSN 0.
-    std::optional<Bytes> recovered;
-    std::uint64_t recoveredMeta = 0;
-    std::uint64_t recoveredLsn = 0;
+    rp::RecoveredState recovered;
+    bool anything = false;
     {
         rp::DurableStore store(fs, dir, opts, &registry);
         try {
-            store.open();
+            anything = store.open(&recovered).recovered;
         } catch (...) {
             fail("open() threw on an arbitrary image");
         }
-        recovered = store.latest();
-        recoveredMeta = store.latestMeta();
-        recoveredLsn = store.latestLsn();
-        if (!recovered.has_value() && recoveredLsn != 0)
-            fail("no payload recovered but the LSN is nonzero");
-        if (recovered.has_value() && recoveredLsn == 0)
-            fail("payload recovered at LSN 0 (LSNs start at 1)");
+        if (!anything && !(recovered == rp::RecoveredState{}))
+            fail("nothing recovered but the recovered state is not empty");
+        if (anything && recovered.lsn == 0) fail("state recovered at LSN 0 (LSNs start at 1)");
     }
 
-    // 2./3. Re-recovery is idempotent; a probe commit lands after it.
+    // 2./3. Re-recovery is idempotent; an image then a delta land after it.
     Bytes probe;
     const std::size_t take = std::min<std::size_t>(size, 64);
     for (std::size_t i = 0; i < take; ++i)
         probe.push_back(static_cast<std::uint8_t>(data[i] ^ 0x5a));
     probe.push_back(static_cast<std::uint8_t>(size & 0xff));
-    const std::uint64_t probeMeta = recoveredMeta + 7;
+    const Bytes delta = {0xde, 0x17, static_cast<std::uint8_t>(size >> 8)};
+    Bytes probeAfterDelta = probe;
+    probeAfterDelta.insert(probeAfterDelta.end(), delta.begin(), delta.end());
+    const std::uint64_t probeMeta = recovered.meta + 7;
+    std::uint64_t probeLsn = 0;
     {
         rp::DurableStore store(fs, dir, opts, &registry);
+        rp::RecoveredState again;
         try {
-            store.open();
+            if (store.open(&again).recovered != anything) fail("re-recovery changed the verdict");
         } catch (...) {
             fail("second open() threw over the recovered image");
         }
-        if (store.latest() != recovered) fail("re-recovery changed the payload");
-        if (store.latestMeta() != recoveredMeta) fail("re-recovery changed the meta");
-        if (store.latestLsn() != recoveredLsn) fail("re-recovery changed the LSN");
+        if (again.image != recovered.image) fail("re-recovery changed the image");
+        if (again.deltas != recovered.deltas) fail("re-recovery changed the deltas");
+        if (again.meta != recovered.meta) fail("re-recovery changed the meta");
+        if (again.lsn != recovered.lsn) fail("re-recovery changed the LSN");
         try {
-            store.commit(probe, probeMeta);
+            store.commit({[&] { return probe; },
+                          []() -> Bytes { fail("first commit after open() asked for a delta"); }},
+                         probeMeta);
+            store.commit({[&] { return probeAfterDelta; }, [&] { return delta; }}, probeMeta + 1);
         } catch (...) {
             fail("commit() after recovery threw");
         }
-        if (store.latestLsn() <= recoveredLsn) fail("commit did not advance the LSN");
+        probeLsn = store.latestLsn();
+        if (probeLsn <= recovered.lsn + 1) fail("commits did not advance the LSN");
     }
 
-    // 4. The final recovery sees exactly the probe.
+    // 4. The final recovery composes to exactly the probe state.
     {
         rp::DurableStore store(fs, dir, opts, &registry);
+        rp::RecoveredState last;
         try {
-            store.open();
+            if (!store.open(&last).recovered) fail("probe commits lost across recovery");
         } catch (...) {
-            fail("open() after the probe commit threw");
+            fail("open() after the probe commits threw");
         }
-        if (!store.latest().has_value()) fail("probe commit lost across recovery");
-        if (*store.latest() != probe) fail("probe payload corrupted across recovery");
-        if (store.latestMeta() != probeMeta) fail("probe meta lost across recovery");
-        if (store.latestLsn() <= recoveredLsn) fail("probe LSN regressed across recovery");
+        if (compose(last) != probeAfterDelta) fail("probe state corrupted across recovery");
+        if (last.meta != probeMeta + 1) fail("probe meta lost across recovery");
+        if (last.lsn != probeLsn) fail("probe LSN lost across recovery");
     }
 }
 

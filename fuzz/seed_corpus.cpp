@@ -134,58 +134,90 @@ std::vector<std::string> sampleStateTexts() {
 
 std::vector<Bytes> sampleWalImages() {
     // Each builder drives a real DurableStore over a MemVfs and captures
-    // the resulting wal.log; a fuzz_wal input is that image behind a mode
-    // byte (0 = plant as wal.log — see fuzz_wal.cpp's input layout).
-    auto payload = [](const char* s) {
-        const std::string str(s);
-        return Bytes(str.begin(), str.end());
+    // the resulting wal.log and newest checkpoint; a fuzz_wal input is an
+    // image behind a mode byte (see fuzz_wal.cpp's input layout).
+    auto text = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
+    // One commit: the store writes `image` or `delta`, whichever it asks for.
+    auto commit = [&](rp::DurableStore& s, const std::string& image, const std::string& delta,
+                      std::uint64_t meta) {
+        s.commit({[&] { return text(image); }, [&] { return text(delta); }}, meta);
     };
-    auto walImageOf = [&](auto&& build) {
+    struct Files {
+        Bytes wal;
+        Bytes checkpoint;  ///< the newest, if the build folded
+    };
+    auto filesOf = [&](std::uint32_t checkpointEvery, auto&& build) {
         vfs::MemVfs fs(/*tornSeed=*/1);
         obs::Registry registry;
         rp::StoreOptions opts;
-        opts.checkpointEvery = 0;  // manual folds only; keep frames in the WAL
+        opts.checkpointEvery = checkpointEvery;
         opts.name = "seed";
         rp::DurableStore store(fs, "st", opts, &registry);
         store.open();
         build(store);
-        const std::string wal = store.walPath();
-        return fs.exists(wal) ? fs.readFile(wal) : Bytes{};
+        Files files;
+        if (fs.exists(store.walPath())) files.wal = fs.readFile(store.walPath());
+        for (std::uint64_t lsn = store.latestLsn(); lsn > 0; --lsn) {
+            if (fs.exists(store.checkpointPath(lsn))) {
+                files.checkpoint = fs.readFile(store.checkpointPath(lsn));
+                break;
+            }
+        }
+        return files;
     };
-    auto withMode = [](std::uint8_t mode, Bytes image) {
+    auto withMode = [](std::uint8_t mode, const Bytes& image) {
         Bytes out;
         out.reserve(image.size() + 1);
         out.push_back(mode);
         out.insert(out.end(), image.begin(), image.end());
         return out;
     };
+    // Mode 3: a length-prefixed checkpoint, then the WAL.
+    auto checkpointThenWal = [&](const Files& files) {
+        Bytes image;
+        for (int i = 3; i >= 0; --i) {
+            image.push_back(static_cast<std::uint8_t>(files.checkpoint.size() >> (8 * i)));
+        }
+        image.insert(image.end(), files.checkpoint.begin(), files.checkpoint.end());
+        image.insert(image.end(), files.wal.begin(), files.wal.end());
+        return withMode(3, image);
+    };
 
-    const Bytes empty = walImageOf([](rp::DurableStore&) {});
-    const Bytes single = walImageOf([&](rp::DurableStore& s) {
-        s.commit(payload("state-round-1"), 1);
+    const Bytes empty = filesOf(0, [](rp::DurableStore&) {}).wal;
+    const Bytes single = filesOf(0, [&](rp::DurableStore& s) {
+        commit(s, "state-round-1", "unused", 1);
+    }).wal;
+    const Bytes imageThenDeltas = filesOf(0, [&](rp::DurableStore& s) {
+        commit(s, "alpha", "unused", 1);
+        commit(s, "unused", "", 2);  // empty payloads are legal commits
+        commit(s, "unused",
+               "a much longer relying-party delta payload, "
+               "so frames span more than one torn-write unit",
+               3);
+    }).wal;
+    // checkpointEvery 2: image frame, delta + fold into ckpt-2, delta.
+    const Files fold = filesOf(2, [&](rp::DurableStore& s) {
+        commit(s, "image-1", "unused", 1);
+        commit(s, "image-2", "delta-2", 2);
+        commit(s, "unused", "delta-3", 3);
     });
-    const Bytes multi = walImageOf([&](rp::DurableStore& s) {
-        s.commit(payload("alpha"), 1);
-        s.commit(payload(""), 2);  // empty payloads are legal commits
-        s.commit(payload("a much longer relying-party state payload, "
-                         "so frames span more than one torn-write unit"), 3);
-    });
-    const Bytes afterFold = walImageOf([&](rp::DurableStore& s) {
-        s.commit(payload("before-the-fold"), 1);
-        s.checkpointNow();  // resets the WAL; LSNs keep counting
-        s.commit(payload("after-the-fold"), 2);
-    });
-    Bytes torn = multi;
+    Files corruptBase = fold;
+    corruptBase.checkpoint[corruptBase.checkpoint.size() / 2] ^= 0x41;
+    Bytes torn = imageThenDeltas;
     torn.resize(torn.size() - std::min<std::size_t>(torn.size(), 5));  // torn tail
-    Bytes corrupt = multi;
-    if (!corrupt.empty()) corrupt[corrupt.size() / 2] ^= 0x41;  // mid-frame bitflip
+    Bytes corrupt = imageThenDeltas;
+    corrupt[corrupt.size() / 2] ^= 0x41;  // mid-frame bitflip
 
     return {
-        withMode(0, empty),    withMode(0, single), withMode(0, multi),
-        withMode(0, afterFold), withMode(0, torn),   withMode(0, corrupt),
-        withMode(1, multi),  // same bytes parsed as a checkpoint file
-        withMode(2, single),  // planted as both wal.log and a checkpoint
-        withMode(3, multi),  // split across a checkpoint and the WAL
+        withMode(0, empty),
+        withMode(0, single),
+        withMode(0, imageThenDeltas),
+        checkpointThenWal(fold),
+        checkpointThenWal(corruptBase),
+        withMode(0, torn),
+        withMode(0, corrupt),
+        withMode(1, imageThenDeltas),  // same bytes parsed as a checkpoint file
+        withMode(2, single),           // planted as both wal.log and a checkpoint
     };
 }
 

@@ -34,9 +34,10 @@ std::vector<std::string> sampleStateTexts();
 
 /// Seed inputs for the WAL-recovery fuzzer (fuzz_wal). Each seed is a
 /// mode byte (see fuzz_wal.cpp's input layout) followed by a store image
-/// produced by driving a real rp::DurableStore over a MemVfs: intact
-/// multi-frame logs, a log continuing past a checkpoint fold, a torn
-/// tail, a corrupt frame, and the empty log.
+/// produced by driving a real rp::DurableStore over a MemVfs: an image
+/// frame followed by deltas, a checkpoint fold with the delta after it,
+/// deltas whose base checkpoint is corrupt, a torn tail, a corrupt frame,
+/// and the empty log.
 std::vector<Bytes> sampleWalImages();
 
 /// Seed inputs for the fleet-consensus fuzzer (fuzz_consensus): encoded

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 namespace rpkic::obs {
@@ -152,11 +151,16 @@ struct HttpServer::Proto : SocketProtocol {
         }
         const std::string lengthText = request->header("content-length");
         if (!lengthText.empty()) {
-            char* end = nullptr;
-            const unsigned long long n = std::strtoull(lengthText.c_str(), &end, 10);
-            if (end == lengthText.c_str() || *end != '\0') return -1;
-            contentLength = static_cast<std::size_t>(n);
-            if (headEnd + 4 + contentLength > kMaxRequestBytes) return -1;
+            // Digits only, and compared against the room left under the cap
+            // before anything is added: a length near 2^64 must not wrap
+            // the sum below the cap and swallow a pipelined request.
+            if (headEnd + 4 > kMaxRequestBytes) return -1;
+            const std::size_t room = kMaxRequestBytes - (headEnd + 4);
+            for (const char c : lengthText) {
+                if (c < '0' || c > '9') return -1;
+                contentLength = contentLength * 10 + static_cast<std::size_t>(c - '0');
+                if (contentLength > room) return -1;
+            }
         }
         if (session.in.size() < headEnd + 4 + contentLength) return 0;
         request->body = session.in.substr(headEnd + 4, contentLength);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -15,22 +16,25 @@ namespace {
 // --- on-disk framing (see docs/DURABILITY.md) -------------------------------
 //
 // WAL frame:   u32 bodyLen | body | sha256(body)
-//   body:      u8 kind(=1) | u64 lsn | u64 meta | payload
+//   body:      u8 kind | u64 lsn | u64 meta | payload
+//   kind:      1 = image (the full state), 2 = delta (against lsn - 1)
 // Checkpoint:  u32 magic | u32 version | u64 seq | u64 meta | u64 payloadLen
-//              | payload | sha256(everything before the digest)
+//              | payload (an image) | sha256(everything before the digest)
 //
 // All integers big-endian. The WAL scanner never throws on malformed input:
 // a frame that does not parse and verify is, by definition, the torn tail.
 
 constexpr std::uint32_t kCkptMagic = 0x52435331;  // "RCS1"
 constexpr std::uint32_t kCkptVersion = 1;
-constexpr std::uint8_t kFrameCommit = 1;
+constexpr std::uint8_t kFrameImage = 1;
+constexpr std::uint8_t kFrameDelta = 2;
 constexpr std::size_t kFrameHeaderLen = 1 + 8 + 8;       // kind + lsn + meta
 constexpr std::size_t kDigestLen = 32;
 constexpr std::uint32_t kMaxFrameBody = 1u << 30;        // 1 GiB sanity bound
 
 const char* kWalFile = "wal.log";
 const char* kCkptTmpFile = "ckpt.tmp";
+const char* kWalTmpFile = "wal.tmp";
 const char* kCkptPrefix = "ckpt-";
 const char* kCkptSuffix = ".bin";
 
@@ -77,6 +81,49 @@ std::optional<std::uint64_t> parseCheckpointName(const std::string& name) {
     return v;
 }
 
+/// One verified WAL frame; the payload stays in the scanned WAL buffer.
+struct Frame {
+    std::uint8_t kind;
+    std::uint64_t lsn;
+    std::uint64_t meta;
+    std::size_t payloadAt;
+    std::size_t payloadLen;
+};
+
+/// The longest prefix of `wal` made of whole frames that verify; stops at
+/// the first torn or checksum-failed one, reported in `report`.
+std::vector<Frame> scanFrames(const Bytes& wal, std::size_t& validEnd, RecoveryReport& report) {
+    std::vector<Frame> frames;
+    std::size_t pos = 0;
+    while (pos < wal.size()) {
+        const std::size_t remaining = wal.size() - pos;
+        if (remaining < 4) break;
+        const std::uint32_t bodyLen = getBe32(wal, pos);
+        if (bodyLen < kFrameHeaderLen || bodyLen > kMaxFrameBody ||
+            remaining < 4 + static_cast<std::size_t>(bodyLen) + kDigestLen) {
+            break;  // torn tail (or garbage length — same thing)
+        }
+        const std::size_t bodyAt = pos + 4;
+        const Digest expect = sha256(ByteView(wal.data() + bodyAt, bodyLen));
+        const std::size_t digestAt = bodyAt + bodyLen;
+        const bool checksumOk = std::equal(expect.bytes.begin(), expect.bytes.end(),
+                                           wal.begin() + static_cast<std::ptrdiff_t>(digestAt));
+        const std::uint8_t kind = wal[bodyAt];
+        if (!checksumOk || (kind != kFrameImage && kind != kFrameDelta)) {
+            // A frame-shaped region that fails verification: count it as a
+            // corrupt record and stop — everything after it is untrusted.
+            ++report.corruptRecordsDiscarded;
+            break;
+        }
+        frames.push_back({kind, getBe64(wal, bodyAt + 1), getBe64(wal, bodyAt + 9),
+                          bodyAt + kFrameHeaderLen, bodyLen - kFrameHeaderLen});
+        pos = digestAt + kDigestLen;
+    }
+    validEnd = pos;
+    report.tornBytesDiscarded += wal.size() - pos;
+    return frames;
+}
+
 std::string checkpointName(std::uint64_t lsn) {
     static const char* hex = "0123456789abcdef";
     std::string digits(16, '0');
@@ -92,9 +139,11 @@ std::string checkpointName(std::uint64_t lsn) {
 std::string RecoveryReport::summary() const {
     if (!recovered) {
         std::string s = "no prior state";
-        if (tornBytesDiscarded > 0 || corruptCheckpointsDiscarded > 0) {
+        if (tornBytesDiscarded > 0 || corruptCheckpointsDiscarded > 0 ||
+            walRecordsOrphaned > 0) {
             s += " (discarded " + std::to_string(tornBytesDiscarded) + " torn bytes, " +
-                 std::to_string(corruptCheckpointsDiscarded) + " corrupt checkpoints)";
+                 std::to_string(corruptCheckpointsDiscarded) + " corrupt checkpoints, " +
+                 std::to_string(walRecordsOrphaned) + " deltas without their image)";
         }
         return s;
     }
@@ -102,6 +151,9 @@ std::string RecoveryReport::summary() const {
     if (usedCheckpoint) s += " checkpoint seq=" + std::to_string(checkpointSeq);
     s += " + " + std::to_string(walRecordsReplayed) + " wal records";
     if (walRecordsSkipped > 0) s += " (" + std::to_string(walRecordsSkipped) + " superseded)";
+    if (walRecordsOrphaned > 0) {
+        s += " (" + std::to_string(walRecordsOrphaned) + " deltas without their image)";
+    }
     if (tornBytesDiscarded > 0 || corruptRecordsDiscarded > 0 ||
         corruptCheckpointsDiscarded > 0) {
         s += "; discarded " + std::to_string(tornBytesDiscarded) + " torn bytes, " +
@@ -123,8 +175,13 @@ DurableStore::DurableStore(vfs::Vfs& fs, std::string dir, StoreOptions options,
                                         "Durable commits acknowledged", labels);
     appendsTotal_ = &registry_->counter("rc_store_wal_appends_total",
                                         "WAL frames appended", labels);
+    walBytesTotal_ = &registry_->counter(
+        "rc_store_wal_bytes_total", "Bytes written to the WAL: frames and repair rewrites",
+        labels);
     checkpointsTotal_ = &registry_->counter(
         "rc_store_checkpoints_total", "Checkpoints written (write-temp/sync/rename)", labels);
+    checkpointBytesTotal_ = &registry_->counter("rc_store_checkpoint_bytes_total",
+                                                "Bytes written to checkpoint files", labels);
     recoveriesTotal_ =
         &registry_->counter("rc_store_recoveries_total", "Successful open()/recovery passes",
                             labels);
@@ -145,22 +202,21 @@ std::string DurableStore::checkpointPath(std::uint64_t lsn) const {
     return vfs::joinPath(dir_, checkpointName(lsn));
 }
 
-RecoveryReport DurableStore::open() {
+RecoveryReport DurableStore::open(RecoveredState* recovered) {
     const obs::Scope scope(recoverySeconds_);
     open_ = false;
     poisoned_ = false;
-    latest_.reset();
+    imageDue_ = true;
     latestMeta_ = 0;
     lastLsn_ = 0;
-    checkpointLsn_ = 0;
     commitsSinceCheckpoint_ = 0;
 
     RecoveryReport report;
     fs_.makeDir(dir_);
 
-    // Newest checkpoint that passes its checksum wins; corrupt ones are
-    // skipped (and removed during repair) so a bit-flipped file can only
-    // cost us the delta since the previous checkpoint, never a crash loop.
+    // Newest checkpoint that passes its checksum is the base image; corrupt
+    // ones are skipped (and removed during repair) so a bit-flipped file
+    // costs the rounds since the previous image, never a crash loop.
     std::vector<std::pair<std::uint64_t, std::string>> checkpoints;
     for (const auto& name : fs_.listDir(dir_)) {
         if (const auto lsn = parseCheckpointName(name)) checkpoints.emplace_back(*lsn, name);
@@ -168,15 +224,15 @@ RecoveryReport DurableStore::open() {
     std::sort(checkpoints.begin(), checkpoints.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     std::vector<std::string> corruptCheckpoints;
+    Bytes checkpointImage;
     for (const auto& [lsn, name] : checkpoints) {
         std::uint64_t seq = 0;
         std::uint64_t meta = 0;
-        Bytes payload;
-        if (tryLoadCheckpoint(vfs::joinPath(dir_, name), seq, meta, payload) && seq == lsn) {
-            latest_ = std::move(payload);
+        if (tryLoadCheckpoint(vfs::joinPath(dir_, name), seq, meta, checkpointImage) &&
+            seq == lsn) {
             latestMeta_ = meta;
             lastLsn_ = seq;
-            checkpointLsn_ = seq;
+            report.recovered = true;
             report.usedCheckpoint = true;
             report.checkpointSeq = seq;
             break;
@@ -185,25 +241,67 @@ RecoveryReport DurableStore::open() {
         corruptCheckpoints.push_back(name);
     }
 
-    scanWal(checkpointLsn_, report);
-    report.recovered = latest_.has_value();
+    // The WAL's valid frames extend the chain: a newer image frame replaces
+    // the base, a delta at the next LSN extends it, anything at or below
+    // the chain's LSN is superseded, and a delta past a gap (or with no
+    // image at all) has lost the image it was written against.
+    Bytes wal;
+    if (fs_.exists(walPath())) {
+        try {
+            wal = fs_.readFile(walPath());
+        } catch (const vfs::IoError&) {
+            // Vanished between exists() and read: nothing to replay.
+        }
+    }
+    std::size_t validEnd = 0;
+    const std::vector<Frame> frames = scanFrames(wal, validEnd, report);
+    std::optional<std::size_t> imageFrame;  // index into frames; else the checkpoint
+    std::vector<std::size_t> deltaFrames;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const Frame& f = frames[i];
+        const std::uint64_t chainEnd = report.recovered ? lastLsn_ : 0;
+        if (f.kind == kFrameImage && f.lsn > chainEnd) {
+            imageFrame = i;
+            deltaFrames.clear();
+            report.recovered = true;
+        } else if (f.kind == kFrameDelta && report.recovered && f.lsn == chainEnd + 1) {
+            deltaFrames.push_back(i);
+        } else {
+            if (f.lsn > chainEnd) ++report.walRecordsOrphaned;
+            continue;
+        }
+        lastLsn_ = f.lsn;
+        latestMeta_ = f.meta;
+    }
+    report.walRecordsReplayed = deltaFrames.size() + (imageFrame.has_value() ? 1 : 0);
+    report.walRecordsSkipped =
+        frames.size() - report.walRecordsReplayed - report.walRecordsOrphaned;
+    if (recovered != nullptr) {
+        *recovered = {};
+        if (report.recovered) {
+            // Only the chain's payloads are copied out of the WAL buffer.
+            const auto payload = [&](std::size_t i) {
+                const auto at = wal.begin() + static_cast<std::ptrdiff_t>(frames[i].payloadAt);
+                return Bytes(at, at + static_cast<std::ptrdiff_t>(frames[i].payloadLen));
+            };
+            recovered->image =
+                imageFrame.has_value() ? payload(*imageFrame) : std::move(checkpointImage);
+            for (const std::size_t i : deltaFrames) recovered->deltas.push_back(payload(i));
+            recovered->meta = latestMeta_;
+            recovered->lsn = lastLsn_;
+        }
+    }
+    // New frames must never reuse an LSN still on disk.
+    for (const Frame& f : frames) lastLsn_ = std::max(lastLsn_, f.lsn);
     // Frames already pending in the WAL count toward the fold cadence, so
     // a restart-heavy run cannot grow the WAL without bound by resetting
     // the counter on every reopen.
     commitsSinceCheckpoint_ = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(report.walRecordsReplayed + report.walRecordsSkipped,
-                                std::numeric_limits<std::uint32_t>::max()));
+        std::min<std::size_t>(frames.size(), std::numeric_limits<std::uint32_t>::max()));
 
     // Repair: never leave garbage where the next append would land, and
     // never leave a corrupt checkpoint that recovery would retry forever.
-    if (report.tornBytesDiscarded > 0 || report.corruptRecordsDiscarded > 0 ||
-        report.corruptCheckpointsDiscarded > 0) {
-        // Remove corrupt checkpoints BEFORE folding: the repair checkpoint
-        // may land on the same ckpt-<lsn> name a corrupt file occupies
-        // (checksum-failed file at the LSN the WAL replays to), and removing
-        // after the fold would delete the freshly written valid checkpoint.
-        // This order is also crash-safe: with the corrupt file gone and the
-        // WAL still intact, recovery replays the same state.
+    if (!corruptCheckpoints.empty()) {
         for (const auto& name : corruptCheckpoints) {
             try {
                 fs_.removeFile(vfs::joinPath(dir_, name));
@@ -212,20 +310,27 @@ RecoveryReport DurableStore::open() {
                 // skipped by every future recovery anyway.
             }
         }
-        if (latest_.has_value()) {
-            writeCheckpoint();  // crash-safe; also resets the WAL
-        } else if (fs_.exists(walPath())) {
-            fs_.writeFile(walPath(), ByteView());
-            fs_.sync(walPath());
-        }
         report.repaired = true;
     }
-    // A leftover ckpt.tmp is an aborted checkpoint; recovery never reads
-    // it and the next checkpoint overwrites it, so removal is best-effort.
-    if (fs_.exists(vfs::joinPath(dir_, kCkptTmpFile))) {
-        try {
-            fs_.removeFile(vfs::joinPath(dir_, kCkptTmpFile));
-        } catch (const vfs::IoError&) {
+    if (validEnd < wal.size()) {
+        // write-temp / fsync / rename: until the rename the old WAL (valid
+        // prefix and garbage) stays, and recovery reads the same frames.
+        const std::string tmp = vfs::joinPath(dir_, kWalTmpFile);
+        fs_.writeFile(tmp, ByteView(wal.data(), validEnd));
+        fs_.sync(tmp);
+        fs_.renameFile(tmp, walPath());
+        walBytesTotal_->inc(validEnd);
+        report.repaired = true;
+    }
+    // A leftover temp file is an aborted checkpoint or repair; recovery
+    // never reads it and the next one overwrites it, so removal is
+    // best-effort.
+    for (const char* tmp : {kCkptTmpFile, kWalTmpFile}) {
+        if (fs_.exists(vfs::joinPath(dir_, tmp))) {
+            try {
+                fs_.removeFile(vfs::joinPath(dir_, tmp));
+            } catch (const vfs::IoError&) {
+            }
         }
     }
 
@@ -264,60 +369,18 @@ bool DurableStore::tryLoadCheckpoint(const std::string& file, std::uint64_t& seq
     return true;
 }
 
-void DurableStore::scanWal(std::uint64_t ckptSeq, RecoveryReport& report) {
-    if (!fs_.exists(walPath())) return;
-    Bytes wal;
-    try {
-        wal = fs_.readFile(walPath());
-    } catch (const vfs::IoError&) {
-        return;  // vanished between exists() and read: nothing to replay
-    }
-    std::size_t pos = 0;
-    while (pos < wal.size()) {
-        const std::size_t remaining = wal.size() - pos;
-        if (remaining < 4) break;
-        const std::uint32_t bodyLen = getBe32(wal, pos);
-        if (bodyLen < kFrameHeaderLen || bodyLen > kMaxFrameBody ||
-            remaining < 4 + static_cast<std::size_t>(bodyLen) + kDigestLen) {
-            break;  // torn tail (or garbage length — same thing)
-        }
-        const std::size_t bodyAt = pos + 4;
-        const Digest expect = sha256(ByteView(wal.data() + bodyAt, bodyLen));
-        const std::size_t digestAt = bodyAt + bodyLen;
-        const bool checksumOk = std::equal(expect.bytes.begin(), expect.bytes.end(),
-                                           wal.begin() + static_cast<std::ptrdiff_t>(digestAt));
-        const std::uint8_t kind = wal[bodyAt];
-        if (!checksumOk || kind != kFrameCommit) {
-            // A frame-shaped region that fails verification: count it as a
-            // corrupt record and stop — everything after it is untrusted.
-            ++report.corruptRecordsDiscarded;
-            break;
-        }
-        const std::uint64_t lsn = getBe64(wal, bodyAt + 1);
-        const std::uint64_t meta = getBe64(wal, bodyAt + 9);
-        if (lsn > lastLsn_ && lsn > ckptSeq) {
-            latest_ = Bytes(wal.begin() + static_cast<std::ptrdiff_t>(bodyAt + kFrameHeaderLen),
-                            wal.begin() + static_cast<std::ptrdiff_t>(digestAt));
-            latestMeta_ = meta;
-            lastLsn_ = lsn;
-            ++report.walRecordsReplayed;
-        } else {
-            ++report.walRecordsSkipped;
-        }
-        pos = digestAt + kDigestLen;
-    }
-    report.tornBytesDiscarded += wal.size() - pos;
-}
-
-void DurableStore::commit(Bytes payload, std::uint64_t meta) {
+void DurableStore::commit(const CommitSource& state, std::uint64_t meta) {
     if (!open_) throw UsageError("DurableStore::commit before open()");
     if (poisoned_) {
         throw UsageError("DurableStore::commit on a poisoned store; reopen to repair");
     }
     const obs::Scope scope(commitSeconds_);
     const std::uint64_t lsn = lastLsn_ + 1;
+    const bool image = imageDue_;
+    Bytes payload;
     try {
-        appendFrame(payload, lsn, meta);
+        payload = image ? state.image() : state.delta();
+        appendFrame(image ? kFrameImage : kFrameDelta, payload, lsn, meta);
         fs_.sync(walPath());  // <- the commit point
     } catch (const vfs::IoError&) {
         // The WAL tail may now hold a partial frame; appending after it
@@ -327,29 +390,40 @@ void DurableStore::commit(Bytes payload, std::uint64_t meta) {
         throw;
     }
     lastLsn_ = lsn;
-    latest_ = std::move(payload);
     latestMeta_ = meta;
+    imageDue_ = false;
     if (recorder_ != nullptr || obs::FlightRecorder::global().enabled()) {
         obs::flightRecord(recorder_, obs::FlightKind::StoreCommit,
                           "store/" + options_.name,
                           "lsn=" + std::to_string(lsn) + " meta=" + std::to_string(meta) +
-                              " bytes=" + std::to_string(latest_->size()));
+                              (image ? " frame=image" : " frame=delta") +
+                              " bytes=" + std::to_string(payload.size()));
     }
     commitsTotal_->inc();
     ++commitsSinceCheckpoint_;
     if (options_.checkpointEvery != 0 && commitsSinceCheckpoint_ >= options_.checkpointEvery) {
-        checkpointNow();
+        if (!image) payload = state.image();  // the frame held a delta
+        try {
+            writeCheckpoint(payload);
+        } catch (const vfs::IoError&) {
+            // The temp file or WAL may be half-written; same discipline as
+            // a failed append. Reopening repairs (the rename either
+            // happened or did not, so the committed state is intact).
+            poisoned_ = true;
+            throw;
+        }
     }
 }
 
-void DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_t meta) {
+void DurableStore::appendFrame(std::uint8_t kind, ByteView payload, std::uint64_t lsn,
+                               std::uint64_t meta) {
     RC_CHECK(payload.size() <= kMaxFrameBody - kFrameHeaderLen,
              "durable-store payload exceeds the 1 GiB frame bound");
     const std::size_t bodyLen = kFrameHeaderLen + payload.size();
     Bytes frame;
     frame.reserve(4 + bodyLen + kDigestLen);
     putBe32(frame, static_cast<std::uint32_t>(bodyLen));
-    frame.push_back(kFrameCommit);
+    frame.push_back(kind);
     putBe64(frame, lsn);
     putBe64(frame, meta);
     frame.insert(frame.end(), payload.begin(), payload.end());
@@ -357,34 +431,18 @@ void DurableStore::appendFrame(ByteView payload, std::uint64_t lsn, std::uint64_
     frame.insert(frame.end(), digest.bytes.begin(), digest.bytes.end());
     fs_.appendFile(walPath(), ByteView(frame.data(), frame.size()));
     appendsTotal_->inc();
+    walBytesTotal_->inc(frame.size());
 }
 
-void DurableStore::checkpointNow() {
-    if (!open_) throw UsageError("DurableStore::checkpointNow before open()");
-    if (poisoned_) {
-        throw UsageError("DurableStore::checkpointNow on a poisoned store; reopen to repair");
-    }
-    if (!latest_.has_value()) return;
-    try {
-        writeCheckpoint();
-    } catch (const vfs::IoError&) {
-        // The temp file or WAL may be half-written; same discipline as a
-        // failed commit. Reopening repairs (the rename either happened or
-        // did not, so the committed state is intact either way).
-        poisoned_ = true;
-        throw;
-    }
-}
-
-void DurableStore::writeCheckpoint() {
+void DurableStore::writeCheckpoint(ByteView image) {
     Bytes data;
-    data.reserve(4 + 4 + 8 + 8 + 8 + latest_->size() + kDigestLen);
+    data.reserve(4 + 4 + 8 + 8 + 8 + image.size() + kDigestLen);
     putBe32(data, kCkptMagic);
     putBe32(data, kCkptVersion);
     putBe64(data, lastLsn_);
     putBe64(data, latestMeta_);
-    putBe64(data, latest_->size());
-    data.insert(data.end(), latest_->begin(), latest_->end());
+    putBe64(data, image.size());
+    data.insert(data.end(), image.begin(), image.end());
     const Digest digest = sha256(ByteView(data.data(), data.size()));
     data.insert(data.end(), digest.bytes.begin(), digest.bytes.end());
 
@@ -394,6 +452,7 @@ void DurableStore::writeCheckpoint() {
     fs_.writeFile(tmp, ByteView(data.data(), data.size()));
     fs_.sync(tmp);
     fs_.renameFile(tmp, checkpointPath(lastLsn_));
+    checkpointBytesTotal_->inc(data.size());
 
     // The WAL's records are all folded into the checkpoint now; reset it.
     // A crash between the rename and this point replays them as skipped
@@ -402,7 +461,6 @@ void DurableStore::writeCheckpoint() {
     fs_.sync(walPath());
 
     const std::uint64_t keep = lastLsn_;
-    checkpointLsn_ = lastLsn_;
     commitsSinceCheckpoint_ = 0;
     checkpointsTotal_->inc();
 

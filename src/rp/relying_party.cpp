@@ -77,6 +77,11 @@ RelyingParty::RelyingParty(std::string name, std::vector<ResourceCert> trustAnch
     }
 }
 
+RcRecord& RelyingParty::writeRc(const std::string& uri) {
+    changes_.rcs.insert(uri);
+    return rcs_[uri];
+}
+
 const RcRecord* RelyingParty::findRc(const std::string& uri) const {
     const auto it = rcs_.find(uri);
     return it == rcs_.end() ? nullptr : &it->second;
@@ -150,15 +155,21 @@ void RelyingParty::sync(const Snapshot& snap, Time now) {
     // Expire the global-consistency hash window.
     while (!hashWindow_.empty() && hashWindow_.front().when + options_.tg < now) {
         hashWindow_.pop_front();
+        if (changes_.window > 0) {
+            --changes_.window;
+            ++changes_.windowPopped;
+        }
     }
 }
 
 void RelyingParty::markPointStale(PointCache& pc, const std::string& pointUri, Time now) {
+    if (!pc.stale) changes_.points.insert(pointUri);
     pc.stale = true;
     for (auto& [uri, rec] : rcs_) {
         if (rec.pointUri == pointUri) {
             rec.stale = true;
             rec.lastChange = now;
+            changes_.rcs.insert(uri);
         }
     }
 }
@@ -167,7 +178,9 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
                                 const Snapshot& snap, Time now) {
     const obs::Scope scope("rp.point", "rp");
     (void)ownerUri;  // the manifest names its issuer; the hint is advisory
-    PointCache& pc = points_[pointUri];
+    const auto [pcIt, created] = points_.try_emplace(pointUri);
+    if (created) changes_.points.insert(pointUri);
+    PointCache& pc = pcIt->second;
 
     const Bytes* mftBytes = snap.file(pointUri, kManifestName);
     if (mftBytes == nullptr) {
@@ -220,6 +233,7 @@ void RelyingParty::processPoint(const std::string& pointUri, const std::string& 
 
     if (m.number == pc.manifest.number) {
         if (m.bodyHash() == pc.manifest.bodyHash()) {
+            if (pc.stale) changes_.points.insert(pointUri);
             pc.stale = false;
             return;
         }
@@ -320,6 +334,7 @@ std::map<std::string, Bytes> RelyingParty::resolveFiles(const PointCache& pc,
 
 void RelyingParty::initialPointSync(PointCache& pc, const std::string& pointUri,
                                     const Manifest& m, const Snapshot& snap, Time now) {
+    changes_.points.insert(pointUri);
     bool complete = true;
     pc.files = resolveFiles(pc, pointUri, m, snap, now, &complete);
     pc.manifest = m;
@@ -352,6 +367,7 @@ void RelyingParty::processTransition(PointCache& pc, const std::string& pointUri
                                      const Snapshot& snap, Time now) {
     const obs::Scope scope("rp.transition", "rp");
     RC_OBS_COUNT(*transitionsTotal_, 1);
+    changes_.points.insert(pointUri);
     // --- key rollover interlude (Appendix B.2.3) ---
     if (cur.tag == ManifestTag::PostRollover) {
         const auto successor = checkRollover(pointUri, cur, now);
@@ -360,8 +376,10 @@ void RelyingParty::processTransition(PointCache& pc, const std::string& pointUri
             if (it != rcs_.end()) {
                 it->second.status = RcStatus::RolledOver;
                 it->second.lastChange = now;
+                changes_.rcs.insert(it->first);
             }
             successors_[cur.issuerRcUri] = *successor;
+            changes_.successors.insert(cur.issuerRcUri);
         } else {
             // Checks failed: B remains valid, the point is treated as not
             // obtained (Appendix B.2.3).
@@ -594,7 +612,7 @@ void RelyingParty::newRcProcedure(TransitionContext& ctx, const std::string& fil
         alarms_.raise({AlarmType::InvalidSyntax, ctx.pointUri + filename, ctx.ownerUri, true,
                        "RC has wrong parent pointer", ctx.now});
         rec.status = RcStatus::NeverWasValid;
-        rcs_[cert.uri] = std::move(rec);
+        writeRc(cert.uri) = std::move(rec);
         return;
     }
     // Replay prevention (§5.3.2): genuinely new RCs must carry serials
@@ -604,7 +622,7 @@ void RelyingParty::newRcProcedure(TransitionContext& ctx, const std::string& fil
             alarms_.raise({AlarmType::InvalidSyntax, ctx.pointUri + filename, ctx.ownerUri, true,
                            "RC serial not above previous high-water mark", ctx.now});
             rec.status = RcStatus::NeverWasValid;
-            rcs_[cert.uri] = std::move(rec);
+            writeRc(cert.uri) = std::move(rec);
             return;
         }
     }
@@ -614,11 +632,11 @@ void RelyingParty::newRcProcedure(TransitionContext& ctx, const std::string& fil
         alarms_.raise({AlarmType::ChildTooBroad, ctx.pointUri + filename, ctx.ownerUri, true,
                        "RC resources exceed issuer's", ctx.now});
         rec.status = RcStatus::NeverWasValid;
-        rcs_[cert.uri] = std::move(rec);
+        writeRc(cert.uri) = std::move(rec);
         return;
     }
     rec.status = RcStatus::Valid;
-    rcs_[cert.uri] = std::move(rec);
+    writeRc(cert.uri) = std::move(rec);
 }
 
 void RelyingParty::deletedRcProcedure(TransitionContext& ctx, const std::string& filename,
@@ -741,7 +759,7 @@ void RelyingParty::overwrittenRcProcedure(TransitionContext& ctx, const std::str
         if (newCert.parentUri == ctx.ownerUri && newCert.subjectName == oldCert.subjectName &&
             newCert.uri == oldCert.uri && newCert.pubPointUri == oldCert.pubPointUri &&
             newCert.resources == oldCert.resources && newCert.serial == oldCert.serial) {
-            auto& rec = rcs_[newCert.uri];
+            auto& rec = writeRc(newCert.uri);
             rec.cert = newCert;
             rec.fileHash = hashOf(newCert.encode());
             rec.pointUri = ctx.pointUri;
@@ -764,7 +782,7 @@ void RelyingParty::overwrittenRcProcedure(TransitionContext& ctx, const std::str
                            "overwritten RC exceeds issuer's resources", ctx.now});
             return;
         }
-        auto& rec = rcs_[newCert.uri];
+        auto& rec = writeRc(newCert.uri);
         const bool wasStale = rec.stale;
         if (removed.empty()) {
             // Case 2: resources added (or unchanged): no consent needed;
@@ -892,6 +910,7 @@ void RelyingParty::markSubtreeNoLongerValid(const std::string& rcUri, Time now) 
     if (it->second.status == RcStatus::Valid || it->second.status == RcStatus::RolledOver) {
         it->second.status = RcStatus::NoLongerValid;
         it->second.lastChange = now;
+        changes_.rcs.insert(rcUri);
     }
     for (const auto& [uri, rec] : rcs_) {
         if (rec.cert.parentUri == rcUri &&
@@ -926,6 +945,7 @@ void RelyingParty::reevaluateSubtree(const std::string& rcUri, Time now) {
         if (entry == nullptr || entry->fileHash != rec.fileHash) continue;
         rec.status = RcStatus::Valid;
         rec.lastChange = now;
+        changes_.rcs.insert(uri);
         reevaluateSubtree(uri, now);
     }
 }

@@ -129,6 +129,9 @@ public:
     void globalConsistencyCheck(const std::vector<ManifestClaim>& fromOther, Time now);
 
     const std::string& name() const { return name_; }
+    /// `now` of the last sync() (0 before the first): the clock a resumed
+    /// relying party continues from.
+    Time lastSyncTime() const { return lastSyncTime_; }
 
     // --- persistence ---------------------------------------------------------
     /// Serializes the complete relying-party state — point caches, RC
@@ -145,6 +148,21 @@ public:
     /// restored instance (nullptr = global), so crash-recovery harnesses
     /// keep their run-local metrics registries.
     static RelyingParty deserializeState(ByteView data, obs::Registry* registry = nullptr);
+
+    /// Encodes what changed since the delta's base (the last clearDelta(),
+    /// deserializeState() or applyDelta(), else construction): the RC
+    /// records, point caches and successors written, the new alarms and
+    /// verified .dead objects, the hash window's pops and pushes, and the
+    /// sync clock. Each record goes through the encoder serializeState()
+    /// uses, so applyDelta() on the base yields this state byte for byte.
+    Bytes serializeDelta() const;
+    /// Makes the current state the base of the next delta.
+    void clearDelta();
+    /// Applies serializeDelta() output taken against this exact state, then
+    /// makes the result the next delta's base. Strict and all-or-nothing:
+    /// malformed input, or a delta whose base counts do not match this
+    /// state, throws ParseError and leaves the state unchanged.
+    void applyDelta(ByteView delta);
 
 private:
     /// A manifest file that verified, and the issuer key it verified under.
@@ -218,6 +236,9 @@ private:
     /// up to the trust anchor. Returns nullopt if an ancestor is missing.
     std::optional<ResourceSet> effectiveResourcesOf(const std::string& rcUri) const;
 
+    /// The record for `uri`, created if absent, marked as changed.
+    RcRecord& writeRc(const std::string& uri);
+
     /// Valid children (RC records) logged in the cached point of `rcUri`.
     std::vector<const RcRecord*> cachedChildren(const std::string& rcUri) const;
 
@@ -232,6 +253,22 @@ private:
     std::map<std::string, std::string> successors_;  // old RC uri -> new RC uri
     std::deque<ObtainedHash> hashWindow_;
     Time lastSyncTime_ = 0;
+
+    /// What changed since the delta's base. Bounded by the state's own
+    /// size whether or not anything consumes it: keys of records that
+    /// exist (nothing is ever erased) and positions in the append-only
+    /// tails.
+    struct Changes {
+        std::set<std::string> rcs;
+        std::set<std::string> points;
+        std::set<std::string> successors;
+        std::size_t alarms = 0;        ///< alarm log length at the base
+        std::size_t deads = 0;         ///< deadsSeenFull_ length at the base
+        std::size_t window = 0;        ///< base hash-window entries still held
+        std::size_t windowPopped = 0;  ///< base hash-window entries expired
+    };
+    Changes changes_;
+    friend struct StateCodec;  // cache_io.cpp: one codec per record kind
 
     // -- instruments (owned by registry_; see docs/OBSERVABILITY.md) --
     obs::Registry* registry_ = nullptr;

@@ -348,8 +348,15 @@ SyncReport SyncEngine::syncRound(Time now) {
     // leaves no report — the restarted incarnation reruns it). A crash
     // anywhere up to the commit point replays this round from the previous
     // committed state; RelyingParty::sync of an unchanged snapshot is a
-    // no-op, so the replay converges instead of double-counting.
-    if (store_ != nullptr) store_->commit(rp_->serializeState(), round_);
+    // no-op, so the replay converges instead of double-counting. The store
+    // asks for the image or the round's delta, whichever it writes; once
+    // the commit is durable the next delta starts from this state.
+    if (store_ != nullptr) {
+        store_->commit({[this] { return rp_->serializeState(); },
+                        [this] { return rp_->serializeDelta(); }},
+                       round_);
+        rp_->clearDelta();
+    }
     if (epochSink_ != nullptr) epochSink_(round_, std::move(epochState));
     reports_.push_back(report);
     return report;

@@ -149,9 +149,11 @@ public:
                obs::Registry* registry = nullptr);
 
     /// Attaches a durable store: after every completed round the relying
-    /// party's serialized state is commit()ted with meta = the completed
-    /// round number, so all-or-nothing delivery also holds across process
-    /// death. nullptr detaches. The store must outlive the engine.
+    /// party's state (its image or the round's delta, as the store asks) is
+    /// commit()ted with meta = the completed round number, so
+    /// all-or-nothing delivery also holds across process death. nullptr
+    /// detaches. The store must outlive the engine, and only this relying
+    /// party may commit to it until it is reopened.
     void attachStore(DurableStore* store) { store_ = store; }
 
     /// Called after every completed round (post store-commit) with the

@@ -14,8 +14,9 @@ constexpr const char* kStateDir = "sweep-state";
 /// The engine's default budget (SyncPolicy{}.maxAttempts = 3).
 constexpr std::uint32_t kRetryBudget = 2;
 
-/// What the fault-free reference run produced: one committed payload per
-/// meta (= completed-round count) plus the final serialized state.
+/// What the fault-free reference run produced: the state each commit
+/// persisted, serialized, by meta (= completed-round count), plus the final
+/// serialized state.
 struct Reference {
     std::map<std::uint64_t, Bytes> committed;
     Bytes finalState;
@@ -35,7 +36,7 @@ Reference runReference(const SweepConfig& cfg, obs::Registry* registry) {
         if (r > 0) driver.step(now);
         alice.engine().syncRound(now);
         // One commit per round: record what recovery is allowed to return.
-        ref.committed[alice.store()->latestMeta()] = *alice.store()->latest();
+        ref.committed[alice.store()->latestMeta()] = alice.rp().serializeState();
     }
     ref.finalState = alice.rp().serializeState();
     ref.opCount = fs.opCount();
@@ -84,9 +85,9 @@ SweepResult runCrashSweep(const SweepConfig& cfg) {
             if (!rs.ok()) return rs.violation;
             result.tornBytes += rs.recovery.tornBytesDiscarded;
 
-            // (a) pre-or-post: the recovered payload must be byte-identical
-            // to the reference commit its meta names, and that meta must
-            // bracket the interrupted round.
+            // (a) pre-or-post: the recovered state (image plus deltas) must
+            // serialize byte-identically to the reference commit its meta
+            // names, and that meta must bracket the interrupted round.
             const std::uint64_t meta = store.latestMeta();
             if (!rs.restored) {
                 if (r != 0) return "no payload recovered after round " + std::to_string(r);
@@ -97,8 +98,8 @@ SweepResult runCrashSweep(const SweepConfig& cfg) {
                            " does not bracket crashed round " + std::to_string(r);
                 }
                 const auto it = ref.committed.find(meta);
-                if (it == ref.committed.end() || !(*store.latest() == it->second)) {
-                    return "recovered payload for meta " + std::to_string(meta) +
+                if (it == ref.committed.end() || !(alice.rp().serializeState() == it->second)) {
+                    return "recovered state for meta " + std::to_string(meta) +
                            " is not the reference commit (mixture state?)";
                 }
                 if (meta == r + 1) {

@@ -8,16 +8,17 @@
 //
 //  1. Reference run: a relying party syncs `rounds` rounds of a seeded
 //     honest world through a SyncEngine with an attached DurableStore on
-//     a MemVfs, fault-free. Every committed payload is recorded by its
-//     meta (= completed-round count), along with the final serialized
-//     state, and MemVfs::opCount() enumerates every mutating VFS
-//     operation the workload performs.
+//     a MemVfs, fault-free. The serialized state each commit persisted is
+//     recorded by its meta (= completed-round count), along with the final
+//     serialized state, and MemVfs::opCount() enumerates every mutating
+//     VFS operation the workload performs.
 //
 //  2. For every operation index k in [0, opCount): rerun the identical
 //     workload on a fresh MemVfs with a crash armed at k. When the crash
 //     fires, reopen the store and assert
-//       (a) the recovered payload is byte-identical to one of the
-//           reference run's committed payloads — specifically the one
+//       (a) the recovered state (image plus deltas, composed by
+//           MemberProcess::restart) serializes byte-identically to one of
+//           the reference run's committed states — specifically the one
 //           whose meta the store reports (pre- or post- the interrupted
 //           transaction, nothing else), and
 //       (b) after restoring the relying party from the recovered bytes

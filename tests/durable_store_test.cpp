@@ -1,8 +1,10 @@
 // Durable store + crash-consistency suite: MemVfs crash semantics, the
 // WAL/checkpoint store's commit/recover contract, the torn-write and
-// bit-flip matrices over the on-disk formats, the exhaustive per-VFS-op
-// crash sweep, and the chaos soak's kill/restart mode (invariants I8/I9
-// plus plan replay determinism). See docs/DURABILITY.md.
+// bit-flip matrices over the on-disk formats, the recovered-equals-live
+// check over delta chains, the store's per-round byte counters, the
+// exhaustive per-VFS-op crash sweep, and the chaos soak's kill/restart
+// mode (invariants I8/I9 plus plan replay determinism). See
+// docs/DURABILITY.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "rp/relying_party.hpp"
 #include "sim/chaos_soak.hpp"
 #include "sim/crash_sweep.hpp"
+#include "sim/harness.hpp"
 #include "util/errors.hpp"
 #include "util/vfs.hpp"
 
@@ -21,6 +24,7 @@ namespace rpkic {
 namespace {
 
 using rp::DurableStore;
+using rp::RecoveredState;
 using rp::RecoveryReport;
 using rp::StoreOptions;
 
@@ -30,6 +34,29 @@ Bytes blob(const std::string& s) {
 
 ByteView view(const Bytes& b) {
     return ByteView(b.data(), b.size());
+}
+
+/// A toy committed state for store tests: its image is its text and a
+/// delta appends to it, so composing what open() recovers (image, then
+/// each delta) gives the state back.
+struct TextState {
+    std::string text;
+    std::string pending;  ///< appended since the last commit
+
+    void append(const std::string& more) {
+        text += more;
+        pending += more;
+    }
+    void commit(DurableStore& store, std::uint64_t meta) {
+        store.commit({[&] { return blob(text); }, [&] { return blob(pending); }}, meta);
+        pending.clear();
+    }
+};
+
+std::string composed(const RecoveredState& r) {
+    std::string out(r.image.begin(), r.image.end());
+    for (const Bytes& d : r.deltas) out.append(d.begin(), d.end());
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -139,24 +166,31 @@ TEST(DurableStore, CommitsSurviveReopenNewestWins) {
     obs::Registry reg;
     vfs::MemVfs fs(11);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);  // no auto-ckpt
+    TextState state;
     EXPECT_FALSE(store.lastRecovery().recovered);
-    EXPECT_THROW(store.commit(blob("x")), UsageError);  // before open()
+    EXPECT_THROW(state.commit(store, 0), UsageError);  // before open()
 
     store.open();
     EXPECT_FALSE(store.lastRecovery().recovered);
-    store.commit(blob("v1"), 1);
-    store.commit(blob("v2"), 2);
-    store.commit(blob("v3"), 3);
+    for (const char* v : {"v1", "v2", "v3"}) {
+        state.append(v);
+        state.commit(store, store.latestLsn() + 1);
+    }
     EXPECT_EQ(store.latestLsn(), 3u);
 
     DurableStore again(fs, "st", StoreOptions{0, "t"}, &reg);
-    const RecoveryReport rec = again.open();
+    RecoveredState got;
+    const RecoveryReport rec = again.open(&got);
     EXPECT_TRUE(rec.recovered);
     EXPECT_FALSE(rec.usedCheckpoint);
     EXPECT_EQ(rec.walRecordsReplayed, 3u);
     EXPECT_EQ(rec.tornBytesDiscarded, 0u);
-    ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("v3"));
+    // The first commit after open() framed the image, the others deltas.
+    EXPECT_EQ(got.image, blob("v1"));
+    EXPECT_EQ(got.deltas, (std::vector<Bytes>{blob("v2"), blob("v3")}));
+    EXPECT_EQ(composed(got), "v1v2v3");
+    EXPECT_EQ(got.meta, 3u);
+    EXPECT_EQ(got.lsn, 3u);
     EXPECT_EQ(again.latestMeta(), 3u);
 }
 
@@ -164,49 +198,64 @@ TEST(DurableStore, CheckpointFoldsWalAndRecoveryPrefersIt) {
     obs::Registry reg;
     vfs::MemVfs fs(13);
     DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);
+    TextState state;
     store.open();
-    store.commit(blob("a"), 1);
-    store.commit(blob("b"), 2);  // triggers the checkpoint fold
+    state.append("a");
+    state.commit(store, 1);
+    state.append("b");
+    state.commit(store, 2);  // a delta frame, then the fold into ckpt-2
     EXPECT_TRUE(fs.exists(store.checkpointPath(2)));
     EXPECT_EQ(fs.readFile(store.walPath()).size(), 0u);  // WAL reset
-    store.commit(blob("c"), 3);  // lands in the fresh WAL
+    state.append("c");
+    state.commit(store, 3);  // a delta in the fresh WAL
 
     DurableStore again(fs, "st", StoreOptions{2, "t"}, &reg);
-    const RecoveryReport rec = again.open();
+    RecoveredState got;
+    const RecoveryReport rec = again.open(&got);
     EXPECT_TRUE(rec.usedCheckpoint);
     EXPECT_EQ(rec.checkpointSeq, 2u);
     EXPECT_EQ(rec.walRecordsReplayed, 1u);
-    ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("c"));
+    EXPECT_EQ(got.image, blob("ab"));  // the checkpoint holds the image
+    EXPECT_EQ(got.deltas, std::vector<Bytes>{blob("c")});
     EXPECT_EQ(again.latestMeta(), 3u);
-    // LSNs continue across the reopen.
-    again.commit(blob("d"), 4);
+    // LSNs continue across the reopen, and the first commit after it
+    // carries the image (here it also folds: two frames are pending).
+    state.append("d");
+    state.commit(again, 4);
     EXPECT_EQ(again.latestLsn(), 4u);
+    DurableStore third(fs, "st", StoreOptions{2, "t"}, &reg);
+    third.open(&got);
+    EXPECT_EQ(got.image, blob("abcd"));
+    EXPECT_TRUE(got.deltas.empty());
 }
 
 TEST(DurableStore, IoFailurePoisonsUntilReopenRepairs) {
     obs::Registry reg;
     vfs::MemVfs fs(17);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);
+    TextState state;
     store.open();
-    store.commit(blob("good"), 1);
+    state.append("good");
+    state.commit(store, 1);
 
     fs.armFailAt(fs.opCount());  // fail the next append
-    EXPECT_THROW(store.commit(blob("bad"), 2), vfs::IoError);
+    state.append("-bad");
+    EXPECT_THROW(state.commit(store, 2), vfs::IoError);
     EXPECT_TRUE(store.isPoisoned());
-    // The failed commit did not happen; the store refuses to append after
-    // a possibly-partial tail but still serves the committed payload.
-    ASSERT_TRUE(store.latest().has_value());
-    EXPECT_EQ(*store.latest(), blob("good"));
-    EXPECT_THROW(store.commit(blob("bad2"), 2), UsageError);
-    EXPECT_THROW(store.checkpointNow(), UsageError);
+    // The failed commit did not happen, and the store refuses to append
+    // after a possibly-partial tail.
+    EXPECT_THROW(state.commit(store, 2), UsageError);
 
-    const RecoveryReport rec = store.open();  // repair
+    RecoveredState got;
+    const RecoveryReport rec = store.open(&got);  // repair
     EXPECT_FALSE(store.isPoisoned());
     EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(*store.latest(), blob("good"));
-    store.commit(blob("after"), 2);
-    EXPECT_EQ(*store.latest(), blob("after"));
+    EXPECT_EQ(composed(got), "good");
+    state.commit(store, 2);  // the first commit after open(): the image
+    DurableStore again(fs, "st", StoreOptions{0, "t"}, &reg);
+    again.open(&got);
+    EXPECT_EQ(composed(got), "good-bad");
+    EXPECT_EQ(got.image, blob("good-bad"));
 }
 
 // ---------------------------------------------------------------------------
@@ -220,10 +269,11 @@ protected:
         vfs::MemVfs fs(23);
         DurableStore store(fs, "st", StoreOptions{0, "m"}, &reg_);
         store.open();
+        TextState state;  // an image frame, then three delta frames
         for (int i = 1; i <= 4; ++i) {
-            const Bytes payload = blob("payload-" + std::to_string(i));
-            committed_.push_back(payload);
-            store.commit(payload, static_cast<std::uint64_t>(i));
+            state.append("payload-" + std::to_string(i) + ";");
+            state.commit(store, static_cast<std::uint64_t>(i));
+            committed_.push_back(state.text);
         }
         wal_ = fs.readFile(store.walPath());
         walPath_ = store.walPath();
@@ -238,20 +288,27 @@ protected:
         fs.sync(walPath_);
         DurableStore store(fs, "st", StoreOptions{0, "m"}, &reg);
         RecoveryReport rec;
-        ASSERT_NO_THROW(rec = store.open()) << what << " at " << at;
-        if (store.latest().has_value()) {
-            const std::uint64_t meta = store.latestMeta();
+        RecoveredState got;
+        ASSERT_NO_THROW(rec = store.open(&got)) << what << " at " << at;
+        if (rec.recovered) {
+            const std::uint64_t meta = got.meta;
             ASSERT_GE(meta, 1u) << what << " at " << at;
             ASSERT_LE(meta, committed_.size()) << what << " at " << at;
-            EXPECT_EQ(*store.latest(), committed_[meta - 1])
+            EXPECT_EQ(composed(got), committed_[meta - 1])
                 << what << " at " << at << ": recovered a mixture state";
         }
-        // Repair must leave the store usable.
-        ASSERT_NO_THROW(store.commit(blob("fresh"), 99)) << what << " at " << at;
+        // Repair must leave the store usable, and the next commit must
+        // survive the next recovery.
+        TextState fresh;
+        fresh.append("fresh");
+        ASSERT_NO_THROW(fresh.commit(store, 99)) << what << " at " << at;
+        DurableStore again(fs, "st", StoreOptions{0, "m"}, &reg);
+        again.open(&got);
+        EXPECT_EQ(composed(got), "fresh") << what << " at " << at;
     }
 
     obs::Registry reg_;
-    std::vector<Bytes> committed_;
+    std::vector<std::string> committed_;
     Bytes wal_;
     std::string walPath_;
 };
@@ -275,83 +332,242 @@ TEST(DurableStore, CorruptCheckpointFallsBackToOlderState) {
     obs::Registry reg;
     vfs::MemVfs fs(31);
     DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);
+    TextState state;
     store.open();
-    store.commit(blob("a"), 1);
-    store.commit(blob("b"), 2);  // checkpoint at lsn 2, WAL reset
-    store.commit(blob("c"), 3);
-    store.commit(blob("d"), 4);  // checkpoint at lsn 4
+    for (const char* v : {"a", "b", "c", "d"}) {  // checkpoints at lsn 2 and 4
+        state.append(v);
+        state.commit(store, store.latestLsn() + 1);
+    }
 
     // Flip a byte inside the newest checkpoint: recovery must fall back
-    // (here: to the WAL-less older state via the lsn-2 checkpoint if it
-    // still exists, else whatever remains) and flag the repair.
+    // (to the lsn-2 checkpoint if it still exists, else whatever remains)
+    // and flag the repair.
     Bytes ckpt = fs.readFile(store.checkpointPath(4));
     ckpt[ckpt.size() / 2] ^= 0xff;
     fs.writeFile(store.checkpointPath(4), view(ckpt));
     fs.sync(store.checkpointPath(4));
 
     DurableStore again(fs, "st", StoreOptions{2, "t"}, &reg);
-    const RecoveryReport rec = again.open();
+    RecoveredState got;
+    const RecoveryReport rec = again.open(&got);
     EXPECT_EQ(rec.corruptCheckpointsDiscarded, 1u);
     EXPECT_TRUE(rec.repaired);
-    if (again.latest().has_value()) {
-        const std::vector<Bytes> committed = {blob("a"), blob("b"), blob("c"), blob("d")};
-        EXPECT_TRUE(std::find(committed.begin(), committed.end(), *again.latest()) !=
+    if (rec.recovered) {
+        const std::vector<std::string> committed = {"a", "ab", "abc", "abcd"};
+        EXPECT_TRUE(std::find(committed.begin(), committed.end(), composed(got)) !=
                     committed.end());
     }
+    // Here nothing survives: the fold at lsn 4 removed ckpt-2 and reset
+    // the WAL, so the corrupt image was the only one.
+    EXPECT_FALSE(rec.recovered);
     // The corrupt file was removed so future recoveries skip the retry.
     EXPECT_FALSE(fs.exists(again.checkpointPath(4)));
 }
 
 TEST(DurableStore, RepairSurvivesCorruptCheckpointAtTheReplayedLsn) {
     // Regression (found by fuzz_wal): a corrupt checkpoint file whose name
-    // matches the LSN the WAL replays to collides with the repair
-    // checkpoint. Repair must remove the corrupt file BEFORE folding, or
-    // it deletes its own freshly written checkpoint and the next recovery
-    // comes up empty.
+    // matches the LSN the WAL replays to. Repair removes it and keeps the
+    // WAL's image frame; the next recovery must find the same state.
     obs::Registry reg;
     vfs::MemVfs fs(7);
     DurableStore store(fs, "st", StoreOptions{0, "t"}, &reg);
     store.open();
-    store.commit(blob("payload-1"), 11);  // WAL frame at lsn 1
+    TextState state;
+    state.append("payload-1");
+    state.commit(store, 11);  // image frame at lsn 1
 
-    // Plant garbage where the repair checkpoint for lsn 1 will land.
+    // Plant garbage under the checkpoint name for lsn 1.
     fs.writeFile(store.checkpointPath(1), view(blob("not a checkpoint")));
     fs.sync(store.checkpointPath(1));
 
     DurableStore repaired(fs, "st", StoreOptions{0, "t"}, &reg);
-    const RecoveryReport rec = repaired.open();
+    RecoveredState got;
+    const RecoveryReport rec = repaired.open(&got);
     EXPECT_EQ(rec.corruptCheckpointsDiscarded, 1u);
     EXPECT_TRUE(rec.repaired);
-    ASSERT_TRUE(repaired.latest().has_value());
-    EXPECT_EQ(*repaired.latest(), blob("payload-1"));
+    ASSERT_TRUE(rec.recovered);
+    EXPECT_EQ(composed(got), "payload-1");
 
-    // The state survives ANOTHER recovery — the repair checkpoint exists
-    // and passes its checksum.
+    // The state survives ANOTHER recovery, with nothing left to discard.
     DurableStore again(fs, "st", StoreOptions{0, "t"}, &reg);
-    const RecoveryReport rec2 = again.open();
+    const RecoveryReport rec2 = again.open(&got);
     EXPECT_EQ(rec2.corruptCheckpointsDiscarded, 0u);
-    ASSERT_TRUE(again.latest().has_value());
-    EXPECT_EQ(*again.latest(), blob("payload-1"));
-    EXPECT_EQ(again.latestMeta(), 11u);
+    ASSERT_TRUE(rec2.recovered);
+    EXPECT_EQ(composed(got), "payload-1");
+    EXPECT_EQ(got.meta, 11u);
+    EXPECT_EQ(got.lsn, 1u);
     EXPECT_EQ(again.latestLsn(), 1u);
+}
+
+TEST(DurableStore, CorruptCheckpointOrphansTheDeltasWrittenAfterIt) {
+    // What a corrupt newest checkpoint costs: the rounds since the last
+    // surviving image. The deltas after it are valid frames with nothing
+    // to apply to; recovery reports them, and the next commit (an image)
+    // takes an LSN above theirs so a later recovery starts from it.
+    obs::Registry reg;
+    vfs::MemVfs fs(37);
+    DurableStore store(fs, "st", StoreOptions{2, "t"}, &reg);
+    TextState state;
+    store.open();
+    for (const char* v : {"a", "b", "c"}) {  // image, delta + fold at 2, delta
+        state.append(v);
+        state.commit(store, store.latestLsn() + 1);
+    }
+    Bytes ckpt = fs.readFile(store.checkpointPath(2));
+    ckpt[ckpt.size() / 2] ^= 0xff;
+    fs.writeFile(store.checkpointPath(2), view(ckpt));
+    fs.sync(store.checkpointPath(2));
+
+    DurableStore again(fs, "st", StoreOptions{2, "t"}, &reg);
+    RecoveredState got;
+    const RecoveryReport rec = again.open(&got);
+    EXPECT_FALSE(rec.recovered);
+    EXPECT_EQ(got, RecoveredState{});
+    EXPECT_EQ(rec.walRecordsOrphaned, 1u);
+    EXPECT_EQ(rec.corruptCheckpointsDiscarded, 1u);
+    EXPECT_EQ(again.latestLsn(), 3u);  // the orphan's LSN is still taken
+
+    TextState fresh;
+    fresh.append("fresh");
+    fresh.commit(again, 7);
+    DurableStore third(fs, "st", StoreOptions{2, "t"}, &reg);
+    const RecoveryReport rec3 = third.open(&got);
+    ASSERT_TRUE(rec3.recovered);
+    EXPECT_EQ(composed(got), "fresh");
+    EXPECT_EQ(got.lsn, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Recovered state equals the live state after every round, over the crash
+// sweep's adversarial worlds: checkpointEvery 8, so a chain reaches seven
+// deltas on top of its image.
+
+TEST(DeltaChain, RecoveredStateEqualsTheLiveStateAfterEveryRound) {
+    constexpr std::uint32_t kRounds = 30;
+    std::size_t longestChain = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        obs::Registry reg;
+        sim::RandomScheduleDriver driver(sim::worldConfig(seed, 0.15, kRounds));
+        RepositorySource honest(driver.repo());
+        sim::MemberProcess alice("chain", driver.trustAnchors(), honest, 2, &reg, nullptr);
+        const StoreOptions options{8, "chain"};
+        const vfs::MemVfs* fs = alice.attachStore(nullptr, "state", options, seed);
+        for (std::uint32_t r = 0; r < kRounds; ++r) {
+            const Time now = static_cast<Time>(r);
+            if (r > 0) driver.step(now);
+            alice.engine().syncRound(now);
+
+            vfs::MemVfs copy = *fs;
+            obs::Registry secondRegistry;
+            DurableStore second(copy, "state", options, &secondRegistry);
+            RecoveredState got;
+            ASSERT_TRUE(second.open(&got).recovered) << "seed " << seed << " round " << r;
+            EXPECT_EQ(got.meta, r + 1u);
+            rp::RelyingParty composedRp =
+                rp::RelyingParty::deserializeState(view(got.image), &secondRegistry);
+            for (const Bytes& delta : got.deltas) composedRp.applyDelta(view(delta));
+            ASSERT_EQ(composedRp.serializeState(), alice.rp().serializeState())
+                << "seed " << seed << " round " << r << " (" << got.deltas.size() << " deltas)";
+            longestChain = std::max(longestChain, got.deltas.size());
+        }
+    }
+    EXPECT_EQ(longestChain, 7u);
+}
+
+// ---------------------------------------------------------------------------
+// What the store writes per round: rc_store_wal_bytes_total and
+// rc_store_checkpoint_bytes_total, pinned for one fixed-seed world.
+
+struct StoreBytes {
+    std::uint64_t wal = 0;
+    std::uint64_t checkpoint = 0;
+    bool operator==(const StoreBytes&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StoreBytes& b) {
+    return os << "{" << b.wal << ", " << b.checkpoint << "}";
+}
+
+StoreBytes storeBytes(obs::Registry& reg, const std::string& name) {
+    const obs::Labels labels = {{"store", name}};
+    return {reg.counter("rc_store_wal_bytes_total", "", labels).value(),
+            reg.counter("rc_store_checkpoint_bytes_total", "", labels).value()};
+}
+
+TEST(StoreWork, BytesWrittenPerRoundArePinnedForAFixedWorld) {
+    constexpr std::uint32_t kRounds = 18;
+    obs::Registry reg;
+    sim::RandomScheduleDriver driver(sim::worldConfig(5, 0.15, kRounds));
+    RepositorySource honest(driver.repo());
+    sim::MemberProcess alice("work", driver.trustAnchors(), honest, 2, &reg, nullptr);
+    alice.attachStore(nullptr, "state", StoreOptions{8, "work"}, 5);
+    std::vector<StoreBytes> perRound;
+    std::vector<std::size_t> imageBytes;
+    for (std::uint32_t r = 0; r < kRounds; ++r) {
+        const StoreBytes before = storeBytes(reg, "work");
+        if (r > 0) driver.step(static_cast<Time>(r));
+        alice.engine().syncRound(static_cast<Time>(r));
+        const StoreBytes after = storeBytes(reg, "work");
+        perRound.push_back({after.wal - before.wal, after.checkpoint - before.checkpoint});
+        imageBytes.push_back(alice.rp().serializeState().size());
+    }
+    const std::vector<StoreBytes> expected = {
+        {31601, 0}, {5276, 0}, {7954, 0},  {5376, 0},  {20742, 0}, {2762, 0},
+        {23344, 0}, {18070, 57434},        {117, 0},   {117, 0},   {20576, 0},
+        {2762, 0},  {117, 0},  {18070, 0}, {117, 0},   {23120, 74324},
+        {117, 0},   {117, 0},
+    };
+    EXPECT_EQ(perRound, expected);
+    // The image is written once after open() (round 0's frame: the image
+    // behind the 53-byte frame header and digest) and once per fold
+    // (commits 8 and 16, into a checkpoint with 64 bytes of framing);
+    // every other frame is a delta, smaller than the image.
+    EXPECT_EQ(perRound[0].wal, imageBytes[0] + 53);
+    for (std::uint32_t r = 1; r < kRounds; ++r) {
+        const bool fold = (r + 1) % 8 == 0;
+        EXPECT_EQ(perRound[r].checkpoint, fold ? imageBytes[r] + 64 : 0u) << "round " << r;
+        EXPECT_LT(perRound[r].wal, imageBytes[r] / 2) << "round " << r;
+    }
+}
+
+TEST(StoreWork, ARoundThatChangesNothingAppendsUnder128Bytes) {
+    obs::Registry reg;
+    sim::RandomScheduleDriver driver(sim::worldConfig(9, 0.0, 4));
+    RepositorySource honest(driver.repo());
+    sim::MemberProcess alice("idle", driver.trustAnchors(), honest, 2, &reg, nullptr);
+    alice.attachStore(nullptr, "state", StoreOptions{8, "idle"}, 9);
+    alice.engine().syncRound(0);
+    driver.step(1);
+    alice.engine().syncRound(1);
+    // The world stands still: the same snapshot synced again.
+    const StoreBytes before = storeBytes(reg, "idle");
+    alice.engine().syncRound(2);
+    const StoreBytes after = storeBytes(reg, "idle");
+    EXPECT_LT(after.wal - before.wal, 128u);
+    EXPECT_GT(after.wal - before.wal, 0u);
+    EXPECT_EQ(after.checkpoint, before.checkpoint);
 }
 
 // ---------------------------------------------------------------------------
 // Exhaustive crash sweep (tentpole proof; see sim/crash_sweep.hpp)
 
 TEST(CrashSweep, EveryVfsOperationIsASafeCrashPoint) {
-    sim::SweepConfig cfg;
-    cfg.seed = 5;
-    cfg.rounds = 6;
-    cfg.checkpointEvery = 2;
-    const sim::SweepResult r = sim::runCrashSweep(cfg);
-    for (const auto& v : r.violations) ADD_FAILURE() << v;
-    EXPECT_TRUE(r.passed);
-    EXPECT_GT(r.crashPoints, 20u);  // appends, fsyncs, and checkpoint folds
-    EXPECT_EQ(r.crashesFired, r.crashPoints);
-    EXPECT_EQ(r.recoveredPre + r.recoveredPost + r.recoveredNone, r.crashesFired);
-    EXPECT_GT(r.recoveredPre, 0u);
-    EXPECT_GT(r.recoveredPost, 0u);
+    // checkpointEvery 2 crashes inside a fold every other commit; 5 with
+    // 8 rounds crashes inside a chain of up to four deltas.
+    for (const auto& [rounds, every] : {std::pair{6u, 2u}, std::pair{8u, 5u}}) {
+        sim::SweepConfig cfg;
+        cfg.seed = 5;
+        cfg.rounds = rounds;
+        cfg.checkpointEvery = every;
+        const sim::SweepResult r = sim::runCrashSweep(cfg);
+        for (const auto& v : r.violations) ADD_FAILURE() << v;
+        EXPECT_TRUE(r.passed) << "checkpointEvery " << every;
+        EXPECT_GT(r.crashPoints, 20u);  // appends, fsyncs, and checkpoint folds
+        EXPECT_EQ(r.crashesFired, r.crashPoints);
+        EXPECT_EQ(r.recoveredPre + r.recoveredPost + r.recoveredNone, r.crashesFired);
+        EXPECT_GT(r.recoveredPre, 0u);
+        EXPECT_GT(r.recoveredPost, 0u);
+    }
 }
 
 TEST(CrashSweep, HonestWorldSweepAlsoHolds) {

@@ -213,6 +213,73 @@ TEST_P(FuzzStateBlob, MutatedCacheLoadsFullyOrThrows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzStateBlob, ::testing::Values(1, 2, 3, 4));
 
+TEST(FuzzDelta, MutatedDeltaAppliesFullyOrThrows) {
+    // A real multi-record delta (RC records, point caches, alarms, hash
+    // window): every truncation and 500 seeded byte flips must either
+    // apply cleanly or throw ParseError, leaving the state untouched.
+    Repository repo;
+    consent::AuthorityDirectory dir(
+        77, consent::AuthorityOptions{.ts = 4, .signerHeight = 6, .manifestLifetime = 1000});
+    SimClock clock;
+    auto& root = dir.createTrustAnchor(
+        "root", ResourceSet::ofPrefixes({pfx("10.0.0.0/8")}), repo, clock.now());
+    auto& org = dir.createChild(root, "org", ResourceSet::ofPrefixes({pfx("10.1.0.0/16")}),
+                                repo, clock.now());
+    org.issueRoa("r1", 64500, {{pfx("10.1.0.0/20"), 24}}, repo, clock.now());
+    rp::RelyingParty alice("alice", {root.cert()}, rp::RpOptions{.ts = 4, .tg = 8});
+    alice.sync(repo.snapshot(), clock.now());
+    const Bytes base = alice.serializeState();
+    alice.clearDelta();
+    clock.advance(1);
+    org.issueRoa("r2", 64501, {{pfx("10.1.16.0/20"), 24}}, repo, clock.now());
+    root.unsafeUnilateralRevokeChild("org", repo, clock.now());  // raises alarms
+    alice.sync(repo.snapshot(), clock.now());
+    const Bytes delta = alice.serializeDelta();
+    const Bytes live = alice.serializeState();
+    ASSERT_NE(live, base);
+
+    const auto tryApply = [&](const Bytes& wire) {
+        rp::RelyingParty restored =
+            rp::RelyingParty::deserializeState(ByteView(base.data(), base.size()));
+        try {
+            restored.applyDelta(ByteView(wire.data(), wire.size()));
+        } catch (const ParseError&) {
+            EXPECT_EQ(restored.serializeState(), base) << "a refused delta changed the state";
+            return false;
+        }
+        (void)restored.validRoas();
+        (void)restored.exportManifestClaims();
+        EXPECT_EQ(restored.serializeState(), restored.serializeState());
+        return true;
+    };
+    ASSERT_TRUE(tryApply(delta));
+    {
+        rp::RelyingParty restored =
+            rp::RelyingParty::deserializeState(ByteView(base.data(), base.size()));
+        restored.applyDelta(ByteView(delta.data(), delta.size()));
+        EXPECT_EQ(restored.serializeState(), live);
+        // Applied twice, the delta no longer extends the state.
+        EXPECT_THROW(restored.applyDelta(ByteView(delta.data(), delta.size())), ParseError);
+    }
+    for (std::size_t cut = 0; cut < delta.size(); ++cut) {
+        EXPECT_FALSE(
+            tryApply(Bytes(delta.begin(), delta.begin() + static_cast<std::ptrdiff_t>(cut))))
+            << "a delta cut at " << cut << " applied";
+    }
+    // Most of a delta is object bytes and strings that decode either way
+    // (on disk the WAL frame's digest guards them), so both outcomes occur.
+    Rng rng(20140817);
+    int refused = 0;
+    for (int iter = 0; iter < 500; ++iter) {
+        Bytes wire = delta;
+        wire[static_cast<std::size_t>(rng.nextBelow(wire.size()))] ^=
+            static_cast<std::uint8_t>(1u + rng.nextBelow(255));
+        if (!tryApply(wire)) ++refused;
+    }
+    EXPECT_GT(refused, 0);
+    EXPECT_LT(refused, 500);
+}
+
 TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
     // The relying party's cache image and the checkpoint file the durable
     // store folds it into, byte for byte. Restarted relying parties and
@@ -226,8 +293,9 @@ TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
     vfs::MemVfs fs(1);
     rp::DurableStore store(fs, "st", rp::StoreOptions{2, "pin"}, &registry);
     store.open();
-    store.commit(state, 1);
-    store.commit(state, 2);  // the second commit folds the WAL into ckpt-<2>
+    const rp::CommitSource unchanged{[&] { return state; }, [] { return Bytes{}; }};
+    store.commit(unchanged, 1);
+    store.commit(unchanged, 2);  // the second commit folds the image into ckpt-<2>
     const Bytes ckpt = fs.readFile(store.checkpointPath(2));
     EXPECT_EQ(sha256(ByteView(ckpt.data(), ckpt.size())).hex(),
               "56bc710a0ad2659ea8e1a5540df49a9c35d6479b18bcf89eb18ee973e270ad8e");

@@ -134,7 +134,7 @@ TEST(HarnessGolden, SmokeSoakSeedsOneAndTwo) {
 const SoakPins kKillRestartPins{
     .plan = "5c8e88469ade93bca293b3a7a2577a96f938dd70b8f626f215b9735473bcf150",
     .epochs = "1f3dcf6a35902963e78193019bc45662be541f701d0f7cff7713f4d6d3c970df",
-    .stats = "4fa20f96ec2854a4a6bf26831264b8e210d98f02b7838c1b3d7f3e86caa25013",
+    .stats = "549cfe672a366cec3bad8b853b4d413447b6b23e696d922e945d7116da018825",
     .scoreboard = "c27d9b0fbad67507ec67e01f59f0afe67cc2a62fa8597f88b4283353f167ede8",
     .status = "387480847ffb7da98c6d52e2b943700a64b45fb509c5fc9a2d4713b1b177bc8b"};
 
@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "7d0ba49ecdfb1accce5c9895f3695a6f6a15707b88e9de0078b6a92baecb2ff7")
+              "e5d7eb27d5c0a12cc76d4bec810945880d2f31931e7a002624b08f1f09c33e7d")
         << "crash-realized bundles";
 }
 
@@ -207,7 +207,7 @@ TEST(HarnessGolden, CrashSweep) {
                              " none=" + u(r.recoveredNone) + " torn=" + u(r.tornBytes) +
                              " resumed=" + u(r.roundsResumed) + "\n" +
                              violations(r.violations) + bundles(r.postmortems);
-    EXPECT_EQ(digest(text), "c7e9f8dd87e06e7e56b492eafc4a1554d1b2adeab4a259ae12ee3d62e506927e")
+    EXPECT_EQ(digest(text), "a38c7673c97f69d425845345ba9d9f6b83061f7a4ecacd9c2d4489bcbf848a56")
         << "sweep result";
     EXPECT_EQ(digest(obs::renderFlightEvents(recorder.snapshot())),
               "879a90125855e00efb8bd6f99c3d86b407f9dd010e7d452efb6235435cf308d4")
@@ -267,7 +267,7 @@ TEST(HarnessGolden, FleetCrashedAndMirrorFed) {
         "1:crash:5:6,3:mirror:4", 24,
         {.result = "f58a5e6f487eb14a3b4510583ed844923ae2426d065b31c910444aff7a7fd9d9",
          .status = "44bf15ab6e70d36de2862493ee91e2f6e3c953226e59bc446888b525c023c1c5",
-         .bundle = "17f9538456379fec986000e088c5f7781165901dbd6bb02193df4f4ac9213936"});
+         .bundle = "d0615bfc4a22765d10efd100e4e56b16f81f8c34050a00c9feae050e964dced9"});
 }
 
 TEST(HarnessGolden, FleetStalledMember) {
@@ -275,7 +275,7 @@ TEST(HarnessGolden, FleetStalledMember) {
         "2:stall:6", 16,
         {.result = "128ceced7fae424a090cfa9420935ea8c60badac5b7d6d36d7438ae999d04642",
          .status = "7adf36a4193b4d90399ac6b3c69bc294ec5e96e08a52e4ded03d781276e542fa",
-         .bundle = "5bc0f92a6e8197c921d30433738513d31d6bad0145cc629fb293c6c47e09d718"});
+         .bundle = "724d2981b55a5aed96384a09ba1f5f8759be5f3d101fd142f68a2d9a2b85e1f5"});
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -235,6 +236,19 @@ TEST(HttpServer, AnswersMalformedRequestsWith400AndDropsTheSession) {
     Client c(server.port());
     ASSERT_TRUE(c.connected());
     EXPECT_EQ(c.roundTrip("this is not http\r\n\r\n"), 400);
+
+    // A Content-Length near 2^64 must not wrap past the request cap and
+    // swallow the pipelined request behind it as its body.
+    Client wrap(server.port());
+    ASSERT_TRUE(wrap.connected());
+    EXPECT_EQ(wrap.roundTrip("GET /x HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n"
+                             "POST /x HTTP/1.1\r\n\r\n"),
+              400);
+    // ...and the session is dropped: the next read sees the close.
+    pollfd readable{wrap.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&readable, 1, 5000), 1);
+    char byte = 0;
+    EXPECT_EQ(wrap.readSome(&byte, 1), 0);
     server.stop();
 }
 

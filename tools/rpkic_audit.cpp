@@ -11,7 +11,9 @@
 //
 // With --cache, the relying party's state is loaded from FILE if it
 // exists and saved back afterwards, so successive invocations keep
-// detecting transitions across runs:
+// detecting transitions across runs; a resumed relying party numbers its
+// snapshots from the day after its last sync, so its §5.4 windows keep
+// running across invocations:
 //
 //   rpkic-audit --ta ta.cer --cache rp.cache todays-snapshot/
 //
@@ -55,7 +57,8 @@ int main(int argc, char** argv) {
     try {
         vfs::DiskVfs disk;
         std::optional<rp::RelyingParty> alice;
-        if (!cachePath.empty() && disk.exists(cachePath)) {
+        const bool resumed = !cachePath.empty() && disk.exists(cachePath);
+        if (resumed) {
             const Bytes blob = disk.readFile(cachePath);
             alice = rp::RelyingParty::deserializeState(ByteView(blob.data(), blob.size()));
             std::printf("resumed from cache %s (%zu bytes)\n", cachePath.c_str(), blob.size());
@@ -68,7 +71,7 @@ int main(int argc, char** argv) {
         }
 
         std::size_t reported = alice->alarms().count();
-        Time day = 0;
+        Time day = resumed ? alice->lastSyncTime() + 1 : 0;
         for (std::size_t i = 0; i < snapDirs.size(); ++i, ++day) {
             const Snapshot snap = readSnapshotFromDisk(snapDirs[i]);
             alice->sync(snap, day);
