@@ -344,8 +344,8 @@ SyncReport SyncEngine::syncRound(Time now) {
     roundsTotal_->inc();
 
     // Persist the post-round state before acknowledging the round (commit
-    // precedes the report push, so a round that dies inside the commit
-    // leaves no report — the restarted incarnation reruns it). A crash
+    // precedes the return, so a round that dies inside the commit returns
+    // no report — the restarted incarnation reruns it). A crash
     // anywhere up to the commit point replays this round from the previous
     // committed state; RelyingParty::sync of an unchanged snapshot is a
     // no-op, so the replay converges instead of double-counting. The store
@@ -358,12 +358,11 @@ SyncReport SyncEngine::syncRound(Time now) {
         rp_->clearDelta();
     }
     if (epochSink_ != nullptr) epochSink_(round_, std::move(epochState));
-    reports_.push_back(report);
     return report;
 }
 
 void SyncEngine::resumeAt(std::uint64_t round) {
-    if (round_ != 0 || !reports_.empty()) {
+    if (round_ != 0) {
         throw UsageError("SyncEngine::resumeAt after the engine has already run");
     }
     round_ = round;

@@ -193,7 +193,6 @@ public:
     std::optional<PointTelemetry> telemetryFor(const std::string& pointUri) const;
     std::map<std::string, PointTelemetry> telemetry() const;
     EngineTotals totals() const;
-    const std::vector<SyncReport>& reports() const { return reports_; }
 
 private:
     /// Registry-backed per-point counters (canonical storage) plus the
@@ -237,7 +236,6 @@ private:
     EpochSink epochSink_;
     std::uint64_t round_ = 0;
     std::map<std::string, PointState> points_;
-    std::vector<SyncReport> reports_;
 
     // Engine-level instruments.
     obs::Counter* roundsTotal_ = nullptr;
