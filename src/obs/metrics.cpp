@@ -318,39 +318,6 @@ std::string RegistrySnapshot::renderPrometheus() const {
     return out;
 }
 
-std::string RegistrySnapshot::renderJson() const {
-    std::string out = "{\n  \"families\": [";
-    bool firstFam = true;
-    for (const auto& fam : families) {
-        if (!firstFam) out += ",";
-        firstFam = false;
-        out += "\n    {\"name\": \"" + jsonEscape(fam.name) + "\", \"type\": \"";
-        out += toString(fam.kind);
-        out += "\", \"help\": \"" + jsonEscape(fam.help) + "\", \"series\": [";
-        bool firstSeries = true;
-        for (const auto& s : fam.series) {
-            if (!firstSeries) out += ",";
-            firstSeries = false;
-            out += "\n      {\"labels\": \"" + jsonEscape(s.labels) + "\", ";
-            if (fam.kind == MetricKind::Histogram) {
-                out += "\"count\": " + formatValue(static_cast<double>(s.count));
-                out += ", \"sum\": " + formatValue(s.sum);
-                out += ", \"buckets\": [";
-                for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-                    if (i > 0) out += ", ";
-                    out += formatValue(static_cast<double>(s.buckets[i]));
-                }
-                out += "]}";
-            } else {
-                out += "\"value\": " + formatValue(s.value) + "}";
-            }
-        }
-        out += "\n    ]}";
-    }
-    out += "\n  ]\n}\n";
-    return out;
-}
-
 const FamilySnapshot* RegistrySnapshot::find(const std::string& name) const {
     for (const auto& fam : families) {
         if (fam.name == name) return &fam;
@@ -360,10 +327,6 @@ const FamilySnapshot* RegistrySnapshot::find(const std::string& name) const {
 
 std::string Registry::renderPrometheus() const {
     return snapshot().renderPrometheus();
-}
-
-std::string Registry::renderJson() const {
-    return snapshot().renderJson();
 }
 
 void Registry::reset() {

@@ -1,5 +1,5 @@
 // rpkiscope metrics: a zero-dependency registry of counters, gauges, and
-// log-bucketed histograms with Prometheus text exposition and JSON dump.
+// log-bucketed histograms with Prometheus text exposition.
 //
 // Design:
 //  * Instruments are registered once per (name, labels) pair and returned
@@ -128,8 +128,6 @@ struct RegistrySnapshot {
     /// Prometheus text exposition format 0.0.4. Deterministic; lint-clean
     /// by construction (see SeriesSnapshot on the +Inf/_count agreement).
     std::string renderPrometheus() const;
-    /// The same data as a JSON object. Deterministic.
-    std::string renderJson() const;
 
     const FamilySnapshot* find(const std::string& name) const;
 };
@@ -164,9 +162,6 @@ public:
     /// Prometheus text exposition format 0.0.4. Deterministic.
     /// Equivalent to snapshot().renderPrometheus().
     std::string renderPrometheus() const RC_EXCLUDES(mutex_);
-    /// The same data as a JSON object. Deterministic.
-    /// Equivalent to snapshot().renderJson().
-    std::string renderJson() const RC_EXCLUDES(mutex_);
 
     /// Drops every instrument. Invalidates all references previously
     /// returned — callers must not hold cached instruments across reset()
@@ -206,7 +201,7 @@ bool isValidMetricName(const std::string& name);
 bool isValidLabelName(const std::string& name);
 /// Escapes a label value for exposition (backslash, quote, newline).
 std::string escapeLabelValue(const std::string& value);
-/// Escapes `s` for a JSON string literal (the JSON dump and Chrome traces).
+/// Escapes `s` for a JSON string literal (Chrome traces).
 std::string jsonEscape(std::string_view s);
 /// Canonical `{a="x",b="y"}` rendering of a sorted label set ("" if empty).
 std::string renderLabels(const Labels& labels);

@@ -72,8 +72,6 @@ TEST(ObsThreads, RegistryHistogramAccountingWhileRendering) {
         std::size_t renders = 0;
         while (!stop.load(std::memory_order_relaxed)) {
             const std::string prom = reg.renderPrometheus();
-            const std::string json = reg.renderJson();
-            ASSERT_FALSE(json.empty());
             // Whatever snapshot we caught must lint clean.
             if (++renders % 16 == 0 && !prom.empty()) {
                 EXPECT_TRUE(obs::lintPrometheus(prom).empty());
