@@ -34,6 +34,7 @@ IpPrefix nodePrefix(const IpPrefix& root, int level, std::uint64_t position) {
 PrefixTreeViz::PrefixTreeViz(const PrefixValidityIndex& prev, const PrefixValidityIndex& cur,
                              VizConfig config, std::span<const Route> bgpFeed)
     : config_(config) {
+    if (config_.depth < 0) throw UsageError("viz depth is negative");
     if (config_.root.length + config_.depth > config_.root.bits()) {
         throw UsageError("viz depth exceeds address width");
     }

@@ -102,6 +102,7 @@ TEST(Viz, GuardsAgainstAbsurdDepth) {
     const PrefixValidityIndex idx{RpkiState{}};
     EXPECT_THROW(PrefixTreeViz(idx, idx, VizConfig{pfx("10.0.0.0/8"), 30, 1}), UsageError);
     EXPECT_THROW(PrefixTreeViz(idx, idx, VizConfig{pfx("10.0.0.0/30"), 5, 1}), UsageError);
+    EXPECT_THROW(PrefixTreeViz(idx, idx, VizConfig{pfx("10.0.0.0/8"), -1, 1}), UsageError);
 }
 
 TEST(Viz, StateLookupGuards) {

@@ -40,6 +40,7 @@
 #include <chrono>
 
 #include "obs/metrics.hpp"
+#include "util/parse.hpp"
 
 using namespace rpkic;
 
@@ -75,7 +76,7 @@ bool parseUrl(std::string url, Url* out) {
 /// One blocking GET over a fresh connection ("Connection: close", so EOF
 /// delimits the body). Returns false with *error on transport failure;
 /// HTTP status goes to *status.
-bool fetchOnce(const Url& url, int timeoutMs, std::string* body, int* status,
+bool fetchOnce(const Url& url, std::uint32_t timeoutMs, std::string* body, int* status,
                std::string* error) {
     addrinfo hints{};
     hints.ai_family = AF_UNSPEC;
@@ -92,8 +93,8 @@ bool fetchOnce(const Url& url, int timeoutMs, std::string* body, int* status,
         fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
         if (fd < 0) continue;
         timeval tv{};
-        tv.tv_sec = timeoutMs / 1000;
-        tv.tv_usec = (timeoutMs % 1000) * 1000;
+        tv.tv_sec = static_cast<time_t>(timeoutMs / 1000);
+        tv.tv_usec = static_cast<suseconds_t>(timeoutMs % 1000) * 1000;
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
@@ -159,27 +160,32 @@ int main(int argc, char** argv) {
     std::string urlArg;
     std::string outPath;
     bool lint = false;
-    int retries = 1;
-    int timeoutMs = 5000;
+    std::uint32_t retries = 1;
+    std::uint32_t timeoutMs = 5000;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--lint") {
-            lint = true;
-        } else if (arg == "--retry" && i + 1 < argc) {
-            retries = std::atoi(argv[++i]);
-        } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            timeoutMs = std::atoi(argv[++i]);
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (urlArg.empty() && !arg.empty() && arg[0] != '-') {
-            urlArg = arg;
-        } else {
-            return usage();
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--out" && i + 1 < argc) {
+                outPath = argv[++i];
+            } else if (arg == "--lint") {
+                lint = true;
+            } else if (arg == "--retry" && i + 1 < argc) {
+                retries = parseU32(argv[++i], "--retry");
+            } else if (arg == "--timeout-ms" && i + 1 < argc) {
+                timeoutMs = parseU32(argv[++i], "--timeout-ms");
+            } else if (arg == "--quiet") {
+                quiet = true;
+            } else if (urlArg.empty() && !arg.empty() && arg[0] != '-') {
+                urlArg = arg;
+            } else {
+                return usage();
+            }
         }
+    } catch (const ParseError& e) {
+        std::fprintf(stderr, "rpkic-scrape: %s\n", e.what());
+        return 1;
     }
     if (urlArg.empty() || retries < 1 || timeoutMs < 1) return usage();
 
@@ -194,7 +200,7 @@ int main(int argc, char** argv) {
     int status = 0;
     std::string error;
     bool fetched = false;
-    for (int attempt = 0; attempt < retries; ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < retries; ++attempt) {
         if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(100));
         if (fetchOnce(url, timeoutMs, &body, &status, &error)) {
             fetched = true;
@@ -202,7 +208,7 @@ int main(int argc, char** argv) {
         }
     }
     if (!fetched) {
-        std::fprintf(stderr, "rpkic-scrape: %s (%d attempt%s)\n", error.c_str(), retries,
+        std::fprintf(stderr, "rpkic-scrape: %s (%u attempt%s)\n", error.c_str(), retries,
                      retries == 1 ? "" : "s");
         return 1;
     }

@@ -15,6 +15,7 @@
 
 #include "detector/state_io.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 #include "viz/prefix_tree_viz.hpp"
 
 using namespace rpkic;
@@ -45,9 +46,9 @@ int main(int argc, char** argv) {
             if (arg == "--root" && i + 1 < argc) {
                 root = IpPrefix::parse(argv[++i]);
             } else if (arg == "--as" && i + 1 < argc) {
-                focusAs = static_cast<Asn>(std::strtoul(argv[++i], nullptr, 10));
+                focusAs = parseU32(argv[++i], "--as");
             } else if (arg == "--depth" && i + 1 < argc) {
-                depth = std::atoi(argv[++i]);
+                depth = static_cast<int>(parseU32(argv[++i], "--depth"));
             } else if (arg == "--svg" && i + 1 < argc) {
                 svgPath = argv[++i];
             } else if (arg == "--feed" && i + 1 < argc) {
