@@ -9,8 +9,8 @@
 //                  The overhead is the with/without wall-time ratio —
 //                  the acceptance budget is <10%.
 //   commit micro — raw commit() throughput for a representative image and
-//                  delta (an image frame after open(), a delta frame per
-//                  commit and an image checkpoint every 8) over MemVfs (the
+//                  delta (an image commit after open() and then every
+//                  eighth commit, a delta frame otherwise) over MemVfs (the
 //                  model) and DiskVfs (real fsync cost), reported
 //                  per-commit.
 //
@@ -89,7 +89,7 @@ CommitMicro commitMicro(vfs::Vfs& fs, const std::string& vfsName, const std::str
                         const Bytes& image, const Bytes& delta, int commits) {
     obs::Registry registry;
     rp::StoreOptions opts;
-    opts.checkpointEvery = 8;  // default cadence: folds are part of the cost
+    opts.checkpointEvery = 8;  // default cadence: image commits are part of the cost
     opts.name = "bench";
     rp::DurableStore store(fs, dir, opts, &registry);
     store.open();

@@ -1,34 +1,32 @@
 // Fuzz driver for the durable store's recovery path (rp/durable_store).
-// The input is an arbitrary on-disk image planted under the store
-// directory before open() runs. Oracle: *recover -> re-commit -> recover
+// The input is the bytes of wal.log, planted under the store directory
+// before open() runs. Oracle: *recover -> re-commit -> recover
 // idempotence* over what recovery returns — (image, deltas, meta, lsn):
 //
-//   1. open() must never throw on an arbitrary image — a torn or corrupt
-//      WAL/checkpoint is, by definition, what a crash leaves behind, and
-//      recovery's contract is to classify it, not to die on it;
-//   2. a second open() over the same bytes recovers the identical
-//      (image, deltas, meta, lsn), even when the first open() repaired the
-//      directory (repair removes garbage, it must not change the state);
+//   1. open() must never throw on arbitrary bytes — a torn or corrupt WAL
+//      is, by definition, what a crash leaves behind, and recovery's
+//      contract is to classify it, not to die on it;
+//   2. open() issues no mutating VFS operation, and a second open() over
+//      the same bytes recovers the identical (image, deltas, meta, lsn);
 //   3. after recovery the store asks for an image first (never a delta)
-//      and then for a delta; both commits succeed and advance the LSN;
+//      and then for a delta; both commits succeed, advance the LSN, and
+//      leave wal.log alone in the directory (a leftover wal.tmp included);
 //   4. a final open() recovers exactly the probe state — fresh commits are
-//      never swallowed by whatever garbage preceded them, whether or not
-//      the second commit folded. The probe's "state" is its bytes, and a
-//      delta appends: composing image + deltas must give image || delta.
+//      never swallowed by whatever garbage preceded them. The probe's
+//      "state" is its bytes, and a delta appends: composing image + deltas
+//      must give image || delta.
 //
-// Input layout: byte 0 selects where the remaining bytes land
-// (0 = wal.log, 1 = a checkpoint file, 2 = both, 3 = a checkpoint and
-// the WAL: a big-endian u32 length, that many bytes planted as the
-// checkpoint named by the seq its header carries, the rest as wal.log),
-// so the fuzzer reaches the WAL scanner and the checkpoint loader with
-// the same corpus. The seeds (fuzz/seed_corpus.cpp sampleWalImages) are
-// real store images produced by driving a DurableStore, mode byte
-// included.
+// Input layout: byte 0 is a flag byte; with its low bit set the remaining
+// bytes are also planted as a leftover wal.tmp, as a crash inside an image
+// commit leaves it. The rest is wal.log. The seeds (fuzz/seed_corpus.cpp
+// sampleWalImages) are real WAL images produced by driving a DurableStore,
+// flag byte included.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "rp/durable_store.hpp"
@@ -43,19 +41,6 @@ namespace {
     std::abort();
 }
 
-std::uint64_t readBe(const std::uint8_t* p, std::size_t n) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
-    return v;
-}
-
-/// "ckpt-<16 hex digits>.bin" for `lsn`.
-std::string checkpointFile(std::uint64_t lsn) {
-    char name[32];
-    std::snprintf(name, sizeof name, "ckpt-%016llx.bin", static_cast<unsigned long long>(lsn));
-    return name;
-}
-
 Bytes compose(const rp::RecoveredState& state) {
     Bytes out = state.image;
     for (const Bytes& d : state.deltas) out.insert(out.end(), d.begin(), d.end());
@@ -66,37 +51,12 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
     const std::string dir = "st";
     vfs::MemVfs fs(/*tornSeed=*/20140817);
     obs::Registry registry;
-    fs.makeDir(dir);
 
-    // Route the input onto the store directory.
-    std::uint8_t mode = 0;
-    ByteView image(data, 0);
-    if (size > 0) {
-        mode = static_cast<std::uint8_t>(data[0] & 0x3);
-        image = ByteView(data + 1, size - 1);
-    }
-    switch (mode) {
-        case 0:
-            fs.writeFile(dir + "/wal.log", image);
-            break;
-        case 1:
-            fs.writeFile(dir + "/" + checkpointFile(1), image);
-            break;
-        case 2:
-            fs.writeFile(dir + "/wal.log", image);
-            fs.writeFile(dir + "/" + checkpointFile(1), image);
-            break;
-        default: {
-            const std::size_t len =
-                image.size() >= 4 ? std::min<std::size_t>(readBe(image.data(), 4), image.size() - 4)
-                                  : 0;
-            const ByteView ckpt = image.size() >= 4 ? image.subspan(4, len) : image;
-            const std::uint64_t seq = ckpt.size() >= 16 ? readBe(ckpt.data() + 8, 8) : 0xa0;
-            fs.writeFile(dir + "/" + checkpointFile(seq), ckpt);
-            fs.writeFile(dir + "/wal.log", image.subspan(std::min(image.size(), 4 + len)));
-            break;
-        }
-    }
+    // Plant the input under the store directory.
+    const ByteView wal = size > 0 ? ByteView(data + 1, size - 1) : ByteView(data, 0);
+    fs.writeFile(dir + "/wal.log", wal);
+    if (size > 0 && (data[0] & 0x1) != 0) fs.writeFile(dir + "/wal.tmp", wal);
+    const std::uint64_t plantedOps = fs.opCount();
 
     rp::StoreOptions opts;
     opts.checkpointEvery = 2;
@@ -116,6 +76,7 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
             fail("nothing recovered but the recovered state is not empty");
         if (anything && recovered.lsn == 0) fail("state recovered at LSN 0 (LSNs start at 1)");
     }
+    if (fs.opCount() != plantedOps) fail("open() issued a mutating VFS operation");
 
     // 2./3. Re-recovery is idempotent; an image then a delta land after it.
     Bytes probe;
@@ -140,6 +101,7 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
         if (again.deltas != recovered.deltas) fail("re-recovery changed the deltas");
         if (again.meta != recovered.meta) fail("re-recovery changed the meta");
         if (again.lsn != recovered.lsn) fail("re-recovery changed the LSN");
+        if (fs.opCount() != plantedOps) fail("open() issued a mutating VFS operation");
         try {
             store.commit({[&] { return probe; },
                           []() -> Bytes { fail("first commit after open() asked for a delta"); }},
@@ -150,6 +112,8 @@ void fuzzOne(const std::uint8_t* data, std::size_t size) {
         }
         probeLsn = store.latestLsn();
         if (probeLsn <= recovered.lsn + 1) fail("commits did not advance the LSN");
+        if (fs.listDir(dir) != std::vector<std::string>{"wal.log"})
+            fail("the store directory holds more than wal.log after a commit");
     }
 
     // 4. The final recovery composes to exactly the probe state.

@@ -134,19 +134,15 @@ std::vector<std::string> sampleStateTexts() {
 
 std::vector<Bytes> sampleWalImages() {
     // Each builder drives a real DurableStore over a MemVfs and captures
-    // the resulting wal.log and newest checkpoint; a fuzz_wal input is an
-    // image behind a mode byte (see fuzz_wal.cpp's input layout).
+    // the resulting wal.log; a fuzz_wal input is those bytes behind a flag
+    // byte (see fuzz_wal.cpp's input layout).
     auto text = [](const std::string& s) { return Bytes(s.begin(), s.end()); };
     // One commit: the store writes `image` or `delta`, whichever it asks for.
     auto commit = [&](rp::DurableStore& s, const std::string& image, const std::string& delta,
                       std::uint64_t meta) {
         s.commit({[&] { return text(image); }, [&] { return text(delta); }}, meta);
     };
-    struct Files {
-        Bytes wal;
-        Bytes checkpoint;  ///< the newest, if the build folded
-    };
-    auto filesOf = [&](std::uint32_t checkpointEvery, auto&& build) {
+    auto walOf = [&](std::uint32_t checkpointEvery, auto&& build) {
         vfs::MemVfs fs(/*tornSeed=*/1);
         obs::Registry registry;
         rp::StoreOptions opts;
@@ -155,69 +151,56 @@ std::vector<Bytes> sampleWalImages() {
         rp::DurableStore store(fs, "st", opts, &registry);
         store.open();
         build(store);
-        Files files;
-        if (fs.exists(store.walPath())) files.wal = fs.readFile(store.walPath());
-        for (std::uint64_t lsn = store.latestLsn(); lsn > 0; --lsn) {
-            if (fs.exists(store.checkpointPath(lsn))) {
-                files.checkpoint = fs.readFile(store.checkpointPath(lsn));
-                break;
-            }
-        }
-        return files;
+        return fs.exists(store.walPath()) ? fs.readFile(store.walPath()) : Bytes{};
     };
-    auto withMode = [](std::uint8_t mode, const Bytes& image) {
+    // Flag bit 0: the WAL bytes are also planted as a leftover wal.tmp.
+    auto withFlags = [](std::uint8_t flags, const Bytes& wal) {
         Bytes out;
-        out.reserve(image.size() + 1);
-        out.push_back(mode);
-        out.insert(out.end(), image.begin(), image.end());
+        out.reserve(wal.size() + 1);
+        out.push_back(flags);
+        out.insert(out.end(), wal.begin(), wal.end());
         return out;
     };
-    // Mode 3: a length-prefixed checkpoint, then the WAL.
-    auto checkpointThenWal = [&](const Files& files) {
-        Bytes image;
-        for (int i = 3; i >= 0; --i) {
-            image.push_back(static_cast<std::uint8_t>(files.checkpoint.size() >> (8 * i)));
-        }
-        image.insert(image.end(), files.checkpoint.begin(), files.checkpoint.end());
-        image.insert(image.end(), files.wal.begin(), files.wal.end());
-        return withMode(3, image);
-    };
 
-    const Bytes empty = filesOf(0, [](rp::DurableStore&) {}).wal;
-    const Bytes single = filesOf(0, [&](rp::DurableStore& s) {
+    const Bytes empty = walOf(8, [](rp::DurableStore&) {});
+    const Bytes single = walOf(8, [&](rp::DurableStore& s) {
         commit(s, "state-round-1", "unused", 1);
-    }).wal;
-    const Bytes imageThenDeltas = filesOf(0, [&](rp::DurableStore& s) {
+    });
+    const Bytes imageThenDeltas = walOf(8, [&](rp::DurableStore& s) {
         commit(s, "alpha", "unused", 1);
         commit(s, "unused", "", 2);  // empty payloads are legal commits
         commit(s, "unused",
                "a much longer relying-party delta payload, "
                "so frames span more than one torn-write unit",
                3);
-    }).wal;
-    // checkpointEvery 2: image frame, delta + fold into ckpt-2, delta.
-    const Files fold = filesOf(2, [&](rp::DurableStore& s) {
-        commit(s, "image-1", "unused", 1);
-        commit(s, "image-2", "delta-2", 2);
-        commit(s, "unused", "delta-3", 3);
     });
-    Files corruptBase = fold;
-    corruptBase.checkpoint[corruptBase.checkpoint.size() / 2] ^= 0x41;
+    // checkpointEvery 2: image, delta, then an image commit (the fold)
+    // that starts a fresh WAL at lsn 3, and a delta behind it.
+    const Bytes fold = walOf(2, [&](rp::DurableStore& s) {
+        commit(s, "image-1", "unused", 1);
+        commit(s, "unused", "delta-2", 2);
+        commit(s, "image-3", "unused", 3);
+        commit(s, "unused", "delta-4", 4);
+    });
+    Bytes corruptImage = fold;
+    corruptImage[22] ^= 0x41;  // inside the image frame's payload
     Bytes torn = imageThenDeltas;
     torn.resize(torn.size() - std::min<std::size_t>(torn.size(), 5));  // torn tail
     Bytes corrupt = imageThenDeltas;
     corrupt[corrupt.size() / 2] ^= 0x41;  // mid-frame bitflip
+    Bytes outOfChain = single;  // an image frame where a delta belongs
+    outOfChain.insert(outOfChain.end(), imageThenDeltas.begin(), imageThenDeltas.end());
 
     return {
-        withMode(0, empty),
-        withMode(0, single),
-        withMode(0, imageThenDeltas),
-        checkpointThenWal(fold),
-        checkpointThenWal(corruptBase),
-        withMode(0, torn),
-        withMode(0, corrupt),
-        withMode(1, imageThenDeltas),  // same bytes parsed as a checkpoint file
-        withMode(2, single),           // planted as both wal.log and a checkpoint
+        withFlags(0, empty),
+        withFlags(0, single),
+        withFlags(0, imageThenDeltas),
+        withFlags(0, fold),
+        withFlags(0, corruptImage),
+        withFlags(0, torn),
+        withFlags(0, corrupt),
+        withFlags(0, outOfChain),
+        withFlags(1, imageThenDeltas),  // beside a leftover wal.tmp
     };
 }
 

@@ -33,11 +33,12 @@ std::vector<Bytes> sampleChainPrograms();
 std::vector<std::string> sampleStateTexts();
 
 /// Seed inputs for the WAL-recovery fuzzer (fuzz_wal). Each seed is a
-/// mode byte (see fuzz_wal.cpp's input layout) followed by a store image
+/// flag byte (see fuzz_wal.cpp's input layout) followed by a wal.log
 /// produced by driving a real rp::DurableStore over a MemVfs: an image
-/// frame followed by deltas, a checkpoint fold with the delta after it,
-/// deltas whose base checkpoint is corrupt, a torn tail, a corrupt frame,
-/// and the empty log.
+/// frame followed by deltas, a fold (an image commit) with the delta after
+/// it, the same with a corrupt image frame, a torn tail, a corrupt frame,
+/// an image frame where a delta belongs, a leftover wal.tmp, and the empty
+/// log.
 std::vector<Bytes> sampleWalImages();
 
 /// Seed inputs for the fleet-consensus fuzzer (fuzz_consensus): encoded

@@ -6,7 +6,7 @@
 // Two formats share one encoder and one decoder per record kind
 // (StateCodec below), so they cannot drift apart:
 //  * the image (serializeState): the whole state behind an integrity
-//    footer — the cache file, the checkpoint and the store's image frame;
+//    footer — the cache file and the store's image frame;
 //  * the delta (serializeDelta): the records one round wrote, which the
 //    durable store's delta frames carry (docs/DURABILITY.md).
 #include "rp/relying_party.hpp"

@@ -5,30 +5,27 @@
 // consent state — forward across runs. A cache that is lost or half-written
 // after a crash is exactly the "mask a unilateral revocation" failure the
 // cache_io header warns about. This store makes the RP state survive being
-// killed at any instruction:
+// killed at any instruction. It keeps one file, a write-ahead log that is
+// always one image frame followed by LSN-consecutive delta frames:
 //
-//  * commit(state, meta) appends one length+SHA-256-framed record to a
-//    write-ahead log and fsyncs it. The first commit after open() writes
-//    the full image; every later one writes the round's delta. The fsync
-//    is the commit point: after it returns, recovery is guaranteed to see
-//    this state (or a later one); before it returns, recovery sees the
-//    previous committed state. There is no instruction at which recovery
-//    can observe anything else.
-//  * Every `checkpointEvery` commits the store folds the image into a
-//    checkpoint file via the classic write-temp/fsync/rename recipe, then
-//    resets the WAL. The rename is atomic, so a crash anywhere in the fold
-//    leaves either the old (checkpoint, WAL) pair or the new one.
-//  * open() recovers: the newest image that passes its checksum (the
-//    newest checkpoint, or an image frame written after it) plus the
-//    LSN-consecutive deltas written against it, from the longest valid
-//    prefix of the WAL. It discards the torn tail and reports exactly what
-//    was kept and what was dropped. If anything was discarded, the store
-//    rewrites the WAL to its valid prefix before accepting new commits, so
-//    fresh records are never appended after garbage.
+//  * An image commit (the first commit after open(), and any commit that
+//    finds `checkpointEvery` frames already in the WAL) writes one image
+//    frame to wal.tmp, fsyncs it and renames it over wal.log. The rename
+//    is the commit point, and it drops every older frame.
+//  * Every other commit appends the round's delta frame to wal.log and
+//    fsyncs it. The fsync is the commit point.
+//  * Before a commit point, recovery sees the previous committed state;
+//    after it, this one (or a later one). There is no instruction at which
+//    recovery can observe anything else.
+//  * open() reads wal.log and writes nothing. Frame 0 is the image; the
+//    recovered chain ends at the first frame that is torn, corrupt or out
+//    of chain, and the report says how much was dropped. No repair is
+//    needed: the next commit is an image commit, which replaces the whole
+//    file, so nothing is ever appended after garbage.
 //
 // The store never holds the state: commit() asks its caller for the image
 // or the delta only when it writes one, and open() hands what it recovered
-// to the caller to compose. Frame and file formats are documented in
+// to the caller to compose. The frame format is documented in
 // docs/DURABILITY.md. All I/O goes through vfs::Vfs, so the exhaustive
 // crash-point sweep (sim/crash_sweep.hpp) can enumerate every mutating
 // operation as a crash site against MemVfs and prove the pre-or-post
@@ -36,8 +33,8 @@
 //
 // Failure semantics: an IoError thrown from commit() means "the commit did
 // not happen" — but the WAL tail may now hold a partial frame, so the store
-// poisons itself and refuses further commits until it is reopened
-// (recovery repairs the tail).
+// poisons itself and refuses further commits until it is reopened (the
+// first commit after the reopen replaces the file).
 #pragma once
 
 #include <cstdint>
@@ -53,35 +50,32 @@
 namespace rpkic::rp {
 
 struct StoreOptions {
-    /// Fold the WAL into a checkpoint after this many commits. 0 never
-    /// folds: every frame since the last fold stays in the WAL.
+    /// Start a fresh WAL with an image commit once this many frames are in
+    /// it, so the WAL never holds more. At least 1; DurableStore's
+    /// constructor throws UsageError otherwise.
     std::uint32_t checkpointEvery = 8;
     /// Instance label on the rc_store_* metric families.
     std::string name = "rp";
 };
 
-/// What open() found on disk and what it had to throw away. `recovered`
-/// is false when no image survived (a pristine directory, or deltas whose
-/// image was lost).
+/// What open() found in the WAL and what it had to throw away. `recovered`
+/// is false when no image survived (a pristine directory, or a WAL whose
+/// first frame is torn or corrupt).
 struct RecoveryReport {
-    bool recovered = false;              ///< an image (and its deltas) was found
-    bool usedCheckpoint = false;         ///< a valid checkpoint was loaded
-    std::uint64_t checkpointSeq = 0;     ///< LSN folded into that checkpoint
-    std::uint64_t walRecordsReplayed = 0;    ///< WAL frames in the recovered chain
-    std::uint64_t walRecordsSkipped = 0;     ///< valid frames a newer image supersedes
-    std::uint64_t walRecordsOrphaned = 0;    ///< valid deltas whose image was lost
-    std::uint64_t tornBytesDiscarded = 0;    ///< WAL tail bytes dropped
-    std::uint64_t corruptRecordsDiscarded = 0;      ///< checksum-failed frames
-    std::uint64_t corruptCheckpointsDiscarded = 0;  ///< checksum-failed ckpts
-    bool repaired = false;               ///< open() removed or rewrote files to heal
+    bool recovered = false;                ///< an image (and its deltas) was found
+    std::uint64_t walRecordsReplayed = 0;  ///< frames in the recovered chain
+    std::uint64_t tornBytesDiscarded = 0;  ///< WAL bytes after the chain
+    /// Whole frames that failed their checksum or did not extend the chain
+    /// (0 or 1: recovery stops at the first).
+    std::uint64_t corruptRecordsDiscarded = 0;
 
     /// One-line human summary for logs and soak reports.
     std::string summary() const;
 };
 
 /// The committed state open() recovered, for the caller to compose: the
-/// newest surviving image and the deltas written against it, oldest
-/// first. Empty (lsn 0) when nothing was recovered.
+/// WAL's image and the deltas written against it, oldest first. Empty
+/// (lsn 0) when nothing was recovered.
 struct RecoveredState {
     Bytes image;
     std::vector<Bytes> deltas;
@@ -91,25 +85,23 @@ struct RecoveredState {
 };
 
 /// One commit's bytes, built only when the store writes them: `image` for
-/// the first frame after open() and for each fold's checkpoint, `delta`
-/// (the changes since the previous commit) for every other frame. Each is
-/// called at most once per commit.
+/// an image commit, `delta` (the changes since the previous commit) for
+/// every other one. Exactly one of them is called per commit.
 struct CommitSource {
     std::function<Bytes()> image;
     std::function<Bytes()> delta;
 };
 
-/// Write-ahead log + atomic checkpoints over a Vfs. Single-threaded, like
-/// the RelyingParty it persists. Layout inside `dir`:
+/// A one-file write-ahead log over a Vfs. Single-threaded, like the
+/// RelyingParty it persists. Layout inside `dir`:
 ///
-///   wal.log          length+SHA-256-framed image and delta frames
-///   ckpt-<lsn>.bin   checkpoint holding the image committed at <lsn>
-///   ckpt.tmp         in-flight checkpoint (never read by recovery)
-///   wal.tmp          in-flight WAL repair (never read by recovery)
+///   wal.log   length+SHA-256-framed frames: one image, then deltas
+///   wal.tmp   an image commit in flight (never read by recovery)
 class DurableStore {
 public:
     /// Does not touch the filesystem; call open() before commit().
-    /// `registry` nullptr means obs::Registry::global().
+    /// `registry` nullptr means obs::Registry::global(). Throws UsageError
+    /// if `options.checkpointEvery` is 0.
     DurableStore(vfs::Vfs& fs, std::string dir, StoreOptions options = {},
                  obs::Registry* registry = nullptr);
 
@@ -122,18 +114,19 @@ public:
     DurableStore(const DurableStore&) = delete;
     DurableStore& operator=(const DurableStore&) = delete;
 
-    /// Creates the directory if needed and recovers whatever a previous
-    /// incarnation committed, moving it into `*recovered` when given.
-    /// Idempotent: reopening a healthy store is a no-op beyond re-reading
-    /// it. The next commit writes an image.
+    /// Recovers whatever a previous incarnation committed, moving it into
+    /// `*recovered` when given. Reads wal.log and writes nothing, so two
+    /// open()s over the same bytes recover the same state. The next commit
+    /// is an image commit. Throws IoError if wal.log exists but cannot be
+    /// read; the store then stays closed.
     RecoveryReport open(RecoveredState* recovered = nullptr);
 
     /// Durably commits the caller's state (with a caller-defined `meta`,
-    /// e.g. the sync round) — all-or-nothing across process death. The
-    /// frame carries `state.image()` on the first commit after open() and
-    /// `state.delta()` otherwise; a commit that folds also writes
-    /// `state.image()` into the checkpoint. One writer: every delta between
-    /// two open()s must come from the state the previous commit persisted.
+    /// e.g. the sync round) — all-or-nothing across process death. An image
+    /// commit writes `state.image()` into a fresh WAL, any other commit
+    /// appends `state.delta()`. One writer: every delta between two open()s
+    /// must come from the state the previous commit persisted. The directory
+    /// is created on the first image commit if needed.
     /// Throws IoError if the underlying filesystem fails; the commit then
     /// did not happen and the store refuses further commits until reopened.
     /// Throws UsageError if called before open() or after poisoning.
@@ -141,26 +134,17 @@ public:
 
     /// meta passed to the latest commit (or of the recovered state).
     std::uint64_t latestMeta() const { return latestMeta_; }
-    /// Highest LSN on disk or committed (0 if none; LSNs start at 1): the
-    /// next commit takes the one after it.
+    /// LSN of the latest commit or of the recovered state (0 if none; LSNs
+    /// start at 1): the next commit takes the one after it.
     std::uint64_t latestLsn() const { return lastLsn_; }
 
     bool isPoisoned() const { return poisoned_; }
     const RecoveryReport& lastRecovery() const { return lastRecovery_; }
 
-    /// Paths, for tests and tools.
+    /// Path of wal.log, for tests and tools.
     std::string walPath() const;
-    std::string checkpointPath(std::uint64_t lsn) const;
 
 private:
-    void appendFrame(std::uint8_t kind, ByteView payload, std::uint64_t lsn,
-                     std::uint64_t meta);
-    void writeCheckpoint(ByteView image);
-    /// Parses one checkpoint file; returns false (not throws) on any
-    /// corruption — recovery falls back to older checkpoints.
-    bool tryLoadCheckpoint(const std::string& file, std::uint64_t& seqOut,
-                           std::uint64_t& metaOut, Bytes& payloadOut);
-
     vfs::Vfs& fs_;
     std::string dir_;
     StoreOptions options_;
@@ -169,10 +153,11 @@ private:
 
     bool open_ = false;
     bool poisoned_ = false;
-    bool imageDue_ = true;                 ///< no commit since open()
     std::uint64_t latestMeta_ = 0;
-    std::uint64_t lastLsn_ = 0;            ///< highest LSN on disk or committed
-    std::uint32_t commitsSinceCheckpoint_ = 0;
+    std::uint64_t lastLsn_ = 0;
+    /// Frames this incarnation has in wal.log: 0 until the first commit
+    /// after open(), which is an image commit.
+    std::uint32_t walFrames_ = 0;
     RecoveryReport lastRecovery_;
 
     // rc_store_* instruments (cached references; see docs/OBSERVABILITY.md).

@@ -95,7 +95,7 @@ struct SoakConfig {
     /// restart-at-round-boundary kills (real disks cannot be crashed
     /// mid-instruction from userspace).
     vfs::Vfs* stateVfs = nullptr;
-    /// Directory for the store's WAL + checkpoints.
+    /// Directory for the store's WAL.
     std::string stateDir = "soak-state";
     /// Flight recorder for the run. nullptr means a recorder local to the
     /// run (same rationale as `registry`: postmortem bundles are then

@@ -29,8 +29,8 @@
 //
 // Delivery faults are deliberately absent (the chaos soak owns those);
 // the sweep isolates durability. Small rounds/checkpointEvery keep the
-// op space tight while still crossing several WAL appends, fsyncs, and
-// full checkpoint folds (write-temp, sync, rename, WAL reset, cleanup).
+// op space tight while still crossing several delta appends and fsyncs
+// and several image commits (write-temp, sync, rename).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ struct SweepConfig {
     /// Simulated sync rounds per run (one commit per round).
     std::uint32_t rounds = 6;
     /// Store checkpoint cadence; small values make the sweep crash inside
-    /// checkpoint folds, not just WAL appends.
+    /// image commits, not just delta appends.
     std::uint32_t checkpointEvery = 2;
     /// Driver misbehaviour probability (nonzero worlds exercise recovery
     /// of alarm logs and consent state, not just quiet caches).
@@ -63,7 +63,7 @@ struct SweepResult {
     std::uint64_t crashPoints = 0;    ///< VFS operations enumerated
     std::uint64_t crashesFired = 0;   ///< injected crashes observed
     std::uint64_t recoveredPre = 0;   ///< recoveries to the pre-crash commit
-    std::uint64_t recoveredPost = 0;  ///< crash bracketed a durable commit
+    std::uint64_t recoveredPost = 0;  ///< the interrupted commit survived a tear
     std::uint64_t recoveredNone = 0;  ///< crash before any commit was durable
     std::uint64_t tornBytes = 0;      ///< WAL tail bytes recovery discarded
     std::uint64_t roundsResumed = 0;  ///< rounds rerun across all reruns

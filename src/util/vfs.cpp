@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -175,6 +176,7 @@ bool MemVfs::exists(const std::string& path) {
 }
 
 Bytes MemVfs::readFile(const std::string& path) {
+    if (std::exchange(failRead_, false)) throw IoError("injected fault: read " + path + " failed");
     const auto it = files_.find(path);
     if (it == files_.end()) throw IoError("cannot open " + path + ": no such file");
     return it->second.data;

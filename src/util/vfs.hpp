@@ -146,6 +146,9 @@ public:
     /// Fail (IoError, no effect, no crash) the mutating operation at
     /// `opIndex` — a full disk, an EXDEV rename, an fsync error.
     void armFailAt(std::uint64_t opIndex) { failAt_ = opIndex; }
+    /// Fail the next readFile with IoError — an unreadable disk. Reads are
+    /// not numbered operations, so this leaves the crash-point space alone.
+    void armReadFail() { failRead_ = true; }
 
     /// Mutating operations performed so far (writes, appends, syncs,
     /// renames, removes — the crash-point index space).
@@ -174,6 +177,7 @@ private:
     std::uint64_t ops_ = 0;
     std::optional<std::uint64_t> crashAt_;
     std::optional<std::uint64_t> failAt_;
+    bool failRead_ = false;
 };
 
 /// "a/b" (no trailing-slash normalization; the store uses flat dirs).

@@ -281,10 +281,10 @@ TEST(FuzzDelta, MutatedDeltaAppliesFullyOrThrows) {
 }
 
 TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
-    // The relying party's cache image and the checkpoint file the durable
-    // store folds it into, byte for byte. Restarted relying parties and
-    // rpkic-audit --cache read these files back; a moved digest is a
-    // format change and belongs in docs/DURABILITY.md.
+    // The relying party's cache image and the WAL the durable store folds
+    // it into, byte for byte. Restarted relying parties and rpkic-audit
+    // --cache read these files back; a moved digest is a format change and
+    // belongs in docs/DURABILITY.md.
     const Bytes state = realisticStateBlob();
     EXPECT_EQ(sha256(ByteView(state.data(), state.size())).hex(),
               "badf882ccdc2956c5653b2d6d936b4488b2b1bfee444dc92aab1f4830a7690e0");
@@ -295,10 +295,11 @@ TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
     store.open();
     const rp::CommitSource unchanged{[&] { return state; }, [] { return Bytes{}; }};
     store.commit(unchanged, 1);
-    store.commit(unchanged, 2);  // the second commit folds the image into ckpt-<2>
-    const Bytes ckpt = fs.readFile(store.checkpointPath(2));
-    EXPECT_EQ(sha256(ByteView(ckpt.data(), ckpt.size())).hex(),
-              "56bc710a0ad2659ea8e1a5540df49a9c35d6479b18bcf89eb18ee973e270ad8e");
+    store.commit(unchanged, 2);
+    store.commit(unchanged, 3);  // finds two frames: the fold, one image frame
+    const Bytes wal = fs.readFile(store.walPath());
+    EXPECT_EQ(sha256(ByteView(wal.data(), wal.size())).hex(),
+              "aedc4e685c51d340d6b369a5bbe084cdd99d779b4887e085fa6ad6f5b483d851");
 }
 
 TEST(FuzzDecode, MutatedSignaturesNeverVerify) {

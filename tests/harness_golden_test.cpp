@@ -133,9 +133,9 @@ TEST(HarnessGolden, SmokeSoakSeedsOneAndTwo) {
 /// The kill/restart soak and its plan replay must produce the same bytes.
 const SoakPins kKillRestartPins{
     .plan = "5c8e88469ade93bca293b3a7a2577a96f938dd70b8f626f215b9735473bcf150",
-    .epochs = "1f3dcf6a35902963e78193019bc45662be541f701d0f7cff7713f4d6d3c970df",
-    .stats = "549cfe672a366cec3bad8b853b4d413447b6b23e696d922e945d7116da018825",
-    .scoreboard = "c27d9b0fbad67507ec67e01f59f0afe67cc2a62fa8597f88b4283353f167ede8",
+    .epochs = "f0236062eb95eab193679bd0a6c3047c1267571c8094d6444a89aefab1f26607",
+    .stats = "aa980c5d6488020aaed05b2bbfa6da6ad04c89f299d3d571cf8ac0fd0b9ae120",
+    .scoreboard = "c566062531666cf40280583cb5e156951fd52069d7c7021f281ce0bd3e616344",
     .status = "387480847ffb7da98c6d52e2b943700a64b45fb509c5fc9a2d4713b1b177bc8b"};
 
 sim::SoakConfig killRestartConfig() {
@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "e5d7eb27d5c0a12cc76d4bec810945880d2f31931e7a002624b08f1f09c33e7d")
+              "1d3c4d3f827131b8283257402ac8b8652c0d0258b3070ab5d252c622cf54dbd7")
         << "crash-realized bundles";
 }
 
@@ -207,10 +207,10 @@ TEST(HarnessGolden, CrashSweep) {
                              " none=" + u(r.recoveredNone) + " torn=" + u(r.tornBytes) +
                              " resumed=" + u(r.roundsResumed) + "\n" +
                              violations(r.violations) + bundles(r.postmortems);
-    EXPECT_EQ(digest(text), "a38c7673c97f69d425845345ba9d9f6b83061f7a4ecacd9c2d4489bcbf848a56")
+    EXPECT_EQ(digest(text), "cc8ac9d891b4663c0976f57e868fae61cd1777849f5e9ee0c6ba46df05e6f052")
         << "sweep result";
     EXPECT_EQ(digest(obs::renderFlightEvents(recorder.snapshot())),
-              "879a90125855e00efb8bd6f99c3d86b407f9dd010e7d452efb6235435cf308d4")
+              "d5556937e2bbe8e864dbc4c9bf33725d0bc59732e0a8d5e3859c7bca84a0e8bb")
         << "flight events";
 }
 
@@ -267,7 +267,7 @@ TEST(HarnessGolden, FleetCrashedAndMirrorFed) {
         "1:crash:5:6,3:mirror:4", 24,
         {.result = "f58a5e6f487eb14a3b4510583ed844923ae2426d065b31c910444aff7a7fd9d9",
          .status = "44bf15ab6e70d36de2862493ee91e2f6e3c953226e59bc446888b525c023c1c5",
-         .bundle = "d0615bfc4a22765d10efd100e4e56b16f81f8c34050a00c9feae050e964dced9"});
+         .bundle = "de67607c2c0c8066ad9084578584d14b3b5be06669159635af87b7d876975ea0"});
 }
 
 TEST(HarnessGolden, FleetStalledMember) {
@@ -275,7 +275,7 @@ TEST(HarnessGolden, FleetStalledMember) {
         "2:stall:6", 16,
         {.result = "128ceced7fae424a090cfa9420935ea8c60badac5b7d6d36d7438ae999d04642",
          .status = "7adf36a4193b4d90399ac6b3c69bc294ec5e96e08a52e4ded03d781276e542fa",
-         .bundle = "724d2981b55a5aed96384a09ba1f5f8759be5f3d101fd142f68a2d9a2b85e1f5"});
+         .bundle = "66f86d575c4d4e6dc155d3b7065d875435f9d411cd6e8703874648e534310901"});
 }
 
 // ---------------------------------------------------------------------------

@@ -77,11 +77,8 @@ TEST(MemberRestart, CommittedPayloadRestoresResumesAndReseedsTheFloor) {
 TEST(MemberRestart, FailedReopenIsAViolationNotAnException) {
     Rig rig;
     rig.syncRounds(2);
-    // A torn WAL tail makes the reopen repair the store; the repair's first
-    // write fails.
-    const Bytes garbage(5, 0xab);
-    rig.fs.appendFile(rig.process.store()->walPath(), ByteView(garbage.data(), garbage.size()));
-    rig.fs.armFailAt(rig.fs.opCount());
+    // The reopen cannot read the WAL.
+    rig.fs.armReadFail();
 
     MemberProcess::Restart rs;
     EXPECT_NO_THROW(rs = rig.process.restart());
@@ -90,10 +87,10 @@ TEST(MemberRestart, FailedReopenIsAViolationNotAnException) {
     EXPECT_NE(rs.violation.find("store recovery failed"), std::string::npos) << rs.violation;
     EXPECT_FALSE(rig.process.alive());
 
-    // The fault was one-shot: the next restart repairs and recovers.
+    // The fault was one-shot: the next restart recovers.
     rs = rig.process.restart();
     EXPECT_TRUE(rs.ok()) << rs.violation;
-    EXPECT_TRUE(rs.recovery.repaired);
+    EXPECT_TRUE(rs.recovery.recovered);
     EXPECT_EQ(rig.process.engine().round(), 2u);
 }
 
