@@ -5,10 +5,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::bench {
 
@@ -27,6 +29,17 @@ public:
 private:
     std::uint64_t startNanos_;
 };
+
+/// A numeric flag's value, parsed in full (util/parse.hpp). A malformed
+/// value ends the run with exit status 2, like any other usage error.
+inline std::uint64_t flagU64(const char* value, const char* flag) {
+    try {
+        return parseU64(value, flag);
+    } catch (const ParseError& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
+}
 
 inline void heading(const std::string& title) {
     std::printf("\n================================================================\n");

@@ -30,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -95,8 +94,14 @@ struct Conn {
         }
         const std::size_t lenPos = buf.find("Content-Length: ");
         if (lenPos == std::string::npos || lenPos > headerEnd) return 0;
-        const std::size_t bodyLen =
-            std::strtoull(buf.c_str() + lenPos + 16, nullptr, 10);
+        const std::size_t lenAt = lenPos + 16;
+        std::size_t bodyLen = 0;
+        try {
+            bodyLen = parseU64(buf.substr(lenAt, buf.find("\r\n", lenAt) - lenAt),
+                               "Content-Length");
+        } catch (const ParseError&) {
+            return 0;
+        }
         const std::size_t bodyStart = headerEnd + 4;
         while (buf.size() < bodyStart + bodyLen) {
             const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -105,7 +110,11 @@ struct Conn {
         }
         *body = buf.substr(bodyStart, bodyLen);
         if (buf.rfind("HTTP/", 0) != 0) return 0;
-        return std::atoi(buf.c_str() + buf.find(' ') + 1);
+        try {
+            return static_cast<int>(parseU32(buf.substr(buf.find(' ') + 1, 3), "HTTP status"));
+        } catch (const ParseError&) {
+            return 0;
+        }
     }
 };
 
@@ -119,11 +128,11 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sessions" && i + 1 < argc) {
-            sessions = std::atoi(argv[++i]);
+            sessions = static_cast<int>(bench::flagU64(argv[++i], "--sessions"));
         } else if (arg == "--requests" && i + 1 < argc) {
-            requestsPerSession = std::atoi(argv[++i]);
+            requestsPerSession = static_cast<int>(bench::flagU64(argv[++i], "--requests"));
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
+            threads = static_cast<int>(bench::flagU64(argv[++i], "--threads"));
         } else if (arg == "--json-out" && i + 1 < argc) {
             jsonOut = argv[++i];
         } else {

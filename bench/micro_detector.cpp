@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -230,9 +229,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--threads-list" && i + 1 < argc) {
             threadsList = argv[++i];
         } else if (arg == "--tuples" && i + 1 < argc) {
-            tuples = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+            tuples = static_cast<std::size_t>(bench::flagU64(argv[++i], "--tuples"));
         } else if (arg == "--repeat" && i + 1 < argc) {
-            repeats = std::atoi(argv[++i]);
+            repeats = static_cast<int>(bench::flagU64(argv[++i], "--repeat"));
         }
     }
     if (!jsonOut.empty()) {

@@ -38,7 +38,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -317,21 +316,21 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sessions" && i + 1 < argc) {
-            sessions = std::atol(argv[++i]);
+            sessions = static_cast<long>(bench::flagU64(argv[++i], "--sessions"));
         } else if (arg == "--epochs" && i + 1 < argc) {
-            epochs = std::atol(argv[++i]);
+            epochs = static_cast<long>(bench::flagU64(argv[++i], "--epochs"));
         } else if (arg == "--tuples" && i + 1 < argc) {
-            tuples = std::atol(argv[++i]);
+            tuples = static_cast<long>(bench::flagU64(argv[++i], "--tuples"));
         } else if (arg == "--ring" && i + 1 < argc) {
-            ring = std::atol(argv[++i]);
+            ring = static_cast<long>(bench::flagU64(argv[++i], "--ring"));
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            seed = bench::flagU64(argv[++i], "--seed");
         } else if (arg == "--tcp") {
             tcp = true;
         } else if (arg == "--tcp-sessions" && i + 1 < argc) {
-            tcpSessions = std::atol(argv[++i]);
+            tcpSessions = static_cast<long>(bench::flagU64(argv[++i], "--tcp-sessions"));
         } else if (arg == "--threads" && i + 1 < argc) {
-            threads = std::atol(argv[++i]);
+            threads = static_cast<long>(bench::flagU64(argv[++i], "--threads"));
         } else if (arg == "--json-out" && i + 1 < argc) {
             jsonOut = argv[++i];
         } else {

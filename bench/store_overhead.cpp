@@ -21,7 +21,6 @@
 // consumer (CI compares against the committed threshold), not by the
 // bench itself — a loaded runner must not fail the build.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -115,9 +114,9 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--iters" && i + 1 < argc) {
-            iters = std::atoi(argv[++i]);
+            iters = static_cast<int>(bench::flagU64(argv[++i], "--iters"));
         } else if (arg == "--trials" && i + 1 < argc) {
-            trials = std::atoi(argv[++i]);
+            trials = static_cast<int>(bench::flagU64(argv[++i], "--trials"));
         } else if (arg == "--json-out" && i + 1 < argc) {
             jsonOut = argv[++i];
         } else {

@@ -11,13 +11,13 @@
 //   fuzz_tlv --corpus fuzz/corpus/tlv --iters 6000 --seed 20140817
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "fuzz/seed_corpus.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
@@ -83,11 +83,11 @@ int run(int argc, char** argv) {
         if (arg == "--corpus" && hasValue) {
             corpusDirs.emplace_back(argv[++i]);
         } else if (arg == "--iters" && hasValue) {
-            iters = std::strtoull(argv[++i], nullptr, 10);
+            iters = parseU64(argv[++i], "--iters");
         } else if (arg == "--seed" && hasValue) {
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            seed = parseU64(argv[++i], "--seed");
         } else if (arg == "--max-len" && hasValue) {
-            maxLen = std::strtoull(argv[++i], nullptr, 10);
+            maxLen = static_cast<std::size_t>(parseU64(argv[++i], "--max-len"));
         } else {
             std::fprintf(stderr,
                          "usage: %s [--corpus DIR]... [--iters N] [--seed S] [--max-len L]\n",

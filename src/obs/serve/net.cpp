@@ -8,16 +8,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
 
 #include "util/mutex.hpp"
+#include "util/parse.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace rpkic::obs {
@@ -53,14 +51,14 @@ bool parseHostPort(const std::string& address, std::string* host, std::uint16_t*
     *host = address.substr(0, colon);
     if (host->empty()) *host = "127.0.0.1";
     const std::string portText = address.substr(colon + 1);
-    if (portText.empty() ||
-        !std::all_of(portText.begin(), portText.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; })) {
+    std::uint64_t value = 0;
+    try {
+        value = parseU64(portText, "port");
+    } catch (const ParseError&) {
         *error = "bad port '" + portText + "'";
         return false;
     }
-    const long value = std::strtol(portText.c_str(), nullptr, 10);
-    if (value < 0 || value > 65535) {
+    if (value > 65535) {
         *error = "port out of range: " + portText;
         return false;
     }

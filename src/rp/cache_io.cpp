@@ -3,31 +3,28 @@
 // half-understood cache (a wrong cache could mask a unilateral
 // revocation).
 //
-// Two formats share one encoder and one decoder per record kind
-// (StateCodec below), so they cannot drift apart:
-//  * the image (serializeState): the whole state behind an integrity
-//    footer — the cache file and the store's image frame;
+// One body format, with one encoder and one decoder per record kind
+// (StateCodec below):
 //  * the delta (serializeDelta): the records one round wrote, which the
-//    durable store's delta frames carry (docs/DURABILITY.md).
+//    durable store's delta frames carry (docs/DURABILITY.md);
+//  * the image (serializeState): a header naming the relying party, then
+//    the delta from a fresh relying party with that header to this state.
+//    deserializeState() builds the fresh one and applies that delta.
+// Neither carries a checksum of its own: on disk both live inside WAL
+// frames, whose digest is the one integrity check.
 #include "rp/relying_party.hpp"
 
 #include <limits>
 
-#include "crypto/sha256.hpp"
+#include "rp/durable_store.hpp"
 #include "rpki/encoding.hpp"
 #include "util/errors.hpp"
 
 namespace rpkic::rp {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x52504331;       // "RPC1", leads the body
-constexpr std::uint32_t kFooterMagic = 0x52504346;  // "RPCF", ends the blob
-constexpr std::uint32_t kDeltaMagic = 0x52504431;   // "RPD1", leads a delta
-
-// Trailing integrity footer: u64 bodyLen | sha256(body) | u32 kFooterMagic.
-// Appended (rather than prepended) so the footer can be computed in one
-// pass and a truncated cache is detected by the missing magic alone.
-constexpr std::size_t kFooterLen = 8 + 32 + 4;
+constexpr std::uint32_t kMagic = 0x52504332;       // "RPC2", leads an image
+constexpr std::uint32_t kDeltaMagic = 0x52504431;  // "RPD1", leads a delta
 
 /// Guarded size_t -> u32 narrowing for the count fields below. A count
 /// that does not fit is a library bug (nothing in the simulator can grow
@@ -57,10 +54,24 @@ auto getList(Decoder& d, const char* what, Get get) {
     return out;
 }
 
+/// A counted list of the records of `map` that `keys` names, or of all of
+/// them when `keys` is null, each written by `put`.
+template <typename Map, typename Put>
+void putRecords(Encoder& e, const Map& map, const std::set<std::string>* keys, const char* what,
+                Put put) {
+    if (keys == nullptr) {
+        e.u32(checkedU32(map.size(), what));
+        for (const auto& [key, value] : map) put(e, key, value);
+        return;
+    }
+    e.u32(checkedU32(keys->size(), what));
+    for (const std::string& key : *keys) put(e, key, map.at(key));
+}
+
 }  // namespace
 
-/// One encoder and one decoder per record kind, shared by the image and
-/// the delta.
+/// One encoder and one decoder per record kind, and the delta body that
+/// the image and the delta share.
 struct StateCodec {
     static void putRc(Encoder& e, const std::string& uri, const RcRecord& rec) {
         e.str(uri);
@@ -164,6 +175,44 @@ struct StateCodec {
         h.bodyHash = d.digest();
         return h;
     }
+
+    static void putSuccessor(Encoder& e, const std::string& from, const std::string& to) {
+        e.str(from);
+        e.str(to);
+    }
+
+    /// Layout (docs/DURABILITY.md): u32 "RPD1" | u64 alarms, dead objects
+    /// and hash-window entries the base holds | i64 lastSyncTime | RC
+    /// records | point caches | new alarms | new dead objects | successors
+    /// | u32 window pops | window pushes. The base is the last clearDelta()
+    /// or, when `whole`, a fresh relying party: then every record is named.
+    /// Records are whole: a delta replaces each record it names, so
+    /// applying it twice changes nothing beyond the tails, which the base
+    /// counts pin.
+    static void putDelta(Encoder& e, const RelyingParty& rp, bool whole) {
+        const RelyingParty::Changes fresh;
+        const RelyingParty::Changes& base = whole ? fresh : rp.changes_;
+        e.u32(kDeltaMagic);
+        e.u64(base.alarms);
+        e.u64(base.deads);
+        e.u64(base.window + base.windowPopped);
+        e.i64(rp.lastSyncTime_);
+
+        putRecords(e, rp.rcs_, whole ? nullptr : &base.rcs, "RC records", putRc);
+        putRecords(e, rp.points_, whole ? nullptr : &base.points, "point caches", putPoint);
+        const auto& alarms = rp.alarms_.all();
+        e.u32(checkedU32(alarms.size() - base.alarms, "alarms"));
+        for (std::size_t i = base.alarms; i < alarms.size(); ++i) putAlarm(e, alarms[i]);
+        const auto& deads = rp.deadsSeenFull_;
+        e.u32(checkedU32(deads.size() - base.deads, "dead objects"));
+        for (std::size_t i = base.deads; i < deads.size(); ++i) putDead(e, deads[i]);
+        putRecords(e, rp.successors_, whole ? nullptr : &base.successors, "successors",
+                   putSuccessor);
+        const auto& window = rp.hashWindow_;
+        e.u32(checkedU32(base.windowPopped, "hash window pops"));
+        e.u32(checkedU32(window.size() - base.window, "hash window pushes"));
+        for (std::size_t i = base.window; i < window.size(); ++i) putHash(e, window[i]);
+    }
 };
 
 Bytes RelyingParty::serializeState() const {
@@ -173,160 +222,48 @@ Bytes RelyingParty::serializeState() const {
     e.i64(options_.ts);
     e.i64(options_.tg);
     e.boolean(options_.checkIntermediateStates);
-
     e.u32(checkedU32(trustAnchors_.size(), "trust anchors"));
     for (const auto& ta : trustAnchors_) {
         const Bytes wire = ta.encode();
         e.bytes(ByteView(wire.data(), wire.size()));
     }
-
-    e.u32(checkedU32(rcs_.size(), "RC records"));
-    for (const auto& [uri, rec] : rcs_) StateCodec::putRc(e, uri, rec);
-
-    e.u32(checkedU32(points_.size(), "point caches"));
-    for (const auto& [uri, pc] : points_) StateCodec::putPoint(e, uri, pc);
-
-    const auto& alarms = alarms_.all();
-    e.u32(checkedU32(alarms.size(), "alarms"));
-    for (const auto& a : alarms) StateCodec::putAlarm(e, a);
-
-    e.u32(checkedU32(deadSeen_.size(), "dead serials"));
-    for (const auto& [uri, serial] : deadSeen_) {
-        e.str(uri);
-        e.u64(serial);
-    }
-    e.u32(checkedU32(deadsSeenFull_.size(), "dead objects"));
-    for (const auto& d : deadsSeenFull_) StateCodec::putDead(e, d);
-    e.u32(checkedU32(successors_.size(), "successors"));
-    for (const auto& [from, to] : successors_) {
-        e.str(from);
-        e.str(to);
-    }
-    e.u32(checkedU32(hashWindow_.size(), "hash window"));
-    for (const auto& h : hashWindow_) StateCodec::putHash(e, h);
-    e.i64(lastSyncTime_);
-
-    // Integrity footer: a truncated or bit-flipped cache must fail with a
-    // precise checksum error before any field is interpreted, never with a
-    // mid-stream decode error that might half-apply.
-    const std::size_t bodyLen = e.view().size();
-    const Digest digest = sha256(ByteView(e.view().data(), bodyLen));
-    e.u64(bodyLen);
-    e.digest(digest);
-    e.u32(kFooterMagic);
+    StateCodec::putDelta(e, *this, /*whole=*/true);
     return e.take();
 }
 
 RelyingParty RelyingParty::deserializeState(ByteView data, obs::Registry* registry) {
-    if (data.size() < kFooterLen) {
-        throw ParseError("cache has no integrity footer (truncated or not a cache)");
-    }
-    const ByteView body = data.subspan(0, data.size() - kFooterLen);
-    Decoder f(data.subspan(body.size()));
-    const std::uint64_t bodyLen = f.u64();
-    const Digest stored = f.digest();
-    if (f.u32() != kFooterMagic || bodyLen != body.size()) {
-        throw ParseError("cache has no integrity footer (truncated or not a cache)");
-    }
-    const Digest actual = sha256(body);
-    if (actual != stored) {
-        throw ParseError("cache checksum mismatch: footer says " + stored.shortHex() +
-                         ", content hashes to " + actual.shortHex());
-    }
-
-    Decoder d(body);
-    if (d.u32() != kMagic) throw ParseError("not a relying-party cache (bad magic)");
-    const std::string name = d.str();
+    Decoder d(data);
+    if (d.u32() != kMagic) throw ParseError("not a relying-party cache image (bad magic)");
+    std::string name = d.str();
     RpOptions options;
     options.ts = d.i64();
     options.tg = d.i64();
     options.checkIntermediateStates = d.boolean();
-
     std::vector<ResourceCert> tas;
     const std::uint32_t nTas = getCount(d, 1000, "trust-anchor count");
     for (std::uint32_t i = 0; i < nTas; ++i) {
         const Bytes wire = d.bytes();
         tas.push_back(ResourceCert::decode(ByteView(wire.data(), wire.size())));
     }
-    RelyingParty rp(name, tas, options, registry);
-    rp.rcs_.clear();  // the constructor seeded TA records; the cache has them
-
-    const std::uint32_t nRcs = getCount(d, kMaxRecords, "RC count");
-    for (std::uint32_t i = 0; i < nRcs; ++i) rp.rcs_.insert(StateCodec::getRc(d));
-
-    const std::uint32_t nPoints = getCount(d, kMaxRecords, "point count");
-    for (std::uint32_t i = 0; i < nPoints; ++i) rp.points_.insert(StateCodec::getPoint(d));
-
-    const std::uint32_t nAlarms = getCount(d, kMaxRecords, "alarm count");
-    for (std::uint32_t i = 0; i < nAlarms; ++i) {
-        // restore(), not raise(): these alarms were counted in
-        // rc_alarms_total when first raised; replaying a cache must not
-        // book them again.
-        rp.alarms_.restore(StateCodec::getAlarm(d));
-    }
-
-    const std::uint32_t nDead = getCount(d, kMaxRecords, "dead-seen count");
-    for (std::uint32_t i = 0; i < nDead; ++i) {
-        std::string uri = d.str();
-        const std::uint64_t serial = d.u64();
-        rp.deadSeen_.insert({std::move(uri), serial});
-    }
-    const std::uint32_t nDeadFull = getCount(d, kMaxRecords, "dead-object count");
-    for (std::uint32_t i = 0; i < nDeadFull; ++i) {
-        rp.deadsSeenFull_.push_back(StateCodec::getDead(d));
-    }
-    const std::uint32_t nSucc = getCount(d, kMaxRecords, "successor count");
-    for (std::uint32_t i = 0; i < nSucc; ++i) {
-        std::string from = d.str();
-        rp.successors_.emplace(std::move(from), d.str());
-    }
-    const std::uint32_t nHash = getCount(d, kMaxRecords, "hash-window size");
-    for (std::uint32_t i = 0; i < nHash; ++i) rp.hashWindow_.push_back(StateCodec::getHash(d));
-    rp.lastSyncTime_ = d.i64();
-    d.expectEnd();
-    rp.clearDelta();
+    RelyingParty rp(std::move(name), std::move(tas), options, registry);
+    rp.applyDelta(d.rest());
     return rp;
 }
 
-// Delta layout (docs/DURABILITY.md): u32 "RPD1" | u64 alarms, dead
-// objects and hash-window entries the base holds | i64 lastSyncTime |
-// RC records | point caches | new alarms | new dead objects | successors
-// | u32 window pops | window pushes. Records are whole: a delta replaces
-// each record it names, so applying it twice changes nothing beyond the
-// tails, which the base counts pin.
+RelyingParty RelyingParty::restore(const RecoveredState& saved, obs::Registry* registry) {
+    RelyingParty rp = deserializeState(ByteView(saved.image.data(), saved.image.size()), registry);
+    // I8: the store must return a state some commit produced, not a near
+    // miss. Re-serializing the image has to reproduce its bytes exactly.
+    if (!(rp.serializeState() == saved.image)) {
+        throw ParseError("recovered image does not re-serialize byte-identically");
+    }
+    for (const Bytes& delta : saved.deltas) rp.applyDelta(ByteView(delta.data(), delta.size()));
+    return rp;
+}
+
 Bytes RelyingParty::serializeDelta() const {
     Encoder e;
-    e.u32(kDeltaMagic);
-    e.u64(changes_.alarms);
-    e.u64(changes_.deads);
-    e.u64(changes_.window + changes_.windowPopped);
-    e.i64(lastSyncTime_);
-
-    e.u32(checkedU32(changes_.rcs.size(), "RC records"));
-    for (const std::string& uri : changes_.rcs) StateCodec::putRc(e, uri, rcs_.at(uri));
-    e.u32(checkedU32(changes_.points.size(), "point caches"));
-    for (const std::string& uri : changes_.points) {
-        StateCodec::putPoint(e, uri, points_.at(uri));
-    }
-    const auto& alarms = alarms_.all();
-    e.u32(checkedU32(alarms.size() - changes_.alarms, "alarms"));
-    for (std::size_t i = changes_.alarms; i < alarms.size(); ++i) {
-        StateCodec::putAlarm(e, alarms[i]);
-    }
-    e.u32(checkedU32(deadsSeenFull_.size() - changes_.deads, "dead objects"));
-    for (std::size_t i = changes_.deads; i < deadsSeenFull_.size(); ++i) {
-        StateCodec::putDead(e, deadsSeenFull_[i]);
-    }
-    e.u32(checkedU32(changes_.successors.size(), "successors"));
-    for (const std::string& from : changes_.successors) {
-        e.str(from);
-        e.str(successors_.at(from));
-    }
-    e.u32(checkedU32(changes_.windowPopped, "hash window pops"));
-    e.u32(checkedU32(hashWindow_.size() - changes_.window, "hash window pushes"));
-    for (std::size_t i = changes_.window; i < hashWindow_.size(); ++i) {
-        StateCodec::putHash(e, hashWindow_[i]);
-    }
+    StateCodec::putDelta(e, *this, /*whole=*/false);
     return e.take();
 }
 
@@ -373,7 +310,8 @@ void RelyingParty::applyDelta(ByteView delta) {
     lastSyncTime_ = syncTime;
     for (auto& [uri, rec] : rcs) rcs_[uri] = std::move(rec);
     for (auto& [uri, pc] : points) points_[uri] = std::move(pc);
-    // restore(), not raise(): counted when first raised (see above).
+    // restore(), not raise(): these alarms were counted in rc_alarms_total
+    // when first raised; replaying a cache must not book them again.
     for (Alarm& a : alarms) alarms_.restore(std::move(a));
     for (DeadObject& dead : deads) {
         deadSeen_.insert({dead.rcUri, dead.rcSerial});

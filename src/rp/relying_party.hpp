@@ -34,6 +34,8 @@
 
 namespace rpkic::rp {
 
+struct RecoveredState;  // rp/durable_store.hpp
+
 struct RpOptions {
     Duration ts = 3;  ///< max interval between syncs to any point
     Duration tg = 6;  ///< global consistency window
@@ -135,26 +137,31 @@ public:
 
     // --- persistence ---------------------------------------------------------
     /// Serializes the complete relying-party state — point caches, RC
-    /// records, alarm log, consent registry, hash window — so a tool can
-    /// persist it between runs and keep detecting transitions across
-    /// process restarts (see tools/rpkic_audit.cpp --cache). The output
-    /// carries a trailing length + SHA-256 integrity footer, so truncation
-    /// or bit rot is detected before any field is interpreted.
+    /// records, alarm log, consent registry, hash window — so a store can
+    /// persist it and a restarted relying party keeps detecting transitions
+    /// across process lifetimes. The image is a header (name, options,
+    /// trust anchors) and then the delta from a fresh relying party with
+    /// that header to this state. It carries no checksum: on disk it lives
+    /// in a WAL frame (rp/durable_store.hpp), whose digest covers it.
     Bytes serializeState() const;
-    /// Restores a relying party from serializeState() output. Throws
-    /// ParseError on malformed input: a missing footer yields "no integrity
-    /// footer" and a damaged one a precise "cache checksum mismatch",
-    /// never a mid-stream decode error. `registry` is forwarded to the
-    /// restored instance (nullptr = global), so crash-recovery harnesses
-    /// keep their run-local metrics registries.
+    /// Restores a relying party from serializeState() output: builds the
+    /// fresh relying party the header names and applies the body through
+    /// applyDelta(). Throws ParseError on malformed input. `registry` is
+    /// forwarded to the restored instance (nullptr = global), so
+    /// crash-recovery harnesses keep their run-local metrics registries.
     static RelyingParty deserializeState(ByteView data, obs::Registry* registry = nullptr);
+    /// Composes what DurableStore::open() recovered (which must hold an
+    /// image): deserializes the image, checks that it re-serializes to the
+    /// same bytes (I8), then applies each delta in LSN order. Throws
+    /// ParseError if any step refuses.
+    static RelyingParty restore(const RecoveredState& saved, obs::Registry* registry = nullptr);
 
     /// Encodes what changed since the delta's base (the last clearDelta(),
     /// deserializeState() or applyDelta(), else construction): the RC
     /// records, point caches and successors written, the new alarms and
     /// verified .dead objects, the hash window's pops and pushes, and the
-    /// sync clock. Each record goes through the encoder serializeState()
-    /// uses, so applyDelta() on the base yields this state byte for byte.
+    /// sync clock. serializeState() writes the same body, naming every
+    /// record, so applyDelta() on the base yields this state byte for byte.
     Bytes serializeDelta() const;
     /// Makes the current state the base of the next delta.
     void clearDelta();
@@ -268,7 +275,7 @@ private:
         std::size_t windowPopped = 0;  ///< base hash-window entries expired
     };
     Changes changes_;
-    friend struct StateCodec;  // cache_io.cpp: one codec per record kind
+    friend struct StateCodec;  // cache_io.cpp: the one codec of images and deltas
 
     // -- instruments (owned by registry_; see docs/OBSERVABILITY.md) --
     obs::Registry* registry_ = nullptr;

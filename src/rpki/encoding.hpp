@@ -66,6 +66,8 @@ public:
     ResourceSet resources();
 
     bool atEnd() const { return pos_ == data_.size(); }
+    /// The bytes not consumed yet.
+    ByteView rest() const { return data_.subspan(pos_); }
     /// Throws ParseError if trailing bytes remain — every decode must
     /// consume its input exactly.
     void expectEnd() const;

@@ -115,22 +115,9 @@ MemberProcess::Restart MemberProcess::restart(std::optional<std::uint64_t> resum
         out.recovery = store_->open(&saved);
         out.opened = true;
         if (out.recovery.recovered) {
-            failure = "recovered payload does not deserialize: ";
-            rp_.emplace(rp::RelyingParty::deserializeState(
-                ByteView(saved.image.data(), saved.image.size()), registry_));
-            // I8: the store must return a state some commit produced — not
-            // a near miss. Re-serializing the restored base image has to
-            // reproduce the recovered bytes exactly.
-            if (!(rp_->serializeState() == saved.image)) {
-                kill();
-                out.violation = "recovered state does not re-serialize byte-identically (round " +
-                                std::to_string(store_->latestMeta()) + " payload)";
-                return out;
-            }
-            failure = "recovered delta does not apply: ";
-            for (const Bytes& delta : saved.deltas) {
-                rp_->applyDelta(ByteView(delta.data(), delta.size()));
-            }
+            failure = "recovered state (round " + std::to_string(saved.meta) +
+                      " payload) does not restore: ";
+            rp_.emplace(rp::RelyingParty::restore(saved, registry_));
             rp_->attachAlarmRecorder(recorder_);
             out.restored = true;
         } else {

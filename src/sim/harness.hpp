@@ -11,9 +11,9 @@
 //  * MemberProcess: a relying party, its SyncEngine and an optional
 //    DurableStore, built from the shared RpOptions{ts=4, tg=8} and
 //    maxAttempts = retryBudget + 1. restart() is the one kill -> recover
-//    -> resume path: reopen the store, restore the relying party from the
-//    recovered image (proving it re-serializes byte for byte, I8) and
-//    apply the deltas written against it, rebuild the engine, resume, and
+//    -> resume path: reopen the store, compose the relying party from what
+//    it recovered (RelyingParty::restore: the image, proven to re-serialize
+//    byte for byte (I8), then its deltas), rebuild the engine, resume, and
 //    reseed the Stalloris floor. The soak's kill/restart, every sweep
 //    rerun and the fleet's rejoin use it; the fleet's mirror hijack reuses
 //    its engine-rebuild step.

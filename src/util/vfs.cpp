@@ -8,6 +8,7 @@
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <unistd.h>
 #define RC_VFS_HAVE_FSYNC 1
 #else
@@ -94,11 +95,21 @@ void DiskVfs::renameFile(const std::string& from, const std::string& to) {
     fs::rename(from, to, ec);
     if (ec) throw IoError("rename " + from + " -> " + to + ": " + ec.message());
 #if RC_VFS_HAVE_FSYNC
-    // Persist the directory entry so the rename itself survives a crash.
-    const fs::path dir = fs::path(to).parent_path();
-    if (!dir.empty()) {
-        StdioFile d(dir.string(), "rb");
-        if (d) (void)::fsync(fileno(d.get()));  // best effort; some FSs refuse
+    // The rename is a commit point, and it survives a crash only once the
+    // directory entry is synced.
+    std::string dir = fs::path(to).parent_path().string();
+    if (dir.empty()) dir = ".";
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0) {
+        throw IoError("cannot open directory " + dir + " for fsync: " + std::strerror(errno));
+    }
+    const int rc = ::fsync(fd);
+    const int err = errno;
+    ::close(fd);
+    // EINVAL: this filesystem cannot sync a directory, so there the entry's
+    // durability is best effort (docs/DURABILITY.md).
+    if (rc != 0 && err != EINVAL) {
+        throw IoError("fsync of directory " + dir + " failed: " + std::strerror(err));
     }
 #endif
 }

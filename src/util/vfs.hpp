@@ -102,9 +102,11 @@ public:
     virtual std::vector<std::string> listDir(const std::string& dir) = 0;
 };
 
-/// The real filesystem. writeFile/appendFile + sync use stdio + fsync; the
-/// durable store's write-temp/sync/rename discipline maps onto the usual
-/// POSIX crash-consistency recipe.
+/// The real filesystem. writeFile/appendFile + sync use stdio + fsync, and
+/// renameFile fsyncs the destination's directory (IoError if that fails,
+/// except on a filesystem that cannot sync directories); the durable
+/// store's write-temp/sync/rename discipline maps onto the usual POSIX
+/// crash-consistency recipe.
 class DiskVfs final : public Vfs {
 public:
     bool exists(const std::string& path) override;

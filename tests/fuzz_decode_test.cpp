@@ -287,7 +287,7 @@ TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
     // belongs in docs/DURABILITY.md.
     const Bytes state = realisticStateBlob();
     EXPECT_EQ(sha256(ByteView(state.data(), state.size())).hex(),
-              "badf882ccdc2956c5653b2d6d936b4488b2b1bfee444dc92aab1f4830a7690e0");
+              "4dc481d0cc07b0bf806124504a15196fbfb350dd444a0d0733682831b7541b4e");
 
     obs::Registry registry;
     vfs::MemVfs fs(1);
@@ -299,7 +299,7 @@ TEST(PersistedBytes, StateImageAndCheckpointArePinned) {
     store.commit(unchanged, 3);  // finds two frames: the fold, one image frame
     const Bytes wal = fs.readFile(store.walPath());
     EXPECT_EQ(sha256(ByteView(wal.data(), wal.size())).hex(),
-              "aedc4e685c51d340d6b369a5bbe084cdd99d779b4887e085fa6ad6f5b483d851");
+              "648c470a05161946eb5366b97c1624fff63f831be1694d8e6032a38226740b37");
 }
 
 TEST(FuzzDecode, MutatedSignaturesNeverVerify) {

@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "1d3c4d3f827131b8283257402ac8b8652c0d0258b3070ab5d252c622cf54dbd7")
+              "247773a591fa62e935d9ee6fc873e5315539d192aa8b98298311c5ddc0fbb38a")
         << "crash-realized bundles";
 }
 
@@ -267,7 +267,7 @@ TEST(HarnessGolden, FleetCrashedAndMirrorFed) {
         "1:crash:5:6,3:mirror:4", 24,
         {.result = "f58a5e6f487eb14a3b4510583ed844923ae2426d065b31c910444aff7a7fd9d9",
          .status = "44bf15ab6e70d36de2862493ee91e2f6e3c953226e59bc446888b525c023c1c5",
-         .bundle = "de67607c2c0c8066ad9084578584d14b3b5be06669159635af87b7d876975ea0"});
+         .bundle = "acbdbaa1e088a84a9acdac92e1f02d16b5f14f165d4ab8f64dc1c6f3acef82e0"});
 }
 
 TEST(HarnessGolden, FleetStalledMember) {
@@ -275,7 +275,7 @@ TEST(HarnessGolden, FleetStalledMember) {
         "2:stall:6", 16,
         {.result = "128ceced7fae424a090cfa9420935ea8c60badac5b7d6d36d7438ae999d04642",
          .status = "7adf36a4193b4d90399ac6b3c69bc294ec5e96e08a52e4ded03d781276e542fa",
-         .bundle = "66f86d575c4d4e6dc155d3b7065d875435f9d411cd6e8703874648e534310901"});
+         .bundle = "f0862624eafb31aef72277069031557e3bfc5808a7a8941676ab656480b60b6a"});
 }
 
 // ---------------------------------------------------------------------------

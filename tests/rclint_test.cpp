@@ -53,6 +53,8 @@ TEST(RclintGolden, BannedFunction) {
     const std::vector<Finding> expected = {
         {path, 6, 5, "banned-function", "strcpy: unbounded copy; use std::string or std::copy"},
         {path, 7, 10, "banned-function", "sprintf: unbounded format; use std::snprintf"},
+        {path, 11, 17, "banned-function",
+         "atoi: accepts a malformed or partial number silently; use parseU64/parseU32"},
     };
     EXPECT_EQ(lintFixture("banned_function.cpp.in", false), expected);
 }
@@ -457,6 +459,7 @@ TEST(RcgraphThreads, OutputIsByteIdenticalAcrossThreadCounts) {
 TEST(RcgraphThreads, ThreadsFlagValidation) {
     EXPECT_EQ(cli({"--threads", "0", "x.cpp"}).code, 2);
     EXPECT_EQ(cli({"--threads", "abc", "x.cpp"}).code, 2);
+    EXPECT_EQ(cli({"--threads", "4x", "x.cpp"}).code, 2);
     EXPECT_EQ(cli({"--bench-budget-ms", "nope", "x.cpp"}).code, 2);
 }
 

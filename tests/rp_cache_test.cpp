@@ -113,7 +113,8 @@ TEST(RpCache, CorruptedCachesAreRejected) {
     alice.sync(f.repo.snapshot(), f.clock.now());
     const Bytes blob = alice.serializeState();
 
-    // Truncations at various depths must throw, never crash or half-load.
+    // Truncations at various depths must throw from the decoder, never
+    // crash or half-load.
     for (std::size_t len = 0; len < blob.size(); len += blob.size() / 23 + 1) {
         EXPECT_THROW((void)RelyingParty::deserializeState(ByteView(blob.data(), len)),
                      ParseError)
@@ -138,46 +139,6 @@ TEST(RpCache, CorruptedCachesAreRejected) {
             (void)restored.serializeState();
         } catch (const ParseError&) {
         }
-    }
-}
-
-TEST(RpCache, ChecksumMismatchIsPreciseNotMidStream) {
-    Fixture f;
-    RelyingParty alice("alice", {f.root->cert()}, RpOptions{.ts = 4, .tg = 8});
-    alice.sync(f.repo.snapshot(), f.clock.now());
-    const Bytes blob = alice.serializeState();
-
-    // Flip one bit deep inside the body: the error must name the checksum,
-    // not whatever field the flipped byte happened to land in.
-    Bytes mutated = blob;
-    mutated[mutated.size() / 2] ^= 0x01;
-    try {
-        (void)RelyingParty::deserializeState(ByteView(mutated.data(), mutated.size()));
-        FAIL() << "bit-flipped cache was accepted";
-    } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("cache checksum mismatch"), std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(RpCache, FooterlessCachesAreRefused) {
-    constexpr std::size_t kFooterLen = 8 + 32 + 4;
-    Fixture f;
-    RelyingParty alice("alice", {f.root->cert()}, RpOptions{.ts = 4, .tg = 8});
-    alice.sync(f.repo.snapshot(), f.clock.now());
-    const Bytes blob = alice.serializeState();
-    ASSERT_GT(blob.size(), kFooterLen);
-
-    // A footerless cache is the serialized body without its trailer. It
-    // carries no integrity protection, so the reader refuses it with a
-    // precise diagnosis.
-    const Bytes footerless(blob.begin(), blob.end() - static_cast<std::ptrdiff_t>(kFooterLen));
-    try {
-        (void)RelyingParty::deserializeState(ByteView(footerless.data(), footerless.size()));
-        FAIL() << "footerless cache was accepted";
-    } catch (const ParseError& e) {
-        EXPECT_NE(std::string(e.what()).find("no integrity footer"), std::string::npos)
-            << e.what();
     }
 }
 

@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/serve/http.hpp"
 #include "obs/serve/introspect.hpp"
+#include "util/parse.hpp"
 
 namespace rpkic::obs {
 namespace {
@@ -86,7 +87,9 @@ public:
         if (head != nullptr) *head = buf.substr(0, headerEnd);
         const std::size_t lenPos = buf.find("Content-Length: ");
         if (lenPos == std::string::npos || lenPos > headerEnd) return 0;
-        const std::size_t bodyLen = std::strtoull(buf.c_str() + lenPos + 16, nullptr, 10);
+        const std::size_t lenAt = lenPos + 16;
+        const std::size_t bodyLen =
+            parseU64(buf.substr(lenAt, buf.find("\r\n", lenAt) - lenAt), "Content-Length");
         const std::size_t bodyStart = headerEnd + 4;
         // HEAD responses advertise the body length but never send it.
         const bool isHead = raw.rfind("HEAD ", 0) == 0;
@@ -97,7 +100,7 @@ public:
         }
         if (body != nullptr) *body = isHead ? "" : buf.substr(bodyStart, bodyLen);
         if (buf.rfind("HTTP/", 0) != 0) return 0;
-        return std::atoi(buf.c_str() + buf.find(' ') + 1);
+        return static_cast<int>(parseU32(buf.substr(buf.find(' ') + 1, 3), "HTTP status"));
     }
 
     int get(const std::string& path, std::string* body = nullptr) {

@@ -2,6 +2,7 @@
 // whole-tree pipeline (tree.hpp). Kept apart from the analyses so the
 // golden tests can drive the exact CLI in-process through runCli.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <map>
@@ -222,12 +223,9 @@ int runCli(const std::vector<std::string>& args, std::ostream& out, std::ostream
         r = takeValue(a, "--threads", &i, &num);
         if (r == 2) return 2;
         if (r == 1) {
-            try {
-                opt.threads = std::stoi(num);
-            } catch (...) {
-                opt.threads = -1;
-            }
-            if (opt.threads < 1) {
+            const char* end = num.data() + num.size();
+            const auto [stop, ec] = std::from_chars(num.data(), end, opt.threads);
+            if (ec != std::errc() || stop != end || opt.threads < 1) {
                 err << "rclint: --threads needs a positive integer\n";
                 return 2;
             }

@@ -1,6 +1,7 @@
 #include "graph.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 #include <sstream>
 
@@ -58,9 +59,9 @@ bool parseLayerManifest(const std::string& text, LayerManifest* out, std::string
                 return false;
             }
             int rank = 0;
-            try {
-                rank = std::stoi(words[1]);
-            } catch (...) {
+            const char* end = words[1].data() + words[1].size();
+            const auto [stop, ec] = std::from_chars(words[1].data(), end, rank);
+            if (ec != std::errc() || stop != end) {
                 *err = "layers.conf:" + std::to_string(lineNo) + ": bad rank '" + words[1] + "'";
                 return false;
             }

@@ -20,6 +20,11 @@ struct BannedFn {
     const char* name;
     const char* why;
 };
+/// The unchecked integer parsers turn "4x" into 4, "abc" into 0 and "-1"
+/// into a huge unsigned value without a word.
+constexpr const char* kUncheckedParse =
+    "accepts a malformed or partial number silently; use parseU64/parseU32";
+
 constexpr BannedFn kBannedFns[] = {
     {"strcpy", "unbounded copy; use std::string or std::copy"},
     {"strcat", "unbounded append; use std::string"},
@@ -28,6 +33,10 @@ constexpr BannedFn kBannedFns[] = {
     {"gets", "unbounded read; use std::getline"},
     {"rand", "hidden global state breaks seeded reproducibility; use rpkic::Rng"},
     {"srand", "hidden global state breaks seeded reproducibility; use rpkic::Rng"},
+    {"atoi", kUncheckedParse},    {"atol", kUncheckedParse},    {"atoll", kUncheckedParse},
+    {"strtol", kUncheckedParse},  {"strtoll", kUncheckedParse}, {"strtoul", kUncheckedParse},
+    {"strtoull", kUncheckedParse}, {"stoi", kUncheckedParse},   {"stol", kUncheckedParse},
+    {"stoll", kUncheckedParse},   {"stoul", kUncheckedParse},   {"stoull", kUncheckedParse},
 };
 
 const BannedFn* bannedFn(const std::string& name) {

@@ -2,24 +2,28 @@
 // B) over a sequence of on-disk repository snapshots, printing every alarm
 // with its accountability verdict.
 //
-//   rpkic-audit --ta TA_FILE [--cache FILE] SNAP_DIR0 [SNAP_DIR1 ...]
+//   rpkic-audit --ta TA_FILE [--cache DIR] SNAP_DIR0 [SNAP_DIR1 ...]
 //
 // Each SNAP_DIR is a repository state (as written by rpkic-demo --consent
 // or writeSnapshotToDisk); the relying party syncs them in order, running
 // the full local consistency checks — hash-chain verification,
 // intermediate-state reconstruction, Table-10 procedures, consent checks.
 //
-// With --cache, the relying party's state is loaded from FILE if it
-// exists and saved back afterwards, so successive invocations keep
-// detecting transitions across runs; a resumed relying party numbers its
-// snapshots from the day after its last sync, so its §5.4 windows keep
-// running across invocations:
+// With --cache, the relying party's state lives in a durable store in DIR
+// (rp/durable_store.hpp), so successive invocations keep detecting
+// transitions across runs; a resumed relying party numbers its snapshots
+// from the day after its last sync, so its §5.4 windows keep running
+// across invocations:
 //
-//   rpkic-audit --ta ta.cer --cache rp.cache todays-snapshot/
+//   rpkic-audit --ta ta.cer --cache rp-cache todays-snapshot/
 //
-// The save writes FILE.tmp, fsyncs it and renames it over FILE, so a crash
-// or a full disk mid-write leaves the previous cache intact. A cache
-// without its integrity footer is refused.
+// A DIR that does not exist, or holds no wal.log, starts fresh. The save
+// is the store's image commit: it writes DIR/wal.tmp, fsyncs it and
+// renames it over DIR/wal.log, so a crash or a full disk mid-write leaves
+// the previous cache intact. A wal.log that is torn or fails its digest,
+// and a DIR that is a regular file, are refused before any snapshot is
+// synced: resuming from less than the whole history could mask a
+// unilateral revocation.
 //
 // Exit status: 0 = no alarms, 2 = alarms raised, 1 = usage/IO error.
 #include <cstdio>
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "rp/durable_store.hpp"
 #include "rp/relying_party.hpp"
 #include "rpki/fs_repository.hpp"
 #include "util/errors.hpp"
@@ -37,32 +42,47 @@ using namespace rpkic;
 int main(int argc, char** argv) {
     std::vector<std::string> snapDirs;
     std::vector<std::string> taPaths;
-    std::string cachePath;
+    std::string cacheDir;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--ta" && i + 1 < argc) {
             taPaths.push_back(argv[++i]);
         } else if (arg == "--cache" && i + 1 < argc) {
-            cachePath = argv[++i];
+            cacheDir = argv[++i];
         } else {
             snapDirs.push_back(arg);
         }
     }
     if (taPaths.empty() || snapDirs.empty()) {
         std::fprintf(stderr,
-                     "usage: rpkic-audit --ta TA_FILE [--cache FILE] SNAP_DIR0 [SNAP_DIR1 ...]\n");
+                     "usage: rpkic-audit --ta TA_FILE [--cache DIR] SNAP_DIR0 [SNAP_DIR1 ...]\n");
         return 1;
     }
 
     try {
         vfs::DiskVfs disk;
+        std::optional<rp::DurableStore> store;
         std::optional<rp::RelyingParty> alice;
-        const bool resumed = !cachePath.empty() && disk.exists(cachePath);
-        if (resumed) {
-            const Bytes blob = disk.readFile(cachePath);
-            alice = rp::RelyingParty::deserializeState(ByteView(blob.data(), blob.size()));
-            std::printf("resumed from cache %s (%zu bytes)\n", cachePath.c_str(), blob.size());
-        } else {
+        if (!cacheDir.empty()) {
+            if (disk.exists(cacheDir)) {
+                throw UsageError("cache " + cacheDir +
+                                 " is a file; --cache names a store directory");
+            }
+            store.emplace(disk, cacheDir, rp::StoreOptions{.name = "audit"});
+            rp::RecoveredState saved;
+            const rp::RecoveryReport report = store->open(&saved);
+            if (report.tornBytesDiscarded > 0 || report.corruptRecordsDiscarded > 0) {
+                throw ParseError("cache " + store->walPath() + " is damaged (" +
+                                 report.summary() + ")");
+            }
+            if (report.recovered) {
+                alice.emplace(rp::RelyingParty::restore(saved));
+                std::printf("resumed from cache %s (%zu-byte image)\n", cacheDir.c_str(),
+                            saved.image.size());
+            }
+        }
+        const bool resumed = alice.has_value();
+        if (!resumed) {
             std::vector<ResourceCert> tas;
             for (const auto& path : taPaths) tas.push_back(readTrustAnchorFile(path));
             alice.emplace("auditor", tas,
@@ -83,13 +103,12 @@ int main(int argc, char** argv) {
             }
         }
 
-        if (!cachePath.empty()) {
-            const Bytes blob = alice->serializeState();
-            const std::string tmp = cachePath + ".tmp";
-            disk.writeFile(tmp, ByteView(blob.data(), blob.size()));
-            disk.sync(tmp);
-            disk.renameFile(tmp, cachePath);
-            std::printf("saved cache %s (%zu bytes)\n", cachePath.c_str(), blob.size());
+        if (store.has_value()) {
+            // The first commit after open() is an image commit.
+            const Bytes image = alice->serializeState();
+            store->commit({[&] { return image; }, [&] { return alice->serializeDelta(); }},
+                          static_cast<std::uint64_t>(alice->lastSyncTime()));
+            std::printf("saved cache %s (%zu-byte image)\n", cacheDir.c_str(), image.size());
         }
         std::printf("\n%zu alarm(s) total\n", alice->alarms().count());
         return alice->alarms().count() == 0 ? 0 : 2;

@@ -52,6 +52,7 @@
 #include "serve/rtr.hpp"
 #include "util/errors.hpp"
 #include "util/parallel.hpp"
+#include "util/parse.hpp"
 
 using namespace rpkic;
 
@@ -98,31 +99,36 @@ int main(int argc, char** argv) {
     std::string serveAddr;
     std::string rtrAddr;
     bool serveHold = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--examples" && i + 1 < argc) {
-            examples = static_cast<std::size_t>(std::atoi(argv[++i]));
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-            threadSpec = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metricsOut = argv[++i];
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            traceOut = argv[++i];
-        } else if (arg == "--serve" && i + 1 < argc) {
-            serveAddr = argv[++i];
-        } else if (arg == "--rtr" && i + 1 < argc) {
-            rtrAddr = argv[++i];
-        } else if (arg == "--serve-hold") {
-            serveHold = true;
-        } else if (prevPath.empty()) {
-            prevPath = arg;
-        } else if (curPath.empty()) {
-            curPath = arg;
-        } else {
-            return usage();
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--examples" && i + 1 < argc) {
+                examples = static_cast<std::size_t>(parseU64(argv[++i], "--examples"));
+            } else if (arg == "--quiet") {
+                quiet = true;
+            } else if (arg == "--threads" && i + 1 < argc) {
+                threadSpec = argv[++i];
+            } else if (arg == "--metrics-out" && i + 1 < argc) {
+                metricsOut = argv[++i];
+            } else if (arg == "--trace-out" && i + 1 < argc) {
+                traceOut = argv[++i];
+            } else if (arg == "--serve" && i + 1 < argc) {
+                serveAddr = argv[++i];
+            } else if (arg == "--rtr" && i + 1 < argc) {
+                rtrAddr = argv[++i];
+            } else if (arg == "--serve-hold") {
+                serveHold = true;
+            } else if (prevPath.empty()) {
+                prevPath = arg;
+            } else if (curPath.empty()) {
+                curPath = arg;
+            } else {
+                return usage();
+            }
         }
+    } catch (const ParseError& e) {
+        std::fprintf(stderr, "rpkic-detector: %s\n", e.what());
+        return 1;
     }
     if (prevPath.empty() || curPath.empty()) return usage();
 

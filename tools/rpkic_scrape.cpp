@@ -30,7 +30,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -144,7 +143,12 @@ bool fetchOnce(const Url& url, std::uint32_t timeoutMs, std::string* body, int* 
         *error = "malformed status line";
         return false;
     }
-    *status = std::atoi(response.c_str() + sp + 1);
+    try {
+        *status = static_cast<int>(parseU32(response.substr(sp + 1, 3), "HTTP status"));
+    } catch (const ParseError& e) {
+        *error = e.what();
+        return false;
+    }
     const std::size_t headerEnd = response.find("\r\n\r\n");
     if (headerEnd == std::string::npos) {
         *error = "malformed response (no header terminator)";

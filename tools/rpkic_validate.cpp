@@ -19,6 +19,7 @@
 #include "detector/state_io.hpp"
 #include "rpki/fs_repository.hpp"
 #include "util/errors.hpp"
+#include "util/parse.hpp"
 #include "vanilla/validation.hpp"
 
 using namespace rpkic;
@@ -41,21 +42,26 @@ int main(int argc, char** argv) {
     Time now = 0;
     bool lenient = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--ta" && i + 1 < argc) {
-            taPaths.push_back(argv[++i]);
-        } else if (arg == "--out" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--now" && i + 1 < argc) {
-            now = std::atol(argv[++i]);
-        } else if (arg == "--lenient") {
-            lenient = true;
-        } else if (repoDir.empty()) {
-            repoDir = arg;
-        } else {
-            return usage();
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--ta" && i + 1 < argc) {
+                taPaths.push_back(argv[++i]);
+            } else if (arg == "--out" && i + 1 < argc) {
+                outPath = argv[++i];
+            } else if (arg == "--now" && i + 1 < argc) {
+                now = parseU32(argv[++i], "--now");
+            } else if (arg == "--lenient") {
+                lenient = true;
+            } else if (repoDir.empty()) {
+                repoDir = arg;
+            } else {
+                return usage();
+            }
         }
+    } catch (const ParseError& e) {
+        std::fprintf(stderr, "rpkic-validate: %s\n", e.what());
+        return 1;
     }
     if (repoDir.empty() || taPaths.empty()) return usage();
 
