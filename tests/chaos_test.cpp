@@ -4,6 +4,7 @@
 // revert), and the soak harness is reproducible from a serialized plan.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "consent/authority.hpp"
@@ -398,6 +399,196 @@ TEST(SyncEngine, PermutedFileNamesAreFoundByContentOnFirstAttempt) {
     EXPECT_EQ(alice.alarms().count(), 0u);
     EXPECT_EQ(alice.validRoas().size(), 3u);
     EXPECT_EQ(alice.serializeState(), twin.serializeState());
+}
+
+// ---------------------------------------------------------------------------
+// A warm engine compares files against what its relying party verified
+// instead of hashing them; a delivery that differs from those bytes must
+// be judged exactly as a cold engine judges it.
+
+/// Applies `tamper` to one point's files on the first attempt of one round.
+class TamperFirstAttempt final : public SnapshotSource {
+public:
+    TamperFirstAttempt(SnapshotSource& inner, std::string pointUri, std::uint64_t round,
+                       std::function<void(FileMap&)> tamper)
+        : inner_(inner), pointUri_(std::move(pointUri)), round_(round), tamper_(std::move(tamper)) {}
+
+    std::vector<std::string> listPoints(std::uint64_t round) override {
+        return inner_.listPoints(round);
+    }
+    std::optional<FileMap> fetchPoint(const std::string& pointUri, std::uint64_t round,
+                                      std::uint32_t attempt) override {
+        auto files = inner_.fetchPoint(pointUri, round, attempt);
+        if (files.has_value() && pointUri == pointUri_ && round == round_ && attempt == 0) {
+            tamper_(*files);
+        }
+        return files;
+    }
+
+private:
+    SnapshotSource& inner_;
+    std::string pointUri_;
+    std::uint64_t round_;
+    std::function<void(FileMap&)> tamper_;
+};
+
+std::uint64_t mismatches(const SyncEngine& engine, const std::string& pointUri) {
+    const auto pt = engine.telemetryFor(pointUri);
+    if (!pt.has_value()) return 0;
+    const auto it = pt->rejections.find(FetchOutcome::LoggedObjectMismatch);
+    return it == pt->rejections.end() ? 0 : it->second;
+}
+
+TEST(SyncEngine, HeldBytesUnderANewLoggedHashAreAMismatch) {
+    // The rsync race: org re-issues r1.roa, and the first attempt of the
+    // next round gets the new manifest beside r1.roa's previous bytes.
+    // Those bytes equal the warm relying party's copy, but the new manifest
+    // logs another hash under that name, so they are hashed and refused.
+    World w;
+    RepositorySource honest(w.repo);
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    const Bytes previous = honest.fetchPoint(orgPoint, 0, 0)->at("r1.roa");
+    TamperFirstAttempt torn(honest, orgPoint, 1,
+                            [&](FileMap& files) { files["r1.roa"] = previous; });
+
+    obs::Registry registry;
+    RelyingParty warm("warm", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    RelyingParty cold("cold", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    SyncEngine warmEngine(warm, torn, SyncPolicy{.maxAttempts = 3}, &registry);
+    SyncEngine coldEngine(cold, torn, SyncPolicy{.maxAttempts = 3}, &registry);
+    warmEngine.syncRound(w.clock.now());
+    ASSERT_TRUE(warm.heldPoint(orgPoint).has_value());
+    coldEngine.resumeAt(1);
+
+    w.clock.advance(1);
+    w.org->issueRoa("r1", 64500, {{pfx("10.1.0.0/20"), 23}}, w.repo, w.clock.now());
+    const Bytes reissued = w.repo.point(orgPoint)->at("r1.roa");
+    ASSERT_NE(reissued, previous);
+
+    for (SyncEngine* engine : {&warmEngine, &coldEngine}) {
+        const rp::SyncReport report = engine->syncRound(w.clock.now());
+        const RelyingParty& rp = engine->relyingParty();
+        SCOPED_TRACE(rp.name());
+        EXPECT_EQ(report.retries, 1u);
+        EXPECT_EQ(report.pointsFailed, 0u);
+        EXPECT_EQ(mismatches(*engine, orgPoint), 1u);
+        EXPECT_EQ(engine->healthOf(orgPoint), PointHealth::Degraded);
+        EXPECT_EQ(rp.alarms().count(), 0u);
+        ASSERT_TRUE(rp.heldPoint(orgPoint).has_value());
+        EXPECT_EQ(rp.heldPoint(orgPoint)->files.at("r1.roa"), reissued);
+        ASSERT_EQ(rp.validRoas().size(), 1u);
+        EXPECT_EQ(rp.validRoas()[0].prefixes[0].maxLength, 23);
+    }
+}
+
+TEST(SyncEngine, ABitFlipInAnUnchangedFileFailsAWarmProbe) {
+    World w;
+    RepositorySource honest(w.repo);
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    TamperFirstAttempt flipped(honest, orgPoint, 1, [](FileMap& files) {
+        Bytes& roa = files.at("r1.roa");
+        roa[roa.size() / 2] ^= 0x01;
+    });
+    obs::Registry registry;
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    SyncEngine engine(alice, flipped, SyncPolicy{.maxAttempts = 3}, &registry);
+    engine.syncRound(w.clock.now());
+    ASSERT_TRUE(alice.heldPoint(orgPoint).has_value());
+
+    // Nothing changed at org: only the flipped copy differs from the held one.
+    w.clock.advance(1);
+    const rp::SyncReport report = engine.syncRound(w.clock.now());
+    EXPECT_EQ(report.retries, 1u);
+    EXPECT_EQ(mismatches(engine, orgPoint), 1u);
+    EXPECT_EQ(alice.alarms().count(), 0u);
+    EXPECT_EQ(alice.heldPoint(orgPoint)->files.at("r1.roa"),
+              honest.fetchPoint(orgPoint, 1, 0)->at("r1.roa"));
+    EXPECT_EQ(alice.validRoas().size(), 1u);
+}
+
+TEST(SyncEngine, RenamedFilesAreFoundByContentOnAWarmEngine) {
+    // The permutation test above, one round later: every logged object is
+    // served under another logged name, so no file equals the held copy
+    // under its name and each is found by its hash.
+    World w;
+    w.org->issueRoa("r2", 64501, {{pfx("10.1.16.0/20"), 24}}, w.repo, w.clock.now());
+    w.org->issueRoa("r3", 64502, {{pfx("10.1.32.0/20"), 24}}, w.repo, w.clock.now());
+    RepositorySource honest(w.repo);
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    TamperFirstAttempt renamed(honest, orgPoint, 1, [](FileMap& files) {
+        const Bytes& wire = files.at(kManifestName);
+        const Manifest m = Manifest::decode(ByteView(wire.data(), wire.size()));
+        const FileMap clean = files;
+        for (std::size_t i = 0; i < m.entries.size(); ++i) {
+            files[m.entries[(i + 1) % m.entries.size()].filename] =
+                clean.at(m.entries[i].filename);
+        }
+    });
+
+    obs::Registry registry;
+    obs::Registry twinRegistry;
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    RelyingParty twin("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &twinRegistry);
+    SyncEngine engine(alice, renamed, SyncPolicy{.maxAttempts = 3}, &registry);
+    SyncEngine twinEngine(twin, honest, SyncPolicy{.maxAttempts = 3}, &twinRegistry);
+    for (int round = 0; round < 2; ++round) {
+        const rp::SyncReport report = engine.syncRound(w.clock.now());
+        twinEngine.syncRound(w.clock.now());
+        EXPECT_EQ(report.retries, 0u) << "round " << round;
+        EXPECT_EQ(engine.healthOf(orgPoint), PointHealth::Healthy) << "round " << round;
+        w.clock.advance(1);
+        w.org->refreshManifest(w.repo, w.clock.now());
+    }
+    EXPECT_EQ(alice.alarms().count(), 0u);
+    EXPECT_EQ(alice.validRoas().size(), 3u);
+    EXPECT_EQ(alice.serializeState(), twin.serializeState());
+}
+
+/// Round 0 syncs org, `move` moves org's head at round 1 without keeping
+/// the new manifest's bytes, and round 2 serves round 0's point again. The
+/// replayed manifest must be judged by its own number, below the floor:
+/// if the relying party still held round 0's bytes as its head's, the
+/// replay would pass as the new head.
+void expectReplayAfterHeadMoveRegresses(RpOptions options,
+                                        const std::function<void(World&)>& move) {
+    World w;
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    chaos.addFault({FaultKind::ServeStale, orgPoint, "", 2, 1, Fault::kAllAttempts, 0});
+    obs::Registry registry;
+    RelyingParty alice("alice", {w.root->cert()}, options, &registry);
+    SyncEngine engine(alice, chaos, SyncPolicy{.maxAttempts = 2, .quarantineAfter = 5},
+                      &registry);
+    engine.syncRound(w.clock.now());
+    ASSERT_TRUE(alice.heldPoint(orgPoint).has_value());
+
+    w.clock.advance(1);
+    move(w);
+    engine.syncRound(w.clock.now());
+    EXPECT_FALSE(alice.heldPoint(orgPoint).has_value());
+
+    w.clock.advance(1);
+    const rp::SyncReport report = engine.syncRound(w.clock.now());
+    EXPECT_EQ(report.pointsFailed, 1u);
+    const std::optional<rp::PointTelemetry> pt = engine.telemetryFor(orgPoint);
+    EXPECT_EQ(pt->rejections.at(FetchOutcome::Regressed), 2u);
+    EXPECT_TRUE(alice.isPointStale(orgPoint));
+}
+
+TEST(SyncEngine, ANaiveHeadChangeForgetsTheHeadBytes) {
+    // §5.6's naive relying party diffs straight to the new head.
+    expectReplayAfterHeadMoveRegresses(
+        RpOptions{.ts = 4, .tg = 8, .checkIntermediateStates = false},
+        [](World& w) { w.org->refreshManifest(w.repo, w.clock.now()); });
+}
+
+TEST(SyncEngine, APostRolloverHeadForgetsTheHeadBytes) {
+    // A post-rollover manifest logs nothing while the point keeps its last
+    // normal files. This one names a successor nobody issued (Check1).
+    expectReplayAfterHeadMoveRegresses(RpOptions{.ts = 4, .tg = 8}, [](World& w) {
+        w.org->unsafeBogusPostRollover(w.repo, w.clock.now());
+    });
 }
 
 // ---------------------------------------------------------------------------
