@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "247773a591fa62e935d9ee6fc873e5315539d192aa8b98298311c5ddc0fbb38a")
+              "de1d6d4c401c4b009adfae13a8f231bdfde683814aa8956fa8827f703aaa4e74")
         << "crash-realized bundles";
 }
 
@@ -187,7 +187,7 @@ TEST(HarnessGolden, ForcedInvariantFailureBundle) {
                 .scoreboard = "84fc3d043dbb15053b1cffecdf2d70ba11ddec0a62bb80ee2e977b607388e57a",
                 .status = "964f5335b8a8fefeffd433dfd7a4a4837b6242acea1b6312ced95f213054071d"});
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "101918bd7242167821c14fab89914a8f81439407a0208fa2ac66f8e9868c208c")
+              "9430b1b54f01cdab3c44592774fa72a21a00dfe092b318d70553491dccc3d2ba")
         << "invariant-fail bundle";
 }
 
@@ -267,7 +267,7 @@ TEST(HarnessGolden, FleetCrashedAndMirrorFed) {
         "1:crash:5:6,3:mirror:4", 24,
         {.result = "f58a5e6f487eb14a3b4510583ed844923ae2426d065b31c910444aff7a7fd9d9",
          .status = "44bf15ab6e70d36de2862493ee91e2f6e3c953226e59bc446888b525c023c1c5",
-         .bundle = "acbdbaa1e088a84a9acdac92e1f02d16b5f14f165d4ab8f64dc1c6f3acef82e0"});
+         .bundle = "c2a6ae553601687ee6f16ef93a7d30feb64850d238be03adb1ef763c9fdadc66"});
 }
 
 TEST(HarnessGolden, FleetStalledMember) {
@@ -275,7 +275,7 @@ TEST(HarnessGolden, FleetStalledMember) {
         "2:stall:6", 16,
         {.result = "128ceced7fae424a090cfa9420935ea8c60badac5b7d6d36d7438ae999d04642",
          .status = "7adf36a4193b4d90399ac6b3c69bc294ec5e96e08a52e4ded03d781276e542fa",
-         .bundle = "f0862624eafb31aef72277069031557e3bfc5808a7a8941676ab656480b60b6a"});
+         .bundle = "c77e0af7531aab2b83e12a7a705111a43c114c363f70f1901c68ba3351ad68cb"});
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ TEST(HarnessGolden, DisabledDetectionFailureAndItsReplay) {
               "85c6c8ab5126dd8f7ad24bc552e6908b27dad7e945ba20e49d5cf4c004b3b101")
         << "transcript, plan, diff";
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "e091744fe60561f89879ec84467b7cc83dc59a1600ba09e1cdf31432e73d7021")
+              "433e205552712a5e13954d76650e0e1b16e79abba98e820b9e6578dc62affe84")
         << "oracle-diff bundle";
 
     adversary::PackRunConfig overrides;
