@@ -196,7 +196,14 @@ Bytes MemVfs::readFile(const std::string& path) {
 void MemVfs::writeFile(const std::string& path, ByteView data) {
     mutatingOp("write", path);
     File& f = files_[path];
-    f.data.assign(data.begin(), data.end());
+    // Room to grow as much again: the appends that follow a write (a WAL's
+    // deltas behind its image) extend the buffer in place instead of
+    // copying the whole file on the first one. The capacity is never
+    // touched until used, so it costs no resident memory.
+    Bytes fresh;
+    fresh.reserve(2 * data.size());
+    fresh.assign(data.begin(), data.end());
+    f.data = std::move(fresh);
     // Replacing content truncates: the old durable prefix is gone and the
     // new content is not durable yet.
     f.syncedLen = 0;
