@@ -17,15 +17,18 @@
 //
 //   rpkic-audit --ta ta.cer --cache rp-cache todays-snapshot/
 //
-// A DIR that does not exist, or holds no wal.log, starts fresh. The save
-// is the store's image commit: it writes DIR/wal.tmp, fsyncs it and
-// renames it over DIR/wal.log, so a crash or a full disk mid-write leaves
-// the previous cache intact. A wal.log that is torn or fails its digest,
-// and a DIR that is a regular file, are refused before any snapshot is
-// synced: resuming from less than the whole history could mask a
-// unilateral revocation.
+// A DIR that does not exist is created, and one that holds no wal.log
+// starts fresh. The save is the store's image commit: it writes
+// DIR/wal.tmp, fsyncs it and renames it over DIR/wal.log, so a crash or a
+// full disk mid-write leaves the previous cache intact. These are refused
+// before any snapshot is synced: a wal.log that is torn or fails its
+// digest (resuming from less than the whole history could mask a
+// unilateral revocation), a DIR that cannot be a directory, a --ta file
+// that does not parse, and a resumed cache whose trust anchors are not
+// exactly the --ta set.
 //
 // Exit status: 0 = no alarms, 2 = alarms raised, 1 = usage/IO error.
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -60,6 +63,8 @@ int main(int argc, char** argv) {
     }
 
     try {
+        std::vector<ResourceCert> tas;
+        for (const auto& path : taPaths) tas.push_back(readTrustAnchorFile(path));
         vfs::DiskVfs disk;
         std::optional<rp::DurableStore> store;
         std::optional<rp::RelyingParty> alice;
@@ -68,6 +73,7 @@ int main(int argc, char** argv) {
                 throw UsageError("cache " + cacheDir +
                                  " is a file; --cache names a store directory");
             }
+            disk.makeDir(cacheDir);
             store.emplace(disk, cacheDir, rp::StoreOptions{.name = "audit"});
             rp::RecoveredState saved;
             const rp::RecoveryReport report = store->open(&saved);
@@ -77,14 +83,24 @@ int main(int argc, char** argv) {
             }
             if (report.recovered) {
                 alice.emplace(rp::RelyingParty::restore(saved));
+                const auto encoded = [](const std::vector<ResourceCert>& certs) {
+                    std::vector<Bytes> out;
+                    for (const ResourceCert& c : certs) out.push_back(c.encode());
+                    return out;
+                };
+                const std::vector<Bytes> cached = encoded(alice->trustAnchors());
+                const std::vector<Bytes> given = encoded(tas);
+                if (cached.size() != given.size() ||
+                    !std::is_permutation(cached.begin(), cached.end(), given.begin())) {
+                    throw UsageError("cache " + cacheDir +
+                                     " was built from other trust anchors than --ta names");
+                }
                 std::printf("resumed from cache %s (%zu-byte image)\n", cacheDir.c_str(),
                             saved.image.size());
             }
         }
         const bool resumed = alice.has_value();
         if (!resumed) {
-            std::vector<ResourceCert> tas;
-            for (const auto& path : taPaths) tas.push_back(readTrustAnchorFile(path));
             alice.emplace("auditor", tas,
                           rp::RpOptions{.ts = static_cast<Duration>(snapDirs.size() + 2),
                                         .tg = static_cast<Duration>(2 * snapDirs.size() + 4)});
