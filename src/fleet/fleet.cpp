@@ -269,7 +269,7 @@ FleetResult runFleet(const FleetConfig& cfg) {
                 }
             }
         }
-        for (const auto& [uri, files] : driver.repo().snapshot().points) {
+        for (const auto& [uri, files] : driver.repo().points()) {
             pointFirstSeen.emplace(uri, r);
         }
 

@@ -15,7 +15,7 @@ namespace rpkic {
 std::vector<std::string> RepositorySource::listPoints(std::uint64_t round) {
     (void)round;
     std::vector<std::string> out;
-    for (const auto& [uri, files] : repo_->snapshot().points) out.push_back(uri);
+    for (const auto& [uri, files] : repo_->points()) out.push_back(uri);
     return out;
 }
 

@@ -54,6 +54,8 @@ public:
     const FileMap* point(const std::string& pointUri) const;
     const Bytes* file(const std::string& pointUri, const std::string& filename) const;
 
+    /// Every point's files, by URI, without a copy.
+    const std::map<std::string, FileMap>& points() const { return points_; }
     Snapshot snapshot() const { return Snapshot{points_}; }
 
 private:

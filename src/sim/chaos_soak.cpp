@@ -303,7 +303,7 @@ SoakResult runSoakImpl(const SoakConfig& cfg, const FaultPlan* replay) {
         if (replay == nullptr) {
             // Schedule this round's faults against the points that exist
             // right now (std::map order keeps the draw deterministic).
-            for (const auto& [uri, files] : driver.repo().snapshot().points) {
+            for (const auto& [uri, files] : driver.repo().points()) {
                 auto f = drawFault(faultRng, cfg, r, uri, files);
                 if (f.has_value()) chaos.addFault(std::move(*f));
             }
