@@ -311,26 +311,7 @@ void Authority::refreshManifest(Repository& repo, Time now) {
 
 void Authority::issueRoa(const std::string& label, Asn asn, std::vector<RoaPrefix> prefixes,
                          Repository& repo, Time now) {
-    requireLive();
-    const std::string filename = roaFileFor(label);
-    Roa roa;
-    roa.uri = pubPointUri_ + filename;
-    roa.serial = nextSerial_++;
-    roa.parentUri = cert_.uri;
-    roa.asn = asn;
-    roa.prefixes = std::move(prefixes);
-    if (options_.roaConsentViaEe) {
-        // Footnote-8 mode: a per-ROA EE key entitled to consent. Height 2
-        // suffices: the EE key only ever signs one .dead.
-        Signer ee = Signer::generate(dir_.nextSeed(), 2);
-        roa.hasEeKey = true;
-        roa.eeKey = ee.publicKey();
-        roaEeSigners_.insert_or_assign(label, std::move(ee));
-    }
-    signObject(roa, signer_);
-    highestChildSerial_ = std::max(highestChildSerial_, roa.serial);
-    stagePut(filename, roa.encode(), now);
-    publishUpdate(repo, now);
+    issueRoas({{label, asn, std::move(prefixes)}}, repo, now);
 }
 
 void Authority::issueRoas(std::vector<RoaSpec> roas, Repository& repo, Time now) {
@@ -343,6 +324,14 @@ void Authority::issueRoas(std::vector<RoaSpec> roas, Repository& repo, Time now)
         roa.parentUri = cert_.uri;
         roa.asn = spec.asn;
         roa.prefixes = std::move(spec.prefixes);
+        if (options_.roaConsentViaEe) {
+            // Footnote-8 mode: a per-ROA EE key entitled to consent. Height 2
+            // suffices: the EE key only ever signs one .dead.
+            Signer ee = Signer::generate(dir_.nextSeed(), 2);
+            roa.hasEeKey = true;
+            roa.eeKey = ee.publicKey();
+            roaEeSigners_.insert_or_assign(spec.label, std::move(ee));
+        }
         signObject(roa, signer_);
         highestChildSerial_ = std::max(highestChildSerial_, roa.serial);
         stagePut(filename, roa.encode(), now);

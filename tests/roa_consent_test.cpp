@@ -5,6 +5,7 @@
 
 #include "consent/authority.hpp"
 #include "rp/relying_party.hpp"
+#include "rpki/signing.hpp"
 
 namespace rpkic {
 namespace {
@@ -116,6 +117,43 @@ TEST(RoaConsent, ForgedEeDeadDoesNotCount) {
         << "the forged .dead is provably bad";
     EXPECT_TRUE(alice.alarms().has(AlarmType::UnilateralRevocation))
         << "and it does not count as consent";
+}
+
+TEST(RoaConsent, BatchIssuedRoasCarryEeKeysAndConsentOnDelete) {
+    // issueRoas is the same issuance as issueRoa: each ROA of the batch
+    // gets its own EE key, and deleting one publishes its EE-signed .dead.
+    Fixture f;
+    f.clock.advance(1);
+    f.isp->issueRoas({{"batch-a", 64501, {{pfx("79.139.100.0/24"), 24}}},
+                      {"batch-b", 64502, {{pfx("79.139.101.0/24"), 24}}}},
+                     f.repo, f.clock.now());
+    RelyingParty alice = f.rp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    ASSERT_EQ(alice.alarms().count(), 0u);
+
+    const Bytes* raw = f.repo.file(f.isp->pubPointUri(), "batch-a.roa");
+    ASSERT_NE(raw, nullptr);
+    const Roa roa = Roa::decode(ByteView(raw->data(), raw->size()));
+    ASSERT_TRUE(roa.hasEeKey);
+    const Bytes* otherRaw = f.repo.file(f.isp->pubPointUri(), "batch-b.roa");
+    ASSERT_NE(otherRaw, nullptr);
+    const Roa other = Roa::decode(ByteView(otherRaw->data(), otherRaw->size()));
+    EXPECT_TRUE(other.hasEeKey);
+    EXPECT_NE(roa.eeKey, other.eeKey);
+
+    f.clock.advance(1);
+    f.isp->deleteRoa("batch-a", f.repo, f.clock.now());
+    const std::string deadName = "batch-a.roa." + std::to_string(roa.serial) + ".ee.dead";
+    const Bytes* deadRaw = f.repo.file(f.isp->pubPointUri(), deadName);
+    ASSERT_NE(deadRaw, nullptr) << "no EE-signed .dead published";
+    const DeadObject dead = DeadObject::decode(ByteView(deadRaw->data(), deadRaw->size()));
+    EXPECT_EQ(dead.rcUri, roa.uri);
+    EXPECT_TRUE(verifyObject(dead, roa.eeKey));
+
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    EXPECT_EQ(alice.alarms().count(), 0u)
+        << (alice.alarms().count() ? alice.alarms().all()[0].str() : "");
+    EXPECT_TRUE(alice.sawDeadFor(roa.uri, roa.serial));
 }
 
 TEST(RoaConsent, LegacyRoasWithoutEeKeysStaySilent) {
