@@ -591,6 +591,34 @@ TEST(SyncEngine, APostRolloverHeadForgetsTheHeadBytes) {
     });
 }
 
+TEST(SyncEngine, AChildPublishedThisRoundIsFetchedThisRound) {
+    // org logs a new child RC and the child publishes its first manifest
+    // and a ROA before the next round: that round reaches the new point
+    // through org's manifest, fetches it once and validates its ROA.
+    World w;
+    RepositorySource honest(w.repo);
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8});
+    SyncEngine engine(alice, honest, SyncPolicy{.maxAttempts = 3});
+    engine.syncRound(w.clock.now());
+    ASSERT_EQ(alice.validRoas().size(), 1u);
+
+    w.clock.advance(1);
+    Authority& site = w.dir.createChild(
+        *w.org, "site", ResourceSet::ofPrefixes({pfx("10.1.16.0/20")}), w.repo, w.clock.now());
+    site.issueRoa("s1", 64510, {{pfx("10.1.16.0/24"), 24}}, w.repo, w.clock.now());
+    const rp::SyncReport report = engine.syncRound(w.clock.now());
+
+    const std::optional<rp::PointTelemetry> pt = engine.telemetryFor(site.pubPointUri());
+    ASSERT_TRUE(pt.has_value());
+    EXPECT_EQ(pt->attempts, 1u);
+    EXPECT_EQ(pt->roundsDelivered, 1u);
+    EXPECT_EQ(report.pointsDelivered, 3u);
+    EXPECT_EQ(alice.alarms().count(), 0u);
+    EXPECT_EQ(alice.validRoas().size(), 2u);
+    EXPECT_EQ(report.validRoas, 2u);
+    EXPECT_TRUE(alice.heldPoint(site.pubPointUri()).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Semantic attack-zoo kinds and overlays (the adversary packs schedule
 // these; here each ChaosSource mechanism is pinned in isolation)

@@ -110,13 +110,13 @@ TEST(HarnessGolden, SmokeSoakSeedsOneAndTwo) {
     const SoakPins pins[] = {
         {.plan = "57f0ad87e3a78c7daa93e7cf8b096e84174c6f9c18e9996d2567e855bd355be9",
          .epochs = "f0236062eb95eab193679bd0a6c3047c1267571c8094d6444a89aefab1f26607",
-         .stats = "969a3dac6e349b4d90a49994c298f46ac271bca54c73a711bee73cb433db687b",
-         .scoreboard = "c566062531666cf40280583cb5e156951fd52069d7c7021f281ce0bd3e616344",
+         .stats = "62f11f6ad3ad55cdc5214b7f92231e81a70099db7677059ccf24d6178cfb95c5",
+         .scoreboard = "992bb60a91cd4c0477a8f3de28501b8aee8d9b07be9f91d4f28466b9821504ce",
          .status = "ff35b352a90c2c06c86c932ccb2dd1b26df97b6cd652e7bb6f7fed8062d4f7b6"},
         {.plan = "689ac90b29ae1289d6c52d1ce1f68c07d96472fa6fb5192e7d535fac22dc14ac",
          .epochs = "fd32af83f0a837476cebd4fcc851735488b1cfd1298adcc88202d05c47fc5eba",
-         .stats = "03bd7d9f805cd5ae6f04e821ef09028164215a80e26bc14d8df2edc50b74ebd4",
-         .scoreboard = "0ee2ed01e8b8ffe7c15442ef2779bf21a8c45c85ecfddc6be818568246dda2e8",
+         .stats = "8caf200ccba55c3a737892a322b4f3ed419f046a2f6d721543c9d67943187b25",
+         .scoreboard = "4f979ecef580259e0f12838c8873110080c1fdabc4d0e9e6e92cc42091b6f180",
          .status = "93caf9f48b1133420ece5227239aac85ea3c9a2e91826695210dd9902a21eb4f"},
     };
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
@@ -134,8 +134,8 @@ TEST(HarnessGolden, SmokeSoakSeedsOneAndTwo) {
 const SoakPins kKillRestartPins{
     .plan = "5c8e88469ade93bca293b3a7a2577a96f938dd70b8f626f215b9735473bcf150",
     .epochs = "f0236062eb95eab193679bd0a6c3047c1267571c8094d6444a89aefab1f26607",
-    .stats = "aa980c5d6488020aaed05b2bbfa6da6ad04c89f299d3d571cf8ac0fd0b9ae120",
-    .scoreboard = "c566062531666cf40280583cb5e156951fd52069d7c7021f281ce0bd3e616344",
+    .stats = "1277bd971b52592753afb7259f24affe39d6b516091c87ce18643bdf5db66876",
+    .scoreboard = "992bb60a91cd4c0477a8f3de28501b8aee8d9b07be9f91d4f28466b9821504ce",
     .status = "387480847ffb7da98c6d52e2b943700a64b45fb509c5fc9a2d4713b1b177bc8b"};
 
 sim::SoakConfig killRestartConfig() {
@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "de1d6d4c401c4b009adfae13a8f231bdfde683814aa8956fa8827f703aaa4e74")
+              "eaa6d68d6a2343d6ff5daf7496aaae68bbe8c9ff767ef6a4b71e50ff0099ed37")
         << "crash-realized bundles";
 }
 
@@ -183,11 +183,11 @@ TEST(HarnessGolden, ForcedInvariantFailureBundle) {
     expectSoak(r, board,
                {.plan = "a8443310bfbb7cdb08892500a189435081afd6bbd97e110417d2b5f2c108dd98",
                 .epochs = "35f5d240f216311e6a0fef597552cb43726e7793e0a4c8ded2bda3725ddb7ca3",
-                .stats = "013940351470b694eb6bb4cf9ee18ddc6ea34dcfaa644e3d811769fb49127e0b",
-                .scoreboard = "84fc3d043dbb15053b1cffecdf2d70ba11ddec0a62bb80ee2e977b607388e57a",
+                .stats = "d36baeb6ea0027ccca08b295d5aea32dc67474df7a5003b64a8d95a37ce3ad8c",
+                .scoreboard = "005737c6b6786ded44fcac780049cf2e756c5c356c96106501e1aee9c69e2712",
                 .status = "964f5335b8a8fefeffd433dfd7a4a4837b6242acea1b6312ced95f213054071d"});
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "9430b1b54f01cdab3c44592774fa72a21a00dfe092b318d70553491dccc3d2ba")
+              "db797d39745e822255723493eaed7bb45a6b6a71b2cc990a4e9a632c3112a313")
         << "invariant-fail bundle";
 }
 
