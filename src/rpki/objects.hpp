@@ -189,6 +189,7 @@ struct DeadObject {
     Bytes encode() const;
     Digest bodyHash() const;
     static DeadObject decode(ByteView file);
+    bool operator==(const DeadObject&) const = default;
 };
 
 /// Consent to deletion after a completed key rollover (Appendix A).

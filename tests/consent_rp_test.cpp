@@ -4,6 +4,8 @@
 // (exercised in sim_* tests), key rollover, and staleness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "consent/authority.hpp"
 #include "rpki/chaos.hpp"
 #include "rp/relying_party.hpp"
@@ -126,6 +128,51 @@ TEST(ConsentRp, ConsensualRevocationRaisesNoAlarm) {
     ASSERT_NE(alice.findRc(f.continental->cert().uri), nullptr);
     EXPECT_EQ(alice.findRc(f.continental->cert().uri)->status, RcStatus::NoLongerValid);
     EXPECT_EQ(alice.validRoas().size(), 1u);  // continental's ROA is gone
+}
+
+TEST(ConsentRp, AVerifiedDeadIsHeldOnceAcrossLaterManifests) {
+    // sprint keeps logging continental's .dead, so every later manifest of
+    // its point carries it again. The relying party holds it once: its
+    // image carries the .dead's bytes as often after eight refreshes as
+    // right after the revocation (in sprint's point cache and among the
+    // verified .dead objects).
+    Fixture f;
+    RelyingParty alice = f.makeRp("alice");
+    alice.sync(f.repo.snapshot(), f.clock.now());
+    f.clock.advance(1);
+    const auto deads = f.dir.collectRevocationConsent(*f.continental);
+    f.sprint->revokeChild("continental", deads, f.repo, f.clock.now());
+    alice.sync(f.repo.snapshot(), f.clock.now());
+
+    const FileMap* point = f.repo.point(f.sprint->pubPointUri());
+    ASSERT_NE(point, nullptr);
+    const auto deadIt = std::find_if(point->begin(), point->end(), [](const auto& file) {
+        return file.first.ends_with(".dead");
+    });
+    ASSERT_NE(deadIt, point->end());
+    const Bytes dead = deadIt->second;
+    const auto copiesInImage = [&] {
+        const Bytes image = alice.serializeState();
+        std::size_t n = 0;
+        for (auto it = image.begin();
+             (it = std::search(it, image.end(), dead.begin(), dead.end())) != image.end(); ++it) {
+            ++n;
+        }
+        return n;
+    };
+    EXPECT_EQ(copiesInImage(), 2u);
+
+    for (int refresh = 0; refresh < 8; ++refresh) {
+        f.clock.advance(1);
+        f.sprint->refreshManifest(f.repo, f.clock.now());
+        alice.sync(f.repo.snapshot(), f.clock.now());
+    }
+    EXPECT_EQ(copiesInImage(), 2u);
+    EXPECT_EQ(alice.alarms().count(), 0u)
+        << (alice.alarms().count() ? alice.alarms().all()[0].str() : "");
+    EXPECT_TRUE(alice.sawDeadFor(f.continental->cert().uri, f.continental->cert().serial));
+    EXPECT_TRUE(alice.sawDeadForResources(f.continental->cert().uri,
+                                          f.continental->cert().resources));
 }
 
 TEST(ConsentRp, RevocationWithoutConsentIsRefusedByHonestAuthority) {
