@@ -1,5 +1,6 @@
 // WOTS, Merkle-tree, and XMSS-style signature behaviour: correctness,
-// tamper rejection, key exhaustion, and serialization round-trips.
+// tamper rejection, key exhaustion, serialization round-trips, and known
+// answers for keys and signatures.
 #include <gtest/gtest.h>
 
 #include "crypto/merkle.hpp"
@@ -155,6 +156,85 @@ TEST(Xmss, MalformedPublicKeyRejected) {
     Bytes badHeight = Signer::generate(1, 2).publicKey().toBytes();
     badHeight[64] = 0;
     EXPECT_THROW(PublicKey::fromBytes(ByteView(badHeight.data(), badHeight.size())), ParseError);
+}
+
+// ---------------------------------------------------------------------------
+// Known answers. Keys, signatures and recomputed public keys are pinned as
+// hex, so any change to how the chains are hashed shows up here, not only
+// in the world-level goldens.
+
+Digest filled(std::uint8_t byte) {
+    Digest d;
+    d.bytes.fill(byte);
+    return d;
+}
+
+std::string hexOfDigest(const Bytes& b) {
+    return sha256(ByteView(b.data(), b.size())).hex();
+}
+
+TEST(SignatureKat, GeneratedPublicKeys) {
+    const Bytes a = Signer::generate(1, 4).publicKey().toBytes();
+    const Bytes b = Signer::generate(20140817, 4).publicKey().toBytes();
+    EXPECT_EQ(toHex(ByteView(a.data(), a.size())),
+              "b84ccf73d71e863294f851536e613a5ae4f4869831b0f6c84f1bbfa62b21bfbb"
+              "7d383660345c4475d56656335461be5f03e51ca0d3694840a73aa73d657be2390400");
+    EXPECT_EQ(toHex(ByteView(b.data(), b.size())),
+              "dc40d782ce9f52cb49e25f66af731b9b0b39f9484952e8a9063877854f93918b"
+              "05e1307a6713ef1020baf6ecb2657cfab00974c4681fb320d8fdfea3554acae10400");
+}
+
+TEST(SignatureKat, WotsPublicKeys) {
+    const Digest secretSeed = sha256("kat secret seed");
+    const Digest publicSeed = sha256("kat public seed");
+    EXPECT_EQ(wots::derivePublicKey(secretSeed, publicSeed, 0).hex(),
+              "33172f715233eacf09d5c2a5b8aa24a5ef45947d7c26ea2c62ae1ca21ab02121");
+    // Every byte of the leaf index lands in the chain block.
+    EXPECT_EQ(wots::derivePublicKey(secretSeed, publicSeed, 0x01020304).hex(),
+              "73bed672df7ac9d22cbb30a0662d2b79b2f4decd9a29a7137e71433dd26dac82");
+}
+
+TEST(SignatureKat, SignaturesOfLeavesZeroAndOne) {
+    Signer signer = Signer::generate(3, 4);
+    const Bytes first = signer.sign("kat message 0");
+    const Bytes second = signer.sign("kat message 1");
+    EXPECT_EQ(hexOfDigest(first),
+              "d100da6b8b9df7d62b09db858f3753bb5fd5c82bc955da9627474ef7b495b667");
+    EXPECT_EQ(hexOfDigest(second),
+              "321233f641df627104d5799c4517dc03229bead64e90bd9449f0f0c4b69a7a3d");
+}
+
+TEST(SignatureKat, PublicKeyFromSignatureAtExtremeDigits) {
+    // Verifying walks a chain 15 - digit steps and signing walks it digit
+    // steps, so digits 0 and 15 give both zero-step and full-length chains
+    // on either side. 0x00 bytes give message digits 0 and checksum digits
+    // 3, 12, 0; 0xFF bytes give message digits 15 and checksum digits
+    // 0, 0, 0; 0x0F alternates 0 and 15 with checksum digits 1, 14, 0.
+    const Digest secretSeed = sha256("kat secret seed");
+    const Digest publicSeed = sha256("kat public seed");
+    wots::Signature arbitrary;
+    for (int c = 0; c < wots::kChains; ++c) arbitrary[c] = sha256("kat chain " + std::to_string(c));
+    const Digest pk = wots::derivePublicKey(secretSeed, publicSeed, 9);
+    const auto heads = wots::deriveSecretChains(secretSeed, 9);
+    const std::pair<std::uint8_t, const char*> cases[] = {
+        {0x00, "32e430947d8fa529aef16f2e56b3d33bad844051c87635e77c0503d616214947"},
+        {0xFF, "85cc2c058a2a6ff36e9dddebd8c20ba4600fe6488c6abb17363ba901b66a9474"},
+        {0x0F, "d2465f902f860aa1c9f4fd38586119e12507419dfbdd29a6b2727bdc7ab6926f"},
+    };
+    for (const auto& [byte, expected] : cases) {
+        SCOPED_TRACE(static_cast<int>(byte));
+        const Digest msg = filled(byte);
+        const auto digits = wots::messageDigits(msg);
+        EXPECT_EQ(wots::publicKeyFromSignature(publicSeed, 9, msg, arbitrary).hex(), expected);
+        const wots::Signature sig = wots::sign(secretSeed, publicSeed, 9, msg);
+        EXPECT_EQ(wots::publicKeyFromSignature(publicSeed, 9, msg, sig), pk);
+        // Signing walks a digit-0 chain zero steps: the secret head itself.
+        for (int c = 0; c < wots::kChains; ++c) {
+            if (digits[c] == 0) {
+                EXPECT_EQ(sig[c], heads[c]) << c;
+            }
+        }
+    }
 }
 
 }  // namespace
