@@ -129,13 +129,9 @@ void SyncEngine::recordHealthTransition(PointHealth from, PointHealth to) {
         .inc();
 }
 
-std::size_t SyncEngine::refreshHealthGauges() {
-    std::array<std::int64_t, 4> counts{};
-    for (const auto& [uri, ps] : points_) {
-        ++counts[static_cast<std::size_t>(ps.health)];
-    }
-    for (std::size_t h = 0; h < healthGauges_.size(); ++h) healthGauges_[h]->set(counts[h]);
-    return static_cast<std::size_t>(counts[static_cast<std::size_t>(PointHealth::Quarantined)]);
+std::size_t SyncEngine::publishHealthGauges(const std::array<std::int64_t, 4>& reached) {
+    for (std::size_t h = 0; h < healthGauges_.size(); ++h) healthGauges_[h]->set(reached[h]);
+    return static_cast<std::size_t>(reached[static_cast<std::size_t>(PointHealth::Quarantined)]);
 }
 
 PointHealth SyncEngine::healthOf(const std::string& pointUri) const {
@@ -328,6 +324,7 @@ SyncReport SyncEngine::syncRound(Time now) {
     // level is processed, so every alarm the relying party raises is
     // post-budget by construction.
     const std::size_t alarmsBefore = rp_->alarms().count();
+    std::array<std::int64_t, 4> reachedHealth{};  // by PointHealth, after delivery
     Snapshot level;
     rp_->sync(
         [&](const std::vector<std::string>& points) -> const Snapshot& {
@@ -335,6 +332,7 @@ SyncReport SyncEngine::syncRound(Time now) {
             for (const std::string& pointUri : points) {
                 if (!std::binary_search(listed.begin(), listed.end(), pointUri)) continue;
                 std::optional<FileMap> files = deliver(pointUri, report);
+                ++reachedHealth[static_cast<std::size_t>(healthOf(pointUri))];
                 if (files.has_value()) level.points.emplace(pointUri, std::move(*files));
             }
             return level;
@@ -343,7 +341,7 @@ SyncReport SyncEngine::syncRound(Time now) {
     report.alarmsRaised = rp_->alarms().count() - alarmsBefore;
     alarmsEscalated_->inc(report.alarmsRaised);
 
-    report.pointsQuarantined = refreshHealthGauges();
+    report.pointsQuarantined = publishHealthGauges(reachedHealth);
 
     // One walk of the points' decoded views gives the report's count and
     // the epoch sink's state.

@@ -119,7 +119,7 @@ struct SyncReport {
     /// Of the listed points the walk reached: accepted, or budget spent.
     std::size_t pointsDelivered = 0;
     std::size_t pointsFailed = 0;
-    std::size_t pointsQuarantined = 0;  ///< in quarantine after this round
+    std::size_t pointsQuarantined = 0;  ///< of those, in quarantine after this round
     std::uint64_t attempts = 0;
     std::uint64_t retries = 0;
     std::uint64_t faultsAbsorbed = 0;
@@ -236,8 +236,9 @@ private:
     PointState& stateFor(const std::string& pointUri);
     obs::Counter& rejectionCounter(PointState& ps, const std::string& pointUri, FetchOutcome o);
     void recordHealthTransition(PointHealth from, PointHealth to);
-    /// Returns how many points are quarantined.
-    std::size_t refreshHealthGauges();
+    /// Sets the health gauges to the points this round reached, by health
+    /// class; returns how many of them are quarantined.
+    std::size_t publishHealthGauges(const std::array<std::int64_t, 4>& reached);
     PointTelemetry materialize(const PointState& ps) const;
 
     RelyingParty* rp_;

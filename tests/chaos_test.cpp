@@ -304,6 +304,36 @@ TEST(SyncEngine, BudgetExhaustionDegradesGracefullyAndQuarantines) {
     EXPECT_EQ(pt->longestStaleStreak, 4u);
 }
 
+TEST(SyncEngine, QuarantineCountsOnlyThePointsTheRoundReached) {
+    // org's point is unreachable in rounds 0-3 and quarantined from round
+    // 2; root revokes org in round 3. From then on the walk no longer
+    // reaches org's point, so neither the report nor the gauge counts it.
+    World w;
+    RepositorySource honest(w.repo);
+    ChaosSource chaos(honest, FaultPlan{});
+    const std::string orgPoint = w.org->cert().pubPointUri;
+    chaos.addFault({FaultKind::DropPoint, orgPoint, "", 0, 4, Fault::kAllAttempts, 0});
+    obs::Registry registry;
+    RelyingParty alice("alice", {w.root->cert()}, RpOptions{.ts = 4, .tg = 8}, &registry);
+    SyncEngine engine(alice, chaos, SyncPolicy{}, &registry);
+    const obs::Gauge& quarantined = registry.gauge(
+        "rc_sync_points", "", {{"rp", "alice"}, {"health", "quarantined"}});
+
+    for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        if (round == 3) {
+            w.root->revokeChild("org", w.dir.collectRevocationConsent(*w.org), w.repo,
+                                w.clock.now());
+        }
+        const rp::SyncReport rep = engine.syncRound(w.clock.now());
+        const std::size_t expected = round == 2 ? 1 : 0;
+        EXPECT_EQ(rep.pointsQuarantined, expected);
+        EXPECT_EQ(quarantined.value(), static_cast<std::int64_t>(expected));
+        w.clock.advance(1);
+    }
+    EXPECT_EQ(engine.healthOf(orgPoint), PointHealth::Quarantined);  // where the walk left it
+}
+
 TEST(SyncEngine, StallorisStaleServingIsRefusedNeverSilent) {
     // The Stalloris pattern: after the relying party has seen manifest
     // number N, the repository alternates serving the old state (a pin to

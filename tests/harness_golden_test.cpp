@@ -153,7 +153,7 @@ TEST(HarnessGolden, KillRestartSoakWithCrashBundles) {
     EXPECT_GT(r.stats.crashes, 0u);
     expectSoak(r, board, kKillRestartPins);
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "eaa6d68d6a2343d6ff5daf7496aaae68bbe8c9ff767ef6a4b71e50ff0099ed37")
+              "beb747f903be9111a275bcb944a6a5159cb792833b158d87161c14d6a9988cfa")
         << "crash-realized bundles";
 }
 
@@ -187,7 +187,7 @@ TEST(HarnessGolden, ForcedInvariantFailureBundle) {
                 .scoreboard = "005737c6b6786ded44fcac780049cf2e756c5c356c96106501e1aee9c69e2712",
                 .status = "964f5335b8a8fefeffd433dfd7a4a4837b6242acea1b6312ced95f213054071d"});
     EXPECT_EQ(digest(bundles(r.postmortems)),
-              "db797d39745e822255723493eaed7bb45a6b6a71b2cc990a4e9a632c3112a313")
+              "551d28c414520f69b0f6213e3fd1efcb1eb5d0634795da8a8ae35cbcb57a24f6")
         << "invariant-fail bundle";
 }
 
