@@ -89,6 +89,15 @@ int run(const std::string& root) {
         ++written;
     }
 
+    const fs::path rtrDir = fs::path(root) / "rtr";
+    fs::create_directories(rtrDir);
+    const std::vector<Bytes> rtrInputs = sampleRtrInputs();
+    for (std::size_t i = 0; i < rtrInputs.size(); ++i) {
+        writeFile(rtrDir / ("rtr_" + std::to_string(i) + ".bin"),
+                  ByteView(rtrInputs[i].data(), rtrInputs[i].size()));
+        ++written;
+    }
+
     std::printf("gen_corpus: wrote %d seed files under %s\n", written, root.c_str());
     return 0;
 }

@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "rp/durable_store.hpp"
 #include "rpki/objects.hpp"
+#include "serve/epoch.hpp"
 #include "util/errors.hpp"
 #include "util/vfs.hpp"
 
@@ -226,6 +227,40 @@ std::vector<Bytes> sampleConsensusInputs() {
                       {"rpki://org/", 7, sha256("forged-m7")}};
 
     return {plain.encode(), empty.encode(), hostile.encode()};
+}
+
+std::vector<Bytes> sampleRtrInputs() {
+    using namespace serve;
+    const auto seed = [](std::initializer_list<std::uint8_t> chunks, const std::string& wire) {
+        Bytes out{static_cast<std::uint8_t>(chunks.size())};
+        out.insert(out.end(), chunks.begin(), chunks.end());
+        out.insert(out.end(), wire.begin(), wire.end());
+        return out;
+    };
+    const auto serialQuery = [](std::uint16_t session, std::uint32_t serial) {
+        std::string q;
+        appendSerialQuery(q, session, serial);
+        return q;
+    };
+    std::string reset;
+    appendResetQuery(reset);
+    const std::string fromFirst = serialQuery(kRtrSession, kRtrFirstSerial);
+    const std::string fromCurrent = serialQuery(kRtrSession, kRtrFirstSerial + 1);
+    std::string routerError = reset;
+    appendErrorReport(routerError, RtrError::CorruptData, fromFirst, "router gives up");
+    std::string oldVersion = reset;
+    oldVersion[0] = 0;
+    return {
+        seed({}, reset),
+        seed({}, fromFirst),
+        seed({}, fromCurrent),
+        seed({}, serialQuery(kRtrSession, 12345)),
+        seed({}, serialQuery(kRtrSession + 1, kRtrFirstSerial)),
+        seed({5, 11}, reset + fromFirst + fromCurrent),
+        seed({1}, fromFirst + reset),
+        seed({}, routerError),
+        seed({}, oldVersion),
+    };
 }
 
 std::vector<std::pair<std::string, Bytes>> samplePackTlvSeeds() {

@@ -5,12 +5,13 @@
 //   * tests/fuzz_decode_test  — the PR-1 gtest fuzz harness mutates the same
 //                               seeds instead of carrying a private copy
 //
-// The corpus on disk (fuzz/corpus/{tlv,manifest_chain,state_io,wal}/) is the
+// The corpus on disk (fuzz/corpus/{tlv,manifest_chain,state_io,wal,rtr}/) is the
 // single source of truth at run time; the sample*() builders here are the
 // single source of truth for *regenerating* it. A golden test in
 // tests/fuzz_decode_test.cpp fails if the two drift apart.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,12 @@
 #include "util/bytes.hpp"
 
 namespace rpkic::fuzz {
+
+/// The cache fuzz_rtr serves: an EpochStore with this session whose two
+/// epochs carry serials kRtrFirstSerial and its successor, 0 (RFC 1982
+/// wrap). The rtr seeds query those serials.
+inline constexpr std::uint16_t kRtrSession = 0x2014;
+inline constexpr std::uint32_t kRtrFirstSerial = 0xFFFFFFFF;
 
 /// One well-formed, non-trivial instance of every ObjectType, encoded.
 /// These are the TLV fuzzer's seeds (promoted from tests/fuzz_decode_test).
@@ -45,6 +52,13 @@ std::vector<Bytes> sampleWalImages();
 /// votes with and without claims, and a hostile vote diverging from the
 /// synthetic honest quorum.
 std::vector<Bytes> sampleConsensusInputs();
+
+/// Seed inputs for the RTR cache fuzzer (fuzz_rtr): a chunk-size header
+/// (see fuzz_rtr.cpp's input layout) followed by what a router sends:
+/// Reset Queries, Serial Queries from the first, the current, an unknown
+/// serial and another session, pipelined and split queries, a router's
+/// Error Report and a query in protocol version 0.
+std::vector<Bytes> sampleRtrInputs();
 
 /// One TLV seed per adversary scenario pack (src/adversary): each pack
 /// contributes one encoded object shaped like its attack (a grafted-chain

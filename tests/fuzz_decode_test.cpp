@@ -69,6 +69,12 @@ TEST(SharedCorpus, CheckedInWalImagesMatchGenerators) {
                         "wal");
 }
 
+TEST(SharedCorpus, CheckedInRtrInputsMatchGenerators) {
+    // Router queries against fuzz_rtr's two-epoch store.
+    expectCorpusMatches(fuzz::loadCorpusDir(RC_CORPUS_DIR "/rtr"), fuzz::sampleRtrInputs(),
+                        "rtr");
+}
+
 /// Decodes by dispatching on the type byte; returns true on success.
 bool tryDecode(const Bytes& wire) {
     const ByteView view(wire.data(), wire.size());
